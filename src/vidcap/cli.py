@@ -178,8 +178,7 @@ def cmd_generate(args) -> int:
             persist_feature=header.get("persist_feature", args.persist_feature or "")))
     gen_cfg = GenerationConfig(beam_size=args.beam, max_len=args.max_len)
     records = sorted(dataset.split(args.split), key=lambda r: r.id)
-    pools = harness._pool_map(
-        lambda r: generate_pool(models, r.id, store.get, gen_cfg, vocab), records)
+    pools = [generate_pool(models, r.id, store.get, gen_cfg, vocab) for r in records]
     dump_pools(pools, args.out)
     print(f"wrote {sum(len(p.entries) for p in pools)} candidates "
           f"for {len(pools)} videos -> {args.out}")

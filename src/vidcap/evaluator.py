@@ -12,12 +12,13 @@ matched pairs over sampled negatives with a per-negative hinge.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import binio
-from .errors import DataError, DimensionError, NumericError, ParameterError
+from .errors import DataError, DimensionError, FormatError, NumericError, ParameterError
 from .numerics import OptState, Params, rmsprop_update
 from .text import PAD, EOS, Vocabulary, encode, tokenize
 
@@ -274,6 +275,14 @@ def save_evaluator(path, cfg: EvaluatorConfig, params: Params) -> None:
 
 def load_evaluator(path) -> tuple[EvaluatorConfig, Params]:
     header, tensors = binio.read_checkpoint(path, binio.EVAL_MAGIC)
+    raw_name = header["feature_name"]  # save_evaluator writes repr()
+    try:
+        feature_name = ast.literal_eval(raw_name)
+    except (ValueError, SyntaxError, MemoryError, RecursionError) as e:  # last two: deep nesting
+        raise FormatError(f"{path}: malformed feature_name {raw_name[:80]!r}") from e
+    if not isinstance(feature_name, str):
+        raise FormatError(
+            f"{path}: feature_name must be a string, got {type(feature_name).__name__}")
     cfg = EvaluatorConfig(
         vocab_size=int(header["vocab_size"]),
         video_dim=int(header["video_dim"]),
@@ -283,6 +292,6 @@ def load_evaluator(path) -> tuple[EvaluatorConfig, Params]:
         joint_dim=int(header["joint_dim"]),
         margin=float(header["margin"]),
         n_negatives=int(header["n_negatives"]),
-        feature_name=header["feature_name"].strip("'\""),
+        feature_name=feature_name,
     )
     return cfg, tensors

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,29 +25,24 @@ class GenerationConfig:
             raise ParameterError(f"max_len must be >= 1, got {self.max_len}")
 
 
-@dataclass
-class BeamHypothesis:
-    tokens: list[int] = field(default_factory=list)  # emitted ids, EOS included when completed
-    logprob: float = 0.0
-    states: list = field(default_factory=list)
-    finished: bool = False
-
-
-def _final_key(hyp: BeamHypothesis, normalize: bool):
-    score = hyp.logprob / max(1, len(hyp.tokens)) if normalize else hyp.logprob
-    return (-score, tuple(hyp.tokens))
-
-
 def beam_search_ids(params: Params, lm_cfg: LMConfig, init_vec, persist_vec,
                     gen_cfg: GenerationConfig) -> tuple[list[int], float, bool]:
     """Best emitted token sequence, its summed log-prob and a completed flag.
 
     Standard beam search: every live hypothesis expands over the full
     vocabulary (PAD/BOS/UNK banned from emission), the top `beam_size`
-    expansions survive (ties break toward the lexicographically smaller token
-    sequence), and expansions ending in EOS or reaching max_len retire. The
-    best EOS-completed hypothesis wins; if none completed, the best truncated
-    one is returned.
+    expansions survive, and expansions ending in EOS or reaching max_len
+    retire. The best EOS-completed hypothesis wins; if none completed, the
+    best truncated one is returned.
+
+    Ties break exactly: expansions rank by (-score, token tuple), so among
+    equal scores the lexicographically smaller sequence survives, and the
+    final pick ranks retired hypotheses the same way (score divided by length
+    when `length_normalize` is set). Each step is vectorised over the beam x
+    vocabulary score matrix: the top-k keeps every entry tied with the
+    `beam_size`-th best, and one `np.lexsort` orders those by score, prefix
+    rank and token. The live beam is held as arrays (prefix matrix, log-prob
+    vector, batched LSTM states) gathered by parent row.
     """
     init_vec = np.asarray(init_vec, dtype=np.float64)
     persist_vec = np.asarray(persist_vec, dtype=np.float64)
@@ -57,52 +52,53 @@ def beam_search_ids(params: Params, lm_cfg: LMConfig, init_vec, persist_vec,
     _, states0 = stack_step(x0, zero_states(lm_cfg), params, lm_cfg)
 
     banned = [t for t in (PAD, BOS, UNK) if t < lm_cfg.vocab_size]
-    live = [BeamHypothesis(states=states0)]
-    completed: list[BeamHypothesis] = []
-    truncated: list[BeamHypothesis] = []
+    k = gen_cfg.beam_size
+    # Live beam, one row per hypothesis; column 0 of every prefix is BOS.
+    prefixes = np.full((1, 1), BOS, dtype=np.int64)
+    logprob = np.zeros(1)
+    states = [(h[None], c[None]) for h, c in states0]
+    completed: list[tuple[list[int], float]] = []
+    truncated: list[tuple[list[int], float]] = []
 
-    for _ in range(gen_cfg.max_len):
-        if not live:
+    for step in range(gen_cfg.max_len):
+        if not len(prefixes):
             break
-        last = [h.tokens[-1] if h.tokens else BOS for h in live]
         x = np.concatenate(
-            [params["embed"][last], np.tile(persist_vec, (len(live), 1))], axis=1)
-        batched = [
-            (np.stack([h.states[l][0] for h in live]), np.stack([h.states[l][1] for h in live]))
-            for l in range(lm_cfg.depth)
-        ]
-        top, new_states = stack_step(x, batched, params, lm_cfg)
+            [params["embed"][prefixes[:, -1]], np.tile(persist_vec, (len(prefixes), 1))], axis=1)
+        top, new_states = stack_step(x, states, params, lm_cfg)
         logp = log_softmax(top @ params["out_W"].T + params["out_b"], axis=1)
         logp[:, banned] = -np.inf
 
-        expansions = []
-        for bi, hyp in enumerate(live):
-            for tok in range(lm_cfg.vocab_size):
-                score = hyp.logprob + logp[bi, tok]
-                if np.isfinite(score):
-                    expansions.append((score, hyp.tokens + [tok], bi, tok))
-        expansions.sort(key=lambda e: (-e[0], tuple(e[1])))
-        kept = expansions[: gen_cfg.beam_size]
+        scores = logprob[:, None] + logp
+        parent, tok = np.nonzero(np.isfinite(scores))
+        score = scores[parent, tok]
+        if len(score) > k:
+            # Keep every entry tied with the k-th best; the sort below breaks the tie.
+            cut = np.partition(score, len(score) - k)[len(score) - k]
+            top_k = score >= cut
+            parent, tok, score = parent[top_k], tok[top_k], score[top_k]
+        # Live prefixes are distinct and of one length, so (prefix rank, token)
+        # orders expansions as their token tuples do.
+        prefix_rank = np.argsort(np.lexsort(prefixes.T[::-1]))
+        kept = np.lexsort((tok, prefix_rank[parent], -score))[:k]
+        parent, tok, score = parent[kept], tok[kept], score[kept]
+        prefixes = np.concatenate([prefixes[parent], tok[:, None]], axis=1)
 
-        live = []
-        for score, tokens, bi, tok in kept:
-            hyp = BeamHypothesis(
-                tokens=tokens,
-                logprob=float(score),
-                states=[(h[bi], c[bi]) for h, c in new_states],
-            )
-            if tok == EOS:
-                hyp.finished = True
-                completed.append(hyp)
-            elif len(tokens) >= gen_cfg.max_len:
-                hyp.finished = True
-                truncated.append(hyp)
-            else:
-                live.append(hyp)
+        eos = tok == EOS
+        live = ~eos if step + 1 < gen_cfg.max_len else np.zeros_like(eos)
+        for row in np.flatnonzero(~live):
+            retired = completed if eos[row] else truncated
+            retired.append((prefixes[row, 1:].tolist(), float(score[row])))
+        prefixes, logprob = prefixes[live], score[live]
+        states = [(h[parent[live]], c[parent[live]]) for h, c in new_states]
 
-    pool = completed if completed else truncated
-    best = min(pool, key=lambda h: _final_key(h, gen_cfg.length_normalize))
-    return best.tokens, best.logprob, bool(completed)
+    def final_key(hyp):
+        tokens, lp = hyp
+        final = lp / max(1, len(tokens)) if gen_cfg.length_normalize else lp
+        return (-final, tuple(tokens))
+
+    tokens, lp = min(completed or truncated, key=final_key)
+    return tokens, lp, bool(completed)
 
 
 def beam_search(params: Params, lm_cfg: LMConfig, init_vec, persist_vec,
@@ -110,28 +106,3 @@ def beam_search(params: Params, lm_cfg: LMConfig, init_vec, persist_vec,
     """Decoded best caption and its cumulative log-probability."""
     tokens, logprob, _ = beam_search_ids(params, lm_cfg, init_vec, persist_vec, gen_cfg)
     return decode(tokens, vocab), logprob
-
-
-def greedy_ids(params: Params, lm_cfg: LMConfig, init_vec, persist_vec,
-               max_len: int = 30) -> tuple[list[int], float]:
-    """Plain argmax decoding, written independently of the beam machinery."""
-    init_vec = np.asarray(init_vec, dtype=np.float64)
-    persist_vec = np.asarray(persist_vec, dtype=np.float64)
-    x = np.concatenate([params["init_W"] @ init_vec + params["init_b"], persist_vec])
-    _, states = stack_step(x, zero_states(lm_cfg), params, lm_cfg)
-    banned = [t for t in (PAD, BOS, UNK) if t < lm_cfg.vocab_size]
-    tokens: list[int] = []
-    total = 0.0
-    prev = BOS
-    for _ in range(max_len):
-        x = np.concatenate([params["embed"][prev], persist_vec])
-        top, states = stack_step(x, states, params, lm_cfg)
-        logp = log_softmax(top @ params["out_W"].T + params["out_b"])
-        logp[banned] = -np.inf
-        tok = int(np.argmax(logp))
-        tokens.append(tok)
-        total += float(logp[tok])
-        if tok == EOS:
-            break
-        prev = tok
-    return tokens, total

@@ -4,8 +4,6 @@ train -> generate -> rerank -> score experiment driver."""
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -106,6 +104,8 @@ class FeatureStore:
         values = np.asarray(values, dtype=np.float32)
         if values.ndim != 1:
             raise DataError(f"feature {name!r} for {video_id!r} is not a vector")
+        if not np.isfinite(values).all():
+            raise DataError(f"feature {name!r} for {video_id!r} holds a non-finite value")
         dim = self._dims.setdefault(name, values.shape[0])
         if values.shape[0] != dim:
             raise DataError(
@@ -335,15 +335,6 @@ class ExperimentConfig:
             return cls.from_dict(json.load(f))
 
 
-def _pool_map(fn, items):
-    """Deterministically ordered map; VIDCAP_WORKERS > 1 fans out to threads."""
-    workers = int(os.environ.get("VIDCAP_WORKERS", "1"))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 @contextmanager
 def _stage(name: str):
     """Tag errors escaping a pipeline stage with the stage name."""
@@ -475,7 +466,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
         return pool, best.caption
 
     with _stage("generate-rerank"):
-        scored = _pool_map(_per_video, eval_records)
+        scored = [_per_video(rec) for rec in eval_records]
         pools = [p for p, _ in scored]
         chosen = {p.video_id: caption for p, caption in scored}
 

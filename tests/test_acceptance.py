@@ -11,10 +11,11 @@ import time
 import numpy as np
 import pytest
 
+from reference_beam import greedy_ids
 from reference_metrics import ref_bleu4, ref_cider_d, ref_rouge_l
 from vidcap import binio, decoder, evaluator, harness, metrics
 from vidcap.features import DESCRIPTOR_CHANNELS, Codebook, bof_encode, kmeans
-from vidcap.generation import GenerationConfig, beam_search_ids, greedy_ids
+from vidcap.generation import GenerationConfig, beam_search_ids
 from vidcap.numerics import OptState, grad_check, make_rng
 from vidcap.text import BOS, EOS, build_vocab, encode, tokenize
 

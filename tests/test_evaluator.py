@@ -1,7 +1,10 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from vidcap.errors import DataError, DimensionError, ParameterError
+from vidcap import binio
+from vidcap.errors import DataError, DimensionError, FormatError, ParameterError
 from vidcap.evaluator import (
     EvaluatorConfig,
     _cosine,
@@ -274,6 +277,27 @@ class TestCheckpoint:
             assert np.array_equal(params2[k], params[k])
         save_evaluator(p2, cfg2, params2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("name", ["a\\b", "it's", 'say "hi"', "'both\"", "two\nlines",
+                                      "caméra+视频", "", "feat-a+feat-b"])
+    def test_feature_name_round_trip(self, tmp_path, name):
+        cfg = tiny_cfg(feature_name=name)
+        path = tmp_path / "e.vevp"
+        save_evaluator(path, cfg, init_evaluator_params(cfg, make_rng(0)))
+        assert load_evaluator(path)[0].feature_name == name
+
+    @pytest.mark.parametrize("raw", ["'unterminated", "feat-a", "12", "['a']", "(" * 300,
+                                     "-" * 100_000 + "1"])
+    def test_malformed_feature_name_names_file(self, tmp_path, raw):
+        cfg = tiny_cfg()
+        header = {k: repr(v) for k, v in asdict(cfg).items()}
+        header["filter_widths"] = ",".join(str(w) for w in cfg.filter_widths)
+        header["feature_name"] = raw
+        path = tmp_path / "bad.vevp"
+        binio.write_checkpoint(path, binio.EVAL_MAGIC, header,
+                               init_evaluator_params(cfg, make_rng(0)))
+        with pytest.raises(FormatError, match="bad.vevp"):
+            load_evaluator(path)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ParameterError):

@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from reference_beam import greedy_ids, ref_beam_search_ids
 from vidcap.decoder import LMConfig, forward_logprob, init_lm_params
 from vidcap.errors import ParameterError
-from vidcap.generation import GenerationConfig, beam_search, beam_search_ids, greedy_ids
+from vidcap.generation import GenerationConfig, beam_search, beam_search_ids
 from vidcap.text import BOS, EOS, build_vocab
 
 # vocab_size 8 = 4 reserved ids + 4 emittable words
@@ -113,3 +115,43 @@ class TestBeamBehavior:
         assert np.isfinite(logprob)
         for word in caption.split():
             assert word in ("w", "x", "y", "z")
+
+
+@st.composite
+def beam_cases(draw):
+    """A random tiny model and decoding config, optionally with forced ties."""
+    vocab_size = draw(st.integers(5, 40))
+    cfg = LMConfig(vocab_size=vocab_size, init_dim=3, persist_dim=2,
+                   depth=draw(st.integers(1, 2)), hidden=6, embed_dim=4)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = init_lm_params(cfg, rng, scale=0.8)
+    # Forced ties: duplicated output rows tie tokens at one step, duplicating
+    # their embeddings too ties whole sequences that differ in them, and an
+    # output layer that ignores the state ties the reorderings of a sequence.
+    duplicate = draw(st.sampled_from([(), ("out_W", "out_b"), ("out_W", "out_b", "embed")]))
+    if duplicate:
+        src = draw(st.integers(EOS, vocab_size - 1))
+        for dst in draw(st.lists(st.integers(EOS, vocab_size - 1), min_size=1, max_size=8)):
+            for name in duplicate:
+                params[name][dst] = params[name][src]
+    output = draw(st.sampled_from(["random", "bias-only", "zero"]))
+    if output != "random":
+        params["out_W"][:] = 0.0
+    if output == "zero":
+        params["out_b"][:] = 0.0
+    # beam sizes past 40 exceed live x V at the first steps, so every expansion survives
+    gen_cfg = GenerationConfig(beam_size=draw(st.one_of(st.integers(1, 8), st.integers(9, 600))),
+                               max_len=draw(st.integers(1, 6)),
+                               length_normalize=draw(st.booleans()))
+    return params, cfg, rng.normal(size=3), rng.normal(size=2), gen_cfg
+
+
+@given(beam_cases())
+def test_vectorised_beam_equals_reference_loop(case):
+    params, cfg, init_vec, persist_vec, gen_cfg = case
+    tokens, logprob, completed = beam_search_ids(params, cfg, init_vec, persist_vec, gen_cfg)
+    ref_tokens, ref_logprob, ref_completed = ref_beam_search_ids(
+        params, cfg, init_vec, persist_vec, gen_cfg)
+    assert tokens == ref_tokens
+    assert logprob == ref_logprob
+    assert completed == ref_completed

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from vidcap import binio
 from vidcap.errors import DataError, ParameterError
 from vidcap.harness import (
     Dataset,
@@ -111,6 +112,20 @@ class TestFeatureStore:
         store.add("a", "v0", [1.0, 2.0])
         with pytest.raises(DataError):
             store.add("a", "v1", [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        store = FeatureStore()
+        with pytest.raises(DataError, match=r"'x' for 'v0'.*non-finite"):
+            store.add("x", "v0", [bad, 1.0])
+        assert store.videos("x") == []
+
+    def test_non_finite_value_rejected_at_load(self, tmp_path):
+        path = tmp_path / "nan.vfea"
+        binio.write_feature_file(path, "gcnn", [("v0", np.ones(2, np.float32)),
+                                                ("v1", np.array([1.0, np.nan], np.float32))])
+        with pytest.raises(DataError, match=r"'gcnn' for 'v1'"):
+            load_features(path)
 
     def test_empty_family_saves_zero_count_file(self, tmp_path):
         store = FeatureStore()
@@ -219,22 +234,6 @@ class TestRunExperiment:
         cfg.synth = SynthConfig(n_videos=16)
         with pytest.raises(DataError, match=r"\[data\].*no-such-feature"):
             run_experiment(cfg)
-
-    def test_worker_pool_matches_sequential(self, monkeypatch):
-        cfg = ExperimentConfig(seed=4)
-        cfg.models = [ModelSpec("m", "categ", "feat-a", depth=1)]
-        cfg.synth = SynthConfig(n_videos=20)
-        cfg.lm_epochs = 2
-        cfg.eval_epochs = 1
-        cfg.hidden = cfg.embed_dim = 16
-        monkeypatch.setenv("VIDCAP_WORKERS", "1")
-        seq = run_experiment(cfg)
-        monkeypatch.setenv("VIDCAP_WORKERS", "4")
-        par = run_experiment(ExperimentConfig(**{**cfg.to_dict(),
-                                                 "models": cfg.models,
-                                                 "synth": cfg.synth}))
-        assert par.chosen == seq.chosen
-        assert par.table_text == seq.table_text
 
     def test_output_files_written(self, tmp_path):
         cfg = ExperimentConfig(seed=3)

@@ -1,8 +1,13 @@
 """Command-line front end for the captioning pipeline.
 
 Subcommands: synth, vocab, codebook, encode, train-lm, train-eval, generate,
-rerank, score, run. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric error.
+rerank, score, run. The pipeline subcommands (synth, vocab, train-lm,
+train-eval, generate, rerank, score) read their hyperparameters from an
+ExperimentConfig JSON given by --config (the defaults without one; --seed
+overrides its seed) and run the stage functions that `run` chains, so a
+stagewise chain over one config writes the files `run` writes. Their other
+flags name input and output files. Exit codes: 0 success, 1 usage error,
+2 data error, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -14,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import decoder, evaluator, features, harness, metrics
-from .ensemble import GeneratorModel, dump_pools, load_pools, generate_pool, rerank
+from . import decoder, evaluator, features, harness
+from .ensemble import GeneratorModel, dump_pools, load_pools
 from .errors import DataError, DimensionError, NumericError, ParameterError
-from .generation import GenerationConfig
-from .numerics import OptState, make_rng
-from .text import Vocabulary, build_vocab
+from .numerics import make_rng
+from .text import Vocabulary
 
 
 def _load_store(paths) -> harness.FeatureStore:
@@ -27,6 +31,11 @@ def _load_store(paths) -> harness.FeatureStore:
     for p in paths or []:
         harness.load_features(p, store)
     return store
+
+
+def _load_inputs(args) -> tuple[harness.Dataset, harness.FeatureStore, Vocabulary]:
+    return (harness.load_dataset(args.data), _load_store(args.features),
+            Vocabulary.load(args.vocab))
 
 
 def _load_json(path):
@@ -40,30 +49,41 @@ def _load_json(path):
 def _experiment_config(args) -> harness.ExperimentConfig:
     cfg = harness.ExperimentConfig.load(args.config) if args.config \
         else harness.ExperimentConfig()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     return cfg
 
 
+def _load_generator(item: str) -> GeneratorModel:
+    """A --model tag=path checkpoint, bound to the features its header names."""
+    tag, _, path = item.partition("=")
+    if not path:
+        raise ParameterError(f"--model expects tag=path, got {item!r}")
+    cfg, params, header = decoder.load_lm(path)
+    for key in ("init_feature", "persist_feature"):
+        if key not in header:
+            raise DataError(f"{path}: checkpoint header has no {key!r}")
+    return GeneratorModel(tag=tag, cfg=cfg, params=params,
+                          init_feature=header["init_feature"],
+                          persist_feature=header["persist_feature"])
+
+
 def cmd_synth(args) -> int:
     cfg = _experiment_config(args)
-    dataset, store = harness.synth_generate(cfg.synth, make_rng(cfg.seed))
+    dataset, store = harness.synth_generate(cfg.synth, harness.stage_rng(cfg, 0))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    harness.save_dataset(dataset, out / "dataset.json")
-    for name in store.names():
-        harness.save_features(store, name, out / f"{name}.vfea")
+    harness.write_data(dataset, store, out)
     counts = dataset.counts()
     print(f"wrote {out}/dataset.json ({counts}) and {len(store.names())} feature files")
     return 0
 
 
 def cmd_vocab(args) -> int:
-    dataset = harness.load_dataset(args.data)
-    records = dataset.split(args.split)
-    vocab = build_vocab([c for r in records for c in r.captions], args.min_count)
+    cfg = _experiment_config(args)
+    vocab = harness.make_vocab(cfg, harness.load_dataset(args.data))
     vocab.save(args.out)
-    print(f"vocabulary: {len(vocab)} entries (min_count={args.min_count}) -> {args.out}")
+    print(f"vocabulary: {len(vocab)} entries (min_count={cfg.min_count}) -> {args.out}")
     return 0
 
 
@@ -120,65 +140,30 @@ def cmd_encode(args) -> int:
 
 
 def cmd_train_lm(args) -> int:
-    dataset = harness.load_dataset(args.data)
-    store = _load_store(args.features)
-    vocab = Vocabulary.load(args.vocab)
-    rng = make_rng(args.seed)
-    cfg = decoder.LMConfig(
-        vocab_size=len(vocab), init_dim=store.dim(args.init_feature),
-        persist_dim=store.dim(args.persist_feature), depth=args.depth,
-        hidden=args.hidden, embed_dim=args.embed_dim, dropout_rate=args.dropout)
-    params = decoder.init_lm_params(cfg, rng)
-    opt = OptState(learning_rate=args.lr)
-    examples = harness.lm_examples(dataset.split("train"), store, vocab,
-                                   args.init_feature, args.persist_feature)
-    history = decoder.fit_lm(params, cfg, examples, opt, rng,
-                             epochs=args.epochs, batch_size=args.batch_size)
-    decoder.save_lm(args.out, cfg, params, extra={
-        "init_feature": args.init_feature, "persist_feature": args.persist_feature})
-    val = dataset.split("val")
-    if val:
-        vex = harness.lm_examples(val, store, vocab, args.init_feature, args.persist_feature)
-        print(f"val perplexity: {decoder.perplexity(vex, params, cfg):.4f}")
+    cfg = _experiment_config(args)
+    dataset, store, vocab = _load_inputs(args)
+    model, history = harness.fit_generator(cfg, args.model, dataset, store, vocab)
+    decoder.save_lm(args.out, model.cfg, model.params, extra={
+        "init_feature": model.init_feature, "persist_feature": model.persist_feature})
+    ppl = harness.generator_perplexity(cfg, model, dataset, store, vocab)
+    print(f"{cfg.eval_split} perplexity: {ppl:.4f}")
     print(f"final train loss {history[-1]:.4f} -> {args.out}")
     return 0
 
 
 def cmd_train_eval(args) -> int:
-    dataset = harness.load_dataset(args.data)
-    store = _load_store(args.features)
-    vocab = Vocabulary.load(args.vocab)
-    rng = make_rng(args.seed)
-    cfg = evaluator.EvaluatorConfig(
-        vocab_size=len(vocab), video_dim=store.dim(args.feature),
-        embed_dim=args.embed_dim, filters_per_width=args.filters,
-        joint_dim=args.joint_dim, margin=args.margin,
-        n_negatives=args.negatives, feature_name=args.feature)
-    params, history = evaluator.train_evaluator(
-        dataset.split("train"), lambda vid: store.get(vid, args.feature), vocab,
-        cfg, rng, opt=OptState(learning_rate=args.lr), epochs=args.epochs)
-    evaluator.save_evaluator(args.out, cfg, params)
+    cfg = _experiment_config(args)
+    eval_cfg, params, history = harness.fit_evaluator(cfg, *_load_inputs(args))
+    evaluator.save_evaluator(args.out, eval_cfg, params)
     print(f"final evaluator loss {history[-1]:.4f} -> {args.out}")
     return 0
 
 
 def cmd_generate(args) -> int:
-    dataset = harness.load_dataset(args.data)
-    store = _load_store(args.features)
-    vocab = Vocabulary.load(args.vocab)
-    models = []
-    for item in args.model:
-        tag, _, path = item.partition("=")
-        if not path:
-            raise ParameterError(f"--model expects tag=path, got {item!r}")
-        cfg, params, header = decoder.load_lm(path)
-        models.append(GeneratorModel(
-            tag=tag, cfg=cfg, params=params,
-            init_feature=header.get("init_feature", args.init_feature or ""),
-            persist_feature=header.get("persist_feature", args.persist_feature or "")))
-    gen_cfg = GenerationConfig(beam_size=args.beam, max_len=args.max_len)
-    records = sorted(dataset.split(args.split), key=lambda r: r.id)
-    pools = [generate_pool(models, r.id, store.get, gen_cfg, vocab) for r in records]
+    cfg = _experiment_config(args)
+    dataset, store, vocab = _load_inputs(args)
+    models = [_load_generator(item) for item in args.model]
+    pools = harness.generate_pools(cfg, models, dataset, store, vocab)
     dump_pools(pools, args.out)
     print(f"wrote {sum(len(p.entries) for p in pools)} candidates "
           f"for {len(pools)} videos -> {args.out}")
@@ -186,17 +171,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_rerank(args) -> int:
+    cfg = _experiment_config(args)
     store = _load_store(args.features)
     vocab = Vocabulary.load(args.vocab)
-    cfg, params = evaluator.load_evaluator(args.evaluator)
+    eval_cfg, params = evaluator.load_evaluator(args.evaluator)
     pools = load_pools(args.pool)
-    chosen = {}
-    for pool in pools:
-        best = rerank(pool, store.get(pool.video_id, cfg.feature_name), params,
-                      cfg, vocab, blend_weight=args.blend)
-        chosen[pool.video_id] = best.caption
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(chosen, f, sort_keys=True, indent=1)
+    chosen = harness.rerank_pools(cfg, pools, store, eval_cfg, params, vocab)
+    harness.save_chosen(chosen, args.out)
     if args.scored_pool:
         dump_pools(pools, args.scored_pool)
     print(f"reranked {len(pools)} pools -> {args.out}")
@@ -204,13 +185,9 @@ def cmd_rerank(args) -> int:
 
 
 def cmd_score(args) -> int:
+    cfg = _experiment_config(args)
     dataset = harness.load_dataset(args.data)
-    hypotheses = _load_json(args.captions)
-    references = dataset.references(args.split)
-    missing = sorted(set(hypotheses) - set(references))
-    if missing:
-        raise DataError(f"hypotheses for unknown videos: {missing[:5]}")
-    report = metrics.score_captions(hypotheses, references)
+    report = harness.score_split(cfg, _load_json(args.captions), dataset)
     sys.stdout.write(report.to_text())
     if args.out:
         out = Path(args.out)
@@ -245,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("vocab", cmd_vocab, help="build a vocabulary from caption data")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--split", default="train")
-    p.add_argument("--min-count", type=int, default=5)
+    p.add_argument("--config")
 
     p = add("codebook", cmd_codebook, help="train a k-means codebook")
     p.add_argument("--descriptors", required=True)
@@ -270,31 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--features", nargs="+", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--init-feature", required=True)
-    p.add_argument("--persist-feature", required=True)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--embed-dim", type=int, default=64)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--model", required=True, help="tag of the config's roster entry")
+    p.add_argument("--config")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = add("train-eval", cmd_train_eval, help="train the caption-video evaluator")
     p.add_argument("--data", required=True)
     p.add_argument("--features", nargs="+", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--feature", required=True, help="video feature name (may be a+b)")
-    p.add_argument("--embed-dim", type=int, default=32)
-    p.add_argument("--filters", type=int, default=32)
-    p.add_argument("--joint-dim", type=int, default=64)
-    p.add_argument("--margin", type=float, default=0.2)
-    p.add_argument("--negatives", type=int, default=50)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = add("generate", cmd_generate, help="beam-search candidate pools")
@@ -303,11 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--model", action="append", required=True,
                    help="tag=checkpoint.vlmp (repeatable)")
-    p.add_argument("--init-feature", help="fallback if absent from checkpoint")
-    p.add_argument("--persist-feature", help="fallback if absent from checkpoint")
-    p.add_argument("--split", default="val")
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=30)
+    p.add_argument("--config")
     p.add_argument("--out", required=True)
 
     p = add("rerank", cmd_rerank, help="pick the best candidate per video")
@@ -315,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evaluator", required=True)
     p.add_argument("--features", nargs="+", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--blend", type=float, default=0.0)
+    p.add_argument("--config")
     p.add_argument("--scored-pool")
     p.add_argument("--out", required=True)
 
     p = add("score", cmd_score, help="BLEU-4 / ROUGE-L / CIDEr-D report")
     p.add_argument("--data", required=True)
     p.add_argument("--captions", required=True, help="JSON {video_id: caption}")
-    p.add_argument("--split", default="val")
+    p.add_argument("--config")
     p.add_argument("--out")
 
     p = add("run", cmd_run, help="full pipeline: train, generate, rerank, score")

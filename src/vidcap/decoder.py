@@ -56,54 +56,32 @@ class LMConfig:
         return self.embed_dim + self.persist_dim if layer == 1 else self.hidden
 
 
-def init_lm_params(cfg: LMConfig, rng: np.random.Generator, scale: float = 0.08,
-                   dtype=np.float64) -> Params:
+def init_lm_params(cfg: LMConfig, rng: np.random.Generator, scale: float = 0.08) -> Params:
     """Uniform(-scale, scale) init; forget-gate bias starts at +1."""
 
     def u(*shape):
-        return rng.uniform(-scale, scale, size=shape).astype(dtype)
+        return rng.uniform(-scale, scale, size=shape)
 
     H = cfg.hidden
     params: Params = {
         "embed": u(cfg.vocab_size, cfg.embed_dim),
         "init_W": u(cfg.embed_dim, cfg.init_dim),
-        "init_b": np.zeros(cfg.embed_dim, dtype=dtype),
+        "init_b": np.zeros(cfg.embed_dim),
         "out_W": u(cfg.vocab_size, H),
-        "out_b": np.zeros(cfg.vocab_size, dtype=dtype),
+        "out_b": np.zeros(cfg.vocab_size),
     }
     for layer in range(1, cfg.depth + 1):
         params[f"l{layer}_Wx"] = u(4 * H, cfg.layer_input_dim(layer))
         params[f"l{layer}_Wh"] = u(4 * H, H)
-        b = np.zeros(4 * H, dtype=dtype)
+        b = np.zeros(4 * H)
         b[H : 2 * H] = 1.0
         params[f"l{layer}_b"] = b
     return params
 
 
-def lstm_cell_step(x: np.ndarray, h: np.ndarray, c: np.ndarray,
-                   Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray):
-    """One LSTM cell step. Gates pack as [i, f, o, g] along the 4H axis.
-
-    Works on single vectors or on batches (leading batch axis).
-    """
-    H = Wh.shape[1]
-    if x.shape[-1] != Wx.shape[1]:
-        raise DimensionError(f"cell input dim {x.shape[-1]} != Wx columns {Wx.shape[1]}")
-    if h.shape[-1] != H or c.shape[-1] != H:
-        raise DimensionError(f"state dims {h.shape[-1]}/{c.shape[-1]} != hidden {H}")
-    a = x @ Wx.T + h @ Wh.T + b
-    i = sigmoid(a[..., :H])
-    f = sigmoid(a[..., H : 2 * H])
-    o = sigmoid(a[..., 2 * H : 3 * H])
-    g = np.tanh(a[..., 3 * H :])
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
-
-
-def zero_states(cfg: LMConfig, batch: int | None = None, dtype=np.float64):
+def zero_states(cfg: LMConfig, batch: int | None = None):
     shape = (cfg.hidden,) if batch is None else (batch, cfg.hidden)
-    return [(np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
+    return [(np.zeros(shape), np.zeros(shape))
             for _ in range(cfg.depth)]
 
 
@@ -150,10 +128,9 @@ class Batch:
     init: np.ndarray      # (B, init_dim)
     persist: np.ndarray   # (B, persist_dim)
     targets: np.ndarray   # (B, L) token ids, rows are [BOS, ..., EOS, PAD...]
-    ids: list[str] | None = None  # optional video ids for error reporting
 
 
-def make_batch(examples: list[Example], ids: list[str] | None = None) -> Batch:
+def make_batch(examples: list[Example]) -> Batch:
     if not examples:
         raise DataError("empty batch")
     L = max(len(seq) for _, _, seq in examples)
@@ -164,7 +141,7 @@ def make_batch(examples: list[Example], ids: list[str] | None = None) -> Batch:
         targets[row, : len(seq)] = seq
     init = np.stack([np.asarray(e[0], dtype=np.float64) for e in examples])
     persist = np.stack([np.asarray(e[1], dtype=np.float64) for e in examples])
-    return Batch(init=init, persist=persist, targets=targets, ids=ids)
+    return Batch(init=init, persist=persist, targets=targets)
 
 
 def _draw_masks(cfg: LMConfig, B: int, L: int, rng) -> tuple[list, list]:
@@ -210,7 +187,7 @@ def _forward(params: Params, cfg: LMConfig, batch: Batch, mode: str, rng):
     if n_pred == 0:
         raise DataError("batch contains no predictable tokens")
 
-    states = zero_states(cfg, B, dtype=params["embed"].dtype)
+    states = zero_states(cfg, B)
     x_init = batch.init @ params["init_W"].T + params["init_b"]
     caches = []
     logprobs = np.zeros((B, L))
@@ -231,8 +208,7 @@ def _forward(params: Params, cfg: LMConfig, batch: Batch, mode: str, rng):
     nll = -(logprobs * pred_mask).sum()
     loss = nll / n_pred
     if not np.isfinite(loss):
-        tag = f" (batch ids: {batch.ids})" if batch.ids else ""
-        raise NumericError(f"non-finite loss{tag}")
+        raise NumericError("non-finite loss")
     fwd = dict(caches=caches, step_masks=step_masks, top_masks=top_masks,
                pred_mask=pred_mask, n_pred=n_pred, x_init=x_init,
                logits=np.stack(logits_all, axis=1) if logits_all else None)

@@ -49,19 +49,19 @@ class EvaluatorConfig:
 
 
 def init_evaluator_params(cfg: EvaluatorConfig, rng: np.random.Generator,
-                          scale: float = 0.08, dtype=np.float64) -> Params:
+                          scale: float = 0.08) -> Params:
     def u(*shape):
-        return rng.uniform(-scale, scale, size=shape).astype(dtype)
+        return rng.uniform(-scale, scale, size=shape)
 
     params: Params = {"embed": u(cfg.vocab_size, cfg.embed_dim)}
     params["embed"][PAD] = 0.0
     for w in cfg.filter_widths:
         params[f"conv{w}_W"] = u(cfg.filters_per_width, w * cfg.embed_dim)
-        params[f"conv{w}_b"] = np.zeros(cfg.filters_per_width, dtype=dtype)
+        params[f"conv{w}_b"] = np.zeros(cfg.filters_per_width)
     params["sent_W"] = u(cfg.joint_dim, len(cfg.filter_widths) * cfg.filters_per_width)
-    params["sent_b"] = np.zeros(cfg.joint_dim, dtype=dtype)
+    params["sent_b"] = np.zeros(cfg.joint_dim)
     params["vid_W"] = u(cfg.joint_dim, cfg.video_dim)
-    params["vid_b"] = np.zeros(cfg.joint_dim, dtype=dtype)
+    params["vid_b"] = np.zeros(cfg.joint_dim)
     return params
 
 
@@ -226,12 +226,12 @@ def triple_loss_and_grads(params: Params, cfg: EvaluatorConfig, video_values,
 
 def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig,
                     rng: np.random.Generator, opt: OptState | None = None,
-                    epochs: int = 10, resample_per_epoch: bool = True):
+                    epochs: int = 10):
     """Discriminative training over (video, caption, negatives) triples.
 
     records: VideoRecord-like objects with .id and .captions; feature_of maps
     a video id to its (frozen) feature vector. Returns (params, loss history).
-    Negatives are resampled each epoch unless resample_per_epoch is False.
+    Negatives are resampled for every triple.
     """
     records = sorted(records, key=lambda r: r.id)
     if len(records) < 2:
@@ -239,13 +239,6 @@ def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig
     params = init_evaluator_params(cfg, rng)
     opt = opt or OptState()
     encoded = {r.id: [encode(tokenize(c), vocab) for c in r.captions] for r in records}
-    fixed_negs = None
-    if not resample_per_epoch:
-        fixed_negs = {
-            r.id: [encode(tokenize(c), vocab)
-                   for c in sample_negatives(r.id, records, cfg.n_negatives, rng)]
-            for r in records
-        }
     history = []
     for _ in range(epochs):
         order = rng.permutation(len(records))
@@ -253,11 +246,8 @@ def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig
         for i in order:
             rec = records[i]
             pos = encoded[rec.id][rng.integers(len(rec.captions))]
-            if fixed_negs is None:
-                negs = [encode(tokenize(c), vocab)
-                        for c in sample_negatives(rec.id, records, cfg.n_negatives, rng)]
-            else:
-                negs = fixed_negs[rec.id]
+            negs = [encode(tokenize(c), vocab)
+                    for c in sample_negatives(rec.id, records, cfg.n_negatives, rng)]
             loss, grads = triple_loss_and_grads(params, cfg, feature_of(rec.id), pos, negs)
             rmsprop_update(params, grads, opt)
             params["embed"][PAD] = 0.0

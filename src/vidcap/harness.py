@@ -16,8 +16,8 @@ from .ensemble import CandidatePool, GeneratorModel, dump_pools, generate_pool, 
 from .errors import DataError, ParameterError, VidcapError
 from .evaluator import EvaluatorConfig, train_evaluator
 from .generation import GenerationConfig
-from .metrics import score_captions
-from .numerics import OptState
+from .metrics import MetricReport, score_captions
+from .numerics import OptState, Params
 from .text import Vocabulary, build_vocab, encode, tokenize
 
 N_CATEGORIES = 20
@@ -147,7 +147,7 @@ class FeatureStore:
 
 def save_features(store: FeatureStore, name: str, path) -> None:
     """Write one feature family; an empty store yields a valid zero-count file."""
-    rows = [(vid, store._data[name][vid]) for vid in store.videos(name)]
+    rows = [(vid, store.get(vid, name)) for vid in store.videos(name)]
     binio.write_feature_file(path, name, rows)
 
 
@@ -385,99 +385,185 @@ def _format_table(model_rows: list[dict], ensemble_row: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# --- Pipeline stages --------------------------------------------------------
+#
+# Each stage has one implementation: run_experiment chains the stages in
+# memory, and each stagewise CLI subcommand loads a stage's inputs from files,
+# calls it and saves its output. A stage draws from its own stream of the
+# config seed, so it gives the same result whichever way it is run.
+
+def stage_rng(cfg: ExperimentConfig, k: int) -> np.random.Generator:
+    """Stream k of cfg.seed: 0 for the data, i + 1 for roster model i and
+    len(cfg.models) + 1 for the evaluator. It equals stream k of
+    SeedSequence(cfg.seed).spawn(n) for every n > k."""
+    seq = np.random.SeedSequence(cfg.seed, spawn_key=(k,))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def _records(dataset: Dataset, split: str) -> list[VideoRecord]:
+    records = dataset.split(split)
+    if not records:
+        raise DataError(f"need a non-empty {split} split")
+    return records
+
+
+def _opt(cfg: ExperimentConfig) -> OptState:
+    return OptState(learning_rate=cfg.learning_rate, decay=cfg.decay, epsilon=cfg.epsilon)
+
+
+def load_data(cfg: ExperimentConfig) -> tuple[Dataset, FeatureStore]:
+    """The files cfg.data_path and cfg.feature_paths, or the synthetic
+    benchmark drawn from stream 0 when data_path is unset."""
+    if not cfg.data_path:
+        return synth_generate(cfg.synth, stage_rng(cfg, 0))
+    dataset = load_dataset(cfg.data_path)
+    store = FeatureStore()
+    for p in cfg.feature_paths:
+        load_features(p, store)
+    return dataset, store
+
+
+def write_data(dataset: Dataset, store: FeatureStore, out: Path) -> None:
+    """Write dataset.json and one <name>.vfea per feature family into out."""
+    save_dataset(dataset, out / "dataset.json")
+    for name in store.names():
+        save_features(store, name, out / f"{name}.vfea")
+
+
+def make_vocab(cfg: ExperimentConfig, dataset: Dataset) -> Vocabulary:
+    """The vocabulary of the train split's captions."""
+    return build_vocab([c for r in _records(dataset, "train") for c in r.captions],
+                       cfg.min_count)
+
+
+def fit_generator(cfg: ExperimentConfig, tag: str, dataset: Dataset, store: FeatureStore,
+                  vocab: Vocabulary) -> tuple[GeneratorModel, list[float]]:
+    """Train the roster model `tag` on the train split; returns the model and
+    its mean training loss per epoch."""
+    tags = [m.tag for m in cfg.models]
+    if len(set(tags)) != len(tags):
+        raise ParameterError(f"model tags must be unique, got {tags}")
+    if tag not in tags:
+        raise ParameterError(f"no model {tag!r} in the roster; its tags are {tags}")
+    i = tags.index(tag)
+    spec = cfg.models[i]
+    rng = stage_rng(cfg, i + 1)
+    lm_cfg = LMConfig(
+        vocab_size=len(vocab),
+        init_dim=store.dim(spec.init_feature),
+        persist_dim=store.dim(spec.persist_feature),
+        depth=spec.depth, hidden=cfg.hidden, embed_dim=cfg.embed_dim,
+        dropout_rate=cfg.dropout_rate)
+    params = init_lm_params(lm_cfg, rng)
+    examples = lm_examples(_records(dataset, "train"), store, vocab, spec.init_feature,
+                           spec.persist_feature)
+    history = fit_lm(params, lm_cfg, examples, _opt(cfg), rng, epochs=cfg.lm_epochs,
+                     batch_size=cfg.batch_size)
+    model = GeneratorModel(tag=tag, cfg=lm_cfg, params=params,
+                           init_feature=spec.init_feature,
+                           persist_feature=spec.persist_feature)
+    return model, history
+
+
+def generator_perplexity(cfg: ExperimentConfig, model: GeneratorModel, dataset: Dataset,
+                         store: FeatureStore, vocab: Vocabulary) -> float:
+    """Perplexity of a trained generator on the eval split."""
+    examples = lm_examples(_records(dataset, cfg.eval_split), store, vocab,
+                           model.init_feature, model.persist_feature)
+    return perplexity(examples, model.params, model.cfg)
+
+
+def fit_evaluator(cfg: ExperimentConfig, dataset: Dataset, store: FeatureStore,
+                  vocab: Vocabulary) -> tuple[EvaluatorConfig, Params, list[float]]:
+    """Train the caption-video evaluator on the train split; returns its
+    config, its parameters and its mean loss per epoch."""
+    eval_cfg = EvaluatorConfig(
+        vocab_size=len(vocab), video_dim=store.dim(cfg.evaluator_feature),
+        embed_dim=cfg.eval_embed_dim, filter_widths=cfg.filter_widths,
+        filters_per_width=cfg.filters_per_width, joint_dim=cfg.joint_dim,
+        margin=cfg.margin, n_negatives=cfg.n_negatives,
+        feature_name=cfg.evaluator_feature)
+    params, history = train_evaluator(
+        _records(dataset, "train"), lambda vid: store.get(vid, cfg.evaluator_feature), vocab,
+        eval_cfg, stage_rng(cfg, len(cfg.models) + 1), opt=_opt(cfg), epochs=cfg.eval_epochs)
+    return eval_cfg, params, history
+
+
+def generate_pools(cfg: ExperimentConfig, models: list[GeneratorModel], dataset: Dataset,
+                   store: FeatureStore, vocab: Vocabulary) -> list[CandidatePool]:
+    """One beam-search candidate per model for each eval-split video, in id order."""
+    gen_cfg = GenerationConfig(beam_size=cfg.beam_size, max_len=cfg.max_len)
+    records = sorted(_records(dataset, cfg.eval_split), key=lambda r: r.id)
+    return [generate_pool(models, r.id, store.get, gen_cfg, vocab) for r in records]
+
+
+def rerank_pools(cfg: ExperimentConfig, pools: list[CandidatePool], store: FeatureStore,
+                 eval_cfg: EvaluatorConfig, eval_params: Params,
+                 vocab: Vocabulary) -> dict[str, str]:
+    """Score every candidate in place; returns {video id: chosen caption}."""
+    return {pool.video_id: rerank(pool, store.get(pool.video_id, eval_cfg.feature_name),
+                                  eval_params, eval_cfg, vocab,
+                                  blend_weight=cfg.blend_weight).caption
+            for pool in pools}
+
+
+def score_split(cfg: ExperimentConfig, hypotheses: dict[str, str],
+                dataset: Dataset) -> MetricReport:
+    """BLEU-4, ROUGE-L and CIDEr-D of {video id: caption} against the eval split."""
+    references = dataset.references(cfg.eval_split)
+    missing = sorted(set(hypotheses) - set(references))
+    if missing:
+        raise DataError(f"hypotheses for unknown videos: {missing[:5]}")
+    return score_captions(hypotheses, references)
+
+
+def save_chosen(chosen: dict[str, str], path) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(chosen, f, sort_keys=True, indent=1)
+
+
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
                    store: FeatureStore | None = None,
                    out_dir: str | None = None) -> RunResult:
     """Train every roster model and the evaluator, generate candidate pools on
     the eval split, rerank, and score singles plus the ensemble."""
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.models) + 2)
     with _stage("data"):
         if dataset is None or store is None:
-            if cfg.data_path:
-                dataset = load_dataset(cfg.data_path)
-                store = FeatureStore()
-                for p in cfg.feature_paths:
-                    load_features(p, store)
-            else:
-                synth_rng = np.random.Generator(np.random.PCG64(seeds[0]))
-                dataset, store = synth_generate(cfg.synth, synth_rng)
-
-        train_records = dataset.split("train")
-        eval_records = sorted(dataset.split(cfg.eval_split), key=lambda r: r.id)
-        if not train_records or not eval_records:
-            raise DataError(f"need non-empty train and {cfg.eval_split} splits")
-        tags = [m.tag for m in cfg.models]
-        if len(set(tags)) != len(tags):
-            raise ParameterError(f"model tags must be unique, got {tags}")
+            dataset, store = load_data(cfg)
+        # Fail before any training on an empty split or a missing feature.
+        first_id = _records(dataset, "train")[0].id
+        _records(dataset, cfg.eval_split)
         for spec in cfg.models:
             for name in (spec.init_feature, spec.persist_feature):
-                if not store.has(train_records[0].id, name):
+                if not store.has(first_id, name):
                     raise DataError(f"model {spec.tag!r}: feature {name!r} not in store")
-
-        vocab = build_vocab([c for r in train_records for c in r.captions], cfg.min_count)
+        vocab = make_vocab(cfg, dataset)
 
     models: list[GeneratorModel] = []
     model_rows: list[dict] = []
-    for i, spec in enumerate(cfg.models):
+    for spec in cfg.models:
         with _stage(f"train-lm:{spec.tag}"):
-            rng = np.random.Generator(np.random.PCG64(seeds[i + 1]))
-            lm_cfg = LMConfig(
-                vocab_size=len(vocab),
-                init_dim=store.dim(spec.init_feature),
-                persist_dim=store.dim(spec.persist_feature),
-                depth=spec.depth, hidden=cfg.hidden, embed_dim=cfg.embed_dim,
-                dropout_rate=cfg.dropout_rate)
-            params = init_lm_params(lm_cfg, rng)
-            opt = OptState(learning_rate=cfg.learning_rate, decay=cfg.decay,
-                           epsilon=cfg.epsilon)
-            examples = lm_examples(train_records, store, vocab, spec.init_feature,
-                                   spec.persist_feature)
-            fit_lm(params, lm_cfg, examples, opt, rng, epochs=cfg.lm_epochs,
-                   batch_size=cfg.batch_size)
-            models.append(GeneratorModel(tag=spec.tag, cfg=lm_cfg, params=params,
-                                         init_feature=spec.init_feature,
-                                         persist_feature=spec.persist_feature))
-            eval_examples = lm_examples(eval_records, store, vocab, spec.init_feature,
-                                        spec.persist_feature)
+            model, _ = fit_generator(cfg, spec.tag, dataset, store, vocab)
+            models.append(model)
             model_rows.append({"tag": spec.tag, "init": spec.init_feature,
                                "persist": spec.persist_feature, "depth": spec.depth,
-                               "perplexity": perplexity(eval_examples, params, lm_cfg)})
+                               "perplexity": generator_perplexity(cfg, model, dataset,
+                                                                  store, vocab)})
 
     with _stage("train-eval"):
-        eval_rng = np.random.Generator(np.random.PCG64(seeds[-1]))
-        eval_cfg = EvaluatorConfig(
-            vocab_size=len(vocab), video_dim=store.dim(cfg.evaluator_feature),
-            embed_dim=cfg.eval_embed_dim, filter_widths=cfg.filter_widths,
-            filters_per_width=cfg.filters_per_width, joint_dim=cfg.joint_dim,
-            margin=cfg.margin, n_negatives=cfg.n_negatives,
-            feature_name=cfg.evaluator_feature)
-        eval_opt = OptState(learning_rate=cfg.learning_rate, decay=cfg.decay,
-                            epsilon=cfg.epsilon)
-        eval_params, _ = train_evaluator(
-            train_records, lambda vid: store.get(vid, cfg.evaluator_feature), vocab,
-            eval_cfg, eval_rng, opt=eval_opt, epochs=cfg.eval_epochs)
-
-    gen_cfg = GenerationConfig(beam_size=cfg.beam_size, max_len=cfg.max_len)
-
-    def _per_video(rec) -> tuple[CandidatePool, str]:
-        pool = generate_pool(models, rec.id, store.get, gen_cfg, vocab)
-        best = rerank(pool, store.get(rec.id, cfg.evaluator_feature), eval_params,
-                      eval_cfg, vocab, blend_weight=cfg.blend_weight)
-        return pool, best.caption
+        eval_cfg, eval_params, _ = fit_evaluator(cfg, dataset, store, vocab)
 
     with _stage("generate-rerank"):
-        scored = [_per_video(rec) for rec in eval_records]
-        pools = [p for p, _ in scored]
-        chosen = {p.video_id: caption for p, caption in scored}
+        pools = generate_pools(cfg, models, dataset, store, vocab)
+        chosen = rerank_pools(cfg, pools, store, eval_cfg, eval_params, vocab)
 
     with _stage("score"):
-        references = dataset.references(cfg.eval_split)
-        for row, model in zip(model_rows, models):
-            hyps = {p.video_id: next(c.caption for c in p.entries if c.model == model.tag)
+        for row in model_rows:
+            hyps = {p.video_id: next(c.caption for c in p.entries if c.model == row["tag"])
                     for p in pools}
-            report = score_captions(hyps, references)
+            report = score_split(cfg, hyps, dataset)
             row.update(bleu4=report.bleu4, cider=report.cider, rouge_l=report.rouge_l)
-        ens_report = score_captions(chosen, references)
+        ens_report = score_split(cfg, chosen, dataset)
         ensemble_row = {"bleu4": ens_report.bleu4, "cider": ens_report.cider,
                         "rouge_l": ens_report.rouge_l}
 
@@ -487,13 +573,10 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        save_dataset(dataset, out / "dataset.json")
-        for name in store.names():
-            save_features(store, name, out / f"{name}.vfea")
+        write_data(dataset, store, out)
         vocab.save(out / "vocab.tsv")
         dump_pools(pools, out / "pools.jsonl")
-        with open(out / "chosen.json", "w", encoding="utf-8") as f:
-            json.dump(chosen, f, sort_keys=True, indent=1)
+        save_chosen(chosen, out / "chosen.json")
         with open(out / "results.txt", "w", encoding="utf-8") as f:
             f.write(table)
         with open(out / "results.json", "w", encoding="utf-8") as f:

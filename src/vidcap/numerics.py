@@ -1,9 +1,8 @@
 """Dense-array numerics: RNG, basic ops, RMSProp, dropout and gradient checking.
 
 Everything downstream (decoder, evaluator, features) is built on plain numpy
-arrays. Float64 is the default so that training runs are reproducible
-bit-for-bit and finite-difference checks are meaningful; float32 can be
-requested at parameter-creation time for bulk training.
+arrays. Everything is float64, so that training runs are reproducible
+bit-for-bit and finite-difference checks are meaningful.
 """
 
 from __future__ import annotations
@@ -13,9 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NumericError, ParameterError
-
-# Build-time precision switch. Tests and gradient checks assume float64.
-DEFAULT_DTYPE = np.float64
 
 Params = dict[str, np.ndarray]
 
@@ -30,18 +26,6 @@ def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericError(f"non-finite values in {what}")
     return x
-
-
-def affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W @ x + b for a single vector x."""
-    x = np.asarray(x)
-    if W.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise DimensionError(
-            f"affine expects vector/matrix/vector, got {x.shape}, {W.shape}, {b.shape}"
-        )
-    if W.shape[1] != x.shape[0] or W.shape[0] != b.shape[0]:
-        raise DimensionError(f"affine shape mismatch: W {W.shape} vs x {x.shape}, b {b.shape}")
-    return W @ x + b
 
 
 def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -120,9 +104,9 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0,1), got {rate}")
     if rate == 0.0:
-        return np.ones(shape, dtype=DEFAULT_DTYPE)
+        return np.ones(shape)
     keep = rng.random(shape) >= rate
-    return keep.astype(DEFAULT_DTYPE) / (1.0 - rate)
+    return keep.astype(np.float64) / (1.0 - rate)
 
 
 def grad_check(

@@ -3,13 +3,14 @@ import json
 import pytest
 
 from vidcap.cli import main
+from vidcap.decoder import LMConfig, init_lm_params, save_lm
 from vidcap.features import DESCRIPTOR_CHANNELS
 from vidcap.numerics import make_rng
 
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """synth -> vocab once for the whole module."""
+    """synth -> vocab once for the whole module, over one small config."""
     root = tmp_path_factory.mktemp("cli")
     cfg = {
         "seed": 11,
@@ -19,47 +20,55 @@ def workspace(tmp_path_factory):
         "embed_dim": 16,
         "joint_dim": 16,
         "filters_per_width": 8,
+        "min_count": 1,
         "synth": {"n_videos": 24},
     }
     cfg_path = root / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["synth", "--out", str(root), "--config", str(cfg_path)]) == 0
     assert main(["vocab", "--data", str(root / "dataset.json"), "--out",
-                 str(root / "vocab.tsv"), "--min-count", "1"]) == 0
+                 str(root / "vocab.tsv"), "--config", str(cfg_path)]) == 0
     return root, cfg_path
 
 
-def test_stagewise_pipeline(workspace, capsys):
-    root, _ = workspace
-    data = str(root / "dataset.json")
-    feats = [str(root / "feat-a.vfea"), str(root / "feat-b.vfea"), str(root / "categ.vfea")]
-    vocab = str(root / "vocab.tsv")
+def _stage_inputs(root):
+    feats = [str(root / f"{name}.vfea") for name in ("feat-a", "feat-b", "categ")]
+    return ["--data", str(root / "dataset.json"), "--features", *feats,
+            "--vocab", str(root / "vocab.tsv")]
 
-    assert main(["train-lm", "--data", data, "--features", *feats, "--vocab", vocab,
-                 "--init-feature", "categ", "--persist-feature", "feat-a",
-                 "--depth", "1", "--hidden", "16", "--embed-dim", "16",
-                 "--epochs", "2", "--seed", "3", "--out", str(root / "m.vlmp")]) == 0
 
-    assert main(["train-eval", "--data", data, "--features", *feats, "--vocab", vocab,
-                 "--feature", "feat-a+feat-b", "--filters", "8", "--joint-dim", "16",
-                 "--epochs", "2", "--seed", "4", "--out", str(root / "e.vevp")]) == 0
-
-    assert main(["generate", "--data", data, "--features", *feats, "--vocab", vocab,
-                 "--model", f"gen=%s" % (root / "m.vlmp"), "--split", "val",
-                 "--beam", "3", "--out", str(root / "pool.jsonl")]) == 0
-
+def test_stagewise_pipeline(workspace, tmp_path, capsys):
+    """The stagewise chain over one config writes the files `vidcap run` writes."""
+    root, cfg_path = workspace
+    cfg = ["--config", str(cfg_path)]
+    inputs = _stage_inputs(root)
+    tags = ("m-a", "m-b")  # the default roster
+    for tag in tags:
+        assert main(["train-lm", *inputs, "--model", tag, *cfg,
+                     "--out", str(root / f"{tag}.vlmp")]) == 0
+    assert main(["train-eval", *inputs, *cfg, "--out", str(root / "e.vevp")]) == 0
+    models = [arg for tag in tags for arg in ("--model", f"{tag}={root / tag}.vlmp")]
+    assert main(["generate", *inputs, *models, *cfg, "--out", str(root / "pool.jsonl")]) == 0
     assert main(["rerank", "--pool", str(root / "pool.jsonl"), "--evaluator",
-                 str(root / "e.vevp"), "--features", *feats, "--vocab", vocab,
+                 str(root / "e.vevp"), *inputs[2:], *cfg,  # inputs without --data
+                 "--scored-pool", str(root / "pools.jsonl"),
                  "--out", str(root / "chosen.json")]) == 0
-
-    assert main(["score", "--data", data, "--captions", str(root / "chosen.json"),
-                 "--split", "val", "--out", str(root / "report")]) == 0
+    assert main(["score", "--data", str(root / "dataset.json"), "--captions",
+                 str(root / "chosen.json"), *cfg, "--out", str(root / "report")]) == 0
     out = capsys.readouterr().out
     assert "bleu4:" in out
     assert (root / "report" / "report.json").exists()
+    assert len(json.loads((root / "chosen.json").read_text())) > 0
 
-    chosen = json.loads((root / "chosen.json").read_text())
-    assert len(chosen) > 0
+    run_dir = tmp_path / "run"
+    assert main(["run", *cfg, "--out", str(run_dir)]) == 0
+    for name in ("dataset.json", "feat-a.vfea", "feat-b.vfea", "categ.vfea", "vocab.tsv",
+                 "pools.jsonl", "chosen.json"):
+        assert (root / name).read_bytes() == (run_dir / name).read_bytes(), name
+    report = json.loads((root / "report" / "report.json").read_text())
+    ensemble = json.loads((run_dir / "results.json").read_text())["ensemble"]
+    for key in ("bleu4", "cider", "rouge_l"):
+        assert report[key] == ensemble[key], key
 
 
 def test_codebook_and_encode(workspace, tmp_path):
@@ -136,6 +145,26 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{{{")
         assert main(["score", "--data", str(bad), "--captions", str(bad)]) == 2
+
+    def test_unknown_roster_tag_is_1(self, workspace, capsys):
+        root, cfg_path = workspace
+        out = root / "none.vlmp"
+        assert main(["train-lm", *_stage_inputs(root), "--model", "no-such-tag",
+                     "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "no-such-tag" in err and "'m-a', 'm-b'" in err
+        assert not out.exists()
+
+    def test_checkpoint_without_features_is_2(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        ckpt = tmp_path / "bare.vlmp"
+        lm_cfg = LMConfig(vocab_size=5, init_dim=2, persist_dim=2, depth=1, hidden=4,
+                          embed_dim=4)
+        save_lm(ckpt, lm_cfg, init_lm_params(lm_cfg, make_rng(0)))
+        assert main(["generate", *_stage_inputs(root), "--model", f"m={ckpt}",
+                     "--config", str(cfg_path), "--out", str(tmp_path / "pool.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "init_feature" in err
 
     def test_numeric_error_is_3(self, monkeypatch):
         from vidcap import cli

@@ -10,7 +10,6 @@ from vidcap.decoder import (
     forward_logprob,
     init_lm_params,
     load_lm,
-    lstm_cell_step,
     make_batch,
     perplexity,
     save_lm,
@@ -45,6 +44,17 @@ def ref_cell(x, h, c, Wx, Wh, b):
     return h_out, c_out
 
 
+def cell_step(x, h, c, Wx, Wh, b):
+    """One LSTM cell step: a depth-1 stack_step whose layer holds these weights."""
+    H, D = Wh.shape[1], Wx.shape[1]
+    cfg = LMConfig(vocab_size=1, init_dim=1, persist_dim=1, depth=1, hidden=H,
+                   embed_dim=D - 1)
+    params = {"l1_Wx": Wx, "l1_Wh": Wh, "l1_b": b}
+    out, [(h_new, c_new)] = stack_step(x, [(h, c)], params, cfg)
+    assert np.array_equal(out, h_new)
+    return h_new, c_new
+
+
 def tiny_cfg(depth=2, vocab=12, hidden=8):
     return LMConfig(vocab_size=vocab, init_dim=5, persist_dim=4, depth=depth,
                     hidden=hidden, embed_dim=6, dropout_rate=0.0)
@@ -62,8 +72,8 @@ def random_examples(cfg, rng, n=3, min_len=2, max_len=6):
 class TestCell:
     def test_all_zero(self):
         H, D = 3, 4
-        h, c = lstm_cell_step(np.zeros(D), np.zeros(H), np.zeros(H),
-                              np.zeros((4 * H, D)), np.zeros((4 * H, H)), np.zeros(4 * H))
+        h, c = cell_step(np.zeros(D), np.zeros(H), np.zeros(H),
+                         np.zeros((4 * H, D)), np.zeros((4 * H, H)), np.zeros(4 * H))
         assert np.array_equal(h, np.zeros(H)) and np.array_equal(c, np.zeros(H))
 
     def test_forget_bias_saturation(self):
@@ -74,7 +84,7 @@ class TestCell:
         b = rng.uniform(-0.1, 0.1, 4 * H)
         b[H : 2 * H] = 20.0
         x, h, c = rng.normal(size=D), rng.normal(size=H), rng.normal(size=H)
-        _, c_new = lstm_cell_step(x, h, c, Wx, Wh, b)
+        _, c_new = cell_step(x, h, c, Wx, Wh, b)
         a = x @ Wx.T + h @ Wh.T + b
         i = 1.0 / (1.0 + np.exp(-a[:H]))
         g = np.tanh(a[3 * H :])
@@ -87,7 +97,7 @@ class TestCell:
         Wh = rng.normal(0, 0.5, (4 * H, H))
         b = rng.normal(0, 0.5, 4 * H)
         x, h, c = rng.normal(size=D), rng.normal(size=H), rng.normal(size=H)
-        h1, c1 = lstm_cell_step(x, h, c, Wx, Wh, b)
+        h1, c1 = cell_step(x, h, c, Wx, Wh, b)
         h2, c2 = ref_cell(x, h, c, Wx, Wh, b)
         assert np.allclose(h1, h2, atol=1e-12) and np.allclose(c1, c2, atol=1e-12)
 
@@ -99,9 +109,10 @@ class TestStack:
         params = init_lm_params(cfg, rng)
         x = rng.normal(size=cfg.embed_dim + cfg.persist_dim)
         out, states = stack_step(x, zero_states(cfg), params, cfg)
-        h, c = lstm_cell_step(x, np.zeros(cfg.hidden), np.zeros(cfg.hidden),
-                              params["l1_Wx"], params["l1_Wh"], params["l1_b"])
-        assert np.array_equal(out, h) and np.array_equal(states[0][1], c)
+        h, c = ref_cell(x, np.zeros(cfg.hidden), np.zeros(cfg.hidden),
+                        params["l1_Wx"], params["l1_Wh"], params["l1_b"])
+        assert np.array_equal(out, states[0][0])
+        assert np.allclose(out, h, atol=1e-12) and np.allclose(states[0][1], c, atol=1e-12)
 
     def test_depth2_zero_upper_passes_through(self):
         cfg = tiny_cfg(depth=2)

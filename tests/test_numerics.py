@@ -6,32 +6,12 @@ from hypothesis import strategies as st
 from vidcap.errors import DimensionError, NumericError, ParameterError
 from vidcap.numerics import (
     OptState,
-    affine,
     dropout_mask,
     grad_check,
     make_rng,
     rmsprop_step,
     softmax,
 )
-
-
-class TestAffine:
-    def test_identity(self):
-        out = affine(np.array([1.0, 2.0]), np.eye(2), np.zeros(2))
-        assert np.allclose(out, [1.0, 2.0])
-
-    def test_zero_input_returns_bias(self):
-        W = np.array([[5.0, -2.0], [0.5, 9.0]])
-        out = affine(np.zeros(2), W, np.array([3.0, -1.0]))
-        assert np.allclose(out, [3.0, -1.0])
-
-    def test_hand_product(self):
-        out = affine(np.array([1.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
-        assert np.allclose(out, [3.0, 7.0])
-
-    def test_shape_mismatch_names_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 2\)"):
-            affine(np.zeros(3), np.eye(2), np.zeros(2))
 
 
 class TestSoftmax:

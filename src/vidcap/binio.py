@@ -1,167 +1,190 @@
-"""Binary file containers used across the pipeline.
+"""One binary container for every artifact, and one typed decoder for the
+JSON that artifact headers, config files and input files carry.
 
-All integers are little-endian. Four magics share the same building blocks:
+A container file is laid out as
 
-  VFEA  feature store   : u32 count | u32 dim | str16 name | rows of
-                          (str16 video id + dim float32)
-  VCBK  codebook        : u32 k | u32 d | str16 channel | k*d float32
-  VLMP  LM checkpoint   : u32 header len | header text | named tensor block
-  VEVP  eval checkpoint : same layout as VLMP
+  magic (4 bytes) | u32 index length | index | tensor data | u32 crc32
 
-str16 = u16 byte length + UTF-8 bytes. Named tensor block: u32 tensor count,
-then per tensor str16 name | u8 itemsize (4 or 8) | u8 ndim | ndim*u32
-extents | raw little-endian float data. Round trips are bit-exact.
+with little-endian integers. The index is UTF-8 JSON with sorted keys:
+{"version": 1, "header": <the writer's JSON object>, "tensors": [[name,
+"<f4" or "<f8", shape], ...]}. The tensor data is each tensor's raw
+little-endian bytes in index order, and the trailer is the zlib CRC-32 of
+every byte before it. Round trips are bit-exact. The magic names the kind:
+
+  VFEA  feature store   : header {"name", "videos"}, values (count, dim) float32
+  VCBK  codebook        : header {"channel"}, centroids (k, d) float32
+  VLMP  LM checkpoint   : header = LMConfig fields + init/persist feature names
+  VEVP  eval checkpoint : header = EvaluatorConfig fields
+
+The reader reads the file once and checks every extent against the bytes
+it holds before it slices any, so a corrupt length cannot allocate memory.
+A malformed file raises FormatError naming the file.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import json
+import math
 import struct
-from typing import BinaryIO
+import sys
+import types
+import typing
+import zlib
+from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError, ParameterError
 
 FEATURE_MAGIC = b"VFEA"
 CODEBOOK_MAGIC = b"VCBK"
 LM_MAGIC = b"VLMP"
 EVAL_MAGIC = b"VEVP"
+FORMAT_VERSION = 1
+_DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 
 
-def _write_str16(f: BinaryIO, s: str) -> None:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise FormatError(f"string too long for u16 length prefix ({len(raw)} bytes)")
-    f.write(struct.pack("<H", len(raw)))
-    f.write(raw)
+def parse_json(raw: bytes, where) -> object:
+    """Decode UTF-8 JSON; FormatError naming `where` if it is not."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # RecursionError: deep nesting
+        raise FormatError(f"{where}: not valid JSON: {str(e)[:200]}") from None
 
 
-def _read_exact(f: BinaryIO, n: int) -> bytes:
-    raw = f.read(n)
-    if len(raw) != n:
-        raise FormatError(f"truncated file: wanted {n} bytes, got {len(raw)}")
-    return raw
+def read_json(path) -> object:
+    return parse_json(Path(path).read_bytes(), path)
 
 
-def _read_str16(f: BinaryIO) -> str:
-    (n,) = struct.unpack("<H", _read_exact(f, 2))
-    return _read_exact(f, n).decode("utf-8")
+def write_checkpoint(path, magic: bytes, header: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Write `header` (a JSON object) and float tensors, sorted by name."""
+    if magic not in (FEATURE_MAGIC, CODEBOOK_MAGIC, LM_MAGIC, EVAL_MAGIC):
+        raise FormatError(f"unknown container magic {magic!r}")
+    entries, blobs = [], []
+    for name in sorted(tensors):
+        arr = tensors[name]
+        code = {np.float32: "<f4", np.float64: "<f8"}.get(arr.dtype.type)
+        if code is None:
+            raise FormatError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
+        entries.append([name, code, list(arr.shape)])
+        blobs.append(np.ascontiguousarray(arr, dtype=code).tobytes())
+    index = json.dumps({"version": FORMAT_VERSION, "header": header, "tensors": entries},
+                       sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    body = b"".join([magic, struct.pack("<I", len(index)), index, *blobs])
+    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
-def _check_magic(f: BinaryIO, magic: bytes) -> None:
-    got = f.read(4)
-    if got != magic:
-        raise FormatError(f"bad magic: expected {magic!r}, got {got!r}")
+def read_checkpoint(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header, tensors) of a container written with `magic`."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != magic:
+        raise FormatError(f"{path}: bad magic: expected {magic!r}, got {raw[:4]!r}")
+    index_len = struct.unpack_from("<I", raw, 4)[0] if len(raw) >= 8 else 0
+    if 8 + index_len + 4 > len(raw):
+        raise FormatError(f"{path}: truncated file: {index_len}-byte index, {len(raw)}-byte file")
+    index = parse_json(raw[8 : 8 + index_len], path)
+    if not (isinstance(index, dict) and index.keys() == {"version", "header", "tensors"}
+            and index["version"] == FORMAT_VERSION and isinstance(index["header"], dict)
+            and isinstance(index["tensors"], list)):
+        raise FormatError(f"{path}: not a version {FORMAT_VERSION} index: {str(index)[:80]}")
+    header, entries = index["header"], index["tensors"]
+    layout, offset = [], 8 + index_len
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+                and entry[1] in _DTYPES and isinstance(entry[2], list)
+                and all(type(n) is int and n >= 0 for n in entry[2])):
+            raise FormatError(f"{path}: malformed tensor entry {str(entry)[:80]}")
+        name, code, shape = entry
+        layout.append((name, _DTYPES[code], shape, offset))
+        offset += _DTYPES[code].itemsize * math.prod(shape)
+    if len({name for name, *_ in layout}) != len(layout):
+        raise FormatError(f"{path}: duplicate tensor names")
+    if offset + 4 > len(raw):
+        raise FormatError(f"{path}: truncated file: {len(raw)} bytes, tensors need {offset + 4}")
+    if offset + 4 < len(raw):
+        raise FormatError(f"{path}: trailing bytes after {len(layout)} tensors")
+    if struct.unpack_from("<I", raw, offset)[0] != zlib.crc32(memoryview(raw)[:offset]):
+        raise FormatError(f"{path}: checksum mismatch")
+    tensors = {name: np.frombuffer(raw, dtype, math.prod(shape), start).reshape(shape).copy()
+               for name, dtype, shape, start in layout}
+    return header, tensors
+
+
+def check_shapes(path, tensors: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
+    """FormatError unless `tensors` has exactly the names in `shapes`, each of its
+    shape (an extent of None matches any)."""
+    for name in sorted(tensors.keys() | shapes.keys()):
+        got, want = getattr(tensors.get(name), "shape", None), shapes.get(name)
+        if got is None or want is None or len(got) != len(want) \
+                or any(w not in (None, g) for g, w in zip(got, want)):
+            raise FormatError(f"{path}: tensor {name!r} of shape {got} does not fit {want}")
+
+
+@dataclasses.dataclass
+class _FeatureHeader:
+    name: str
+    videos: list[str]
 
 
 def write_feature_file(path, name: str, rows: list[tuple[str, np.ndarray]]) -> None:
     """rows: (video id, vector) pairs; vectors stored as float32."""
     dim = len(rows[0][1]) if rows else 0
-    with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<II", len(rows), dim))
-        _write_str16(f, name)
-        for vid, vec in rows:
-            arr = np.ascontiguousarray(vec, dtype="<f4")
-            if arr.ndim != 1 or arr.shape[0] != dim:
-                raise FormatError(
-                    f"feature row for {vid!r} has shape {arr.shape}, expected ({dim},)"
-                )
-            _write_str16(f, vid)
-            f.write(arr.tobytes())
+    vecs = [np.asarray(vec, dtype="<f4") for _, vec in rows]
+    for (vid, _), vec in zip(rows, vecs):
+        if vec.shape != (dim,):
+            raise FormatError(f"feature row for {vid!r} has shape {vec.shape}, expected ({dim},)")
+    write_checkpoint(path, FEATURE_MAGIC, {"name": name, "videos": [vid for vid, _ in rows]},
+                     {"values": np.stack(vecs) if vecs else np.zeros((0, 0), "<f4")})
 
 
 def read_feature_file(path) -> tuple[str, list[tuple[str, np.ndarray]]]:
-    with open(path, "rb") as f:
-        _check_magic(f, FEATURE_MAGIC)
-        count, dim = struct.unpack("<II", _read_exact(f, 8))
-        name = _read_str16(f)
-        rows = []
-        for _ in range(count):
-            vid = _read_str16(f)
-            vec = np.frombuffer(_read_exact(f, 4 * dim), dtype="<f4").copy()
-            rows.append((vid, vec))
-        if f.read(1):
-            raise FormatError(f"{path}: trailing bytes after {count} feature rows")
-    return name, rows
+    header, tensors = read_checkpoint(path, FEATURE_MAGIC)
+    head = config_from_json(_FeatureHeader, header, path)
+    check_shapes(path, tensors, {"values": (len(head.videos), None)})
+    return head.name, list(zip(head.videos, tensors["values"]))
 
 
-def write_codebook_file(path, channel: str, centroids: np.ndarray) -> None:
-    arr = np.ascontiguousarray(centroids, dtype="<f4")
-    if arr.ndim != 2:
-        raise FormatError(f"centroids must be 2-D, got shape {arr.shape}")
-    with open(path, "wb") as f:
-        f.write(CODEBOOK_MAGIC)
-        f.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        _write_str16(f, channel)
-        f.write(arr.tobytes())
+def config_from_json(cls, doc, where, *, partial: bool = False):
+    """Dataclass `cls` from a decoded JSON object whose keys are its fields (with
+    `partial`, fields that have defaults may be left out) and whose values have
+    the fields' types: int, float, str, `X | None`, `list[X]`, `tuple[X, ...]`
+    or a nested dataclass. Otherwise, or if `cls` rejects the values, raises
+    FormatError naming `where` and the key."""
+    try:
+        return _decode(cls, doc, "", partial)
+    except (DataError, ParameterError) as e:
+        raise FormatError(f"{where}: {e}") from None
 
 
-def read_codebook_file(path) -> tuple[str, np.ndarray]:
-    with open(path, "rb") as f:
-        _check_magic(f, CODEBOOK_MAGIC)
-        k, d = struct.unpack("<II", _read_exact(f, 8))
-        channel = _read_str16(f)
-        data = np.frombuffer(_read_exact(f, 4 * k * d), dtype="<f4").copy()
-        if f.read(1):
-            raise FormatError(f"{path}: trailing bytes after codebook data")
-    return channel, data.reshape(k, d)
+@functools.cache
+def _fields(tp) -> dict[str, tuple[object, bool]]:
+    """Field name -> (type, whether it has no default) of dataclass `tp`."""
+    hints = typing.get_type_hints(tp)
+    return {f.name: (hints[f.name], f.default is f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(tp)}
 
 
-def _write_tensor(f: BinaryIO, name: str, arr: np.ndarray) -> None:
-    if arr.dtype == np.float32:
-        code, dt = 4, "<f4"
-    elif arr.dtype == np.float64:
-        code, dt = 8, "<f8"
-    else:
-        raise FormatError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-    arr = np.ascontiguousarray(arr, dtype=dt)
-    _write_str16(f, name)
-    f.write(struct.pack("<BB", code, arr.ndim))
-    for ext in arr.shape:
-        f.write(struct.pack("<I", ext))
-    f.write(arr.tobytes())
-
-
-def _read_tensor(f: BinaryIO) -> tuple[str, np.ndarray]:
-    name = _read_str16(f)
-    code, ndim = struct.unpack("<BB", _read_exact(f, 2))
-    if code not in (4, 8):
-        raise FormatError(f"tensor {name!r}: bad itemsize code {code}")
-    shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(ndim))
-    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    dt = "<f4" if code == 4 else "<f8"
-    data = np.frombuffer(_read_exact(f, code * n), dtype=dt).copy()
-    return name, data.reshape(shape)
-
-
-def write_checkpoint(path, magic: bytes, header: dict[str, str], tensors: dict[str, np.ndarray]) -> None:
-    """Config header as sorted key=value lines, then all tensors (sorted by name)."""
-    if magic not in (LM_MAGIC, EVAL_MAGIC):
-        raise FormatError(f"unknown checkpoint magic {magic!r}")
-    text = "".join(f"{k}={header[k]}\n" for k in sorted(header)).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(magic)
-        f.write(struct.pack("<I", len(text)))
-        f.write(text)
-        f.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            _write_tensor(f, name, tensors[name])
-
-
-def read_checkpoint(path, magic: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    with open(path, "rb") as f:
-        _check_magic(f, magic)
-        (hlen,) = struct.unpack("<I", _read_exact(f, 4))
-        header: dict[str, str] = {}
-        for line in _read_exact(f, hlen).decode("utf-8").splitlines():
-            if line:
-                key, _, value = line.partition("=")
-                header[key] = value
-        (count,) = struct.unpack("<I", _read_exact(f, 4))
-        tensors = dict(_read_tensor(f) for _ in range(count))
-        if len(tensors) != count:
-            raise FormatError(f"{path}: duplicate tensor names")
-        if f.read(1):
-            raise FormatError(f"{path}: trailing bytes after {count} tensors")
-    return header, tensors
+def _decode(tp, value, key: str, partial: bool):
+    if tp in (int, str) and type(value) is tp:
+        return value
+    if tp is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp) and isinstance(value, dict):
+        prefix, fields = f"{key}." if key else "", _fields(tp)
+        unknown = sorted(value.keys() - fields.keys())
+        missing = [n for n, (_, req) in fields.items() if n not in value and (req or not partial)]
+        if unknown or missing:
+            raise FormatError(f"unknown key {prefix + unknown[0]!r}" if unknown
+                              else f"missing key {prefix + missing[0]!r}")
+        return tp(**{k: _decode(fields[k][0], v, prefix + k, partial) for k, v in value.items()})
+    if origin in (typing.Union, types.UnionType):  # X | None
+        inner = next(a for a in args if a is not type(None))
+        return None if value is None else _decode(inner, value, key, partial)
+    if origin in (list, tuple) and isinstance(value, list):
+        items = [_decode(args[0], v, f"{key}[{i}]", partial) for i, v in enumerate(value)]
+        return items if origin is list else tuple(items)
+    got = type(value).__name__ if isinstance(value, (dict, list)) else repr(value)[:40]
+    raise FormatError(f"key {key or '<top>'!r}: expected {getattr(tp, '__name__', tp)}, got {got}")

@@ -2,24 +2,24 @@
 
 Subcommands: synth, vocab, codebook, encode, train-lm, train-eval, generate,
 rerank, score, run. The pipeline subcommands (synth, vocab, train-lm,
-train-eval, generate, rerank, score) read their hyperparameters from an
+train-eval, generate, rerank, score) run the stage functions that `run`
+chains, so a stagewise chain over one config writes the files `run` writes;
+all but rerank, which has none, read their hyperparameters from an
 ExperimentConfig JSON given by --config (the defaults without one; --seed
-overrides its seed) and run the stage functions that `run` chains, so a
-stagewise chain over one config writes the files `run` writes. Their other
-flags name input and output files. Exit codes: 0 success, 1 usage error,
-2 data error, 3 numeric error.
+overrides its seed). Their other flags name input and output files. Exit
+codes: 0 success, 1 usage error, 2 data error (a malformed artifact, config
+or JSON input, named in the message), 3 numeric error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import decoder, evaluator, features, harness
+from . import binio, decoder, evaluator, features, harness
 from .ensemble import GeneratorModel, dump_pools, load_pools
 from .errors import DataError, DimensionError, NumericError, ParameterError
 from .numerics import make_rng
@@ -38,12 +38,30 @@ def _load_inputs(args) -> tuple[harness.Dataset, harness.FeatureStore, Vocabular
             Vocabulary.load(args.vocab))
 
 
-def _load_json(path):
+def _videos(path) -> dict:
+    """The "videos" object of a descriptor or activation JSON file."""
+    doc = binio.read_json(path)
+    if not (isinstance(doc, dict) and isinstance(doc.get("videos"), dict)):
+        raise DataError(f"{path}: expected an object with a 'videos' object")
+    return doc["videos"]
+
+
+def _numbers(value, path, vid, ndim: int) -> np.ndarray:
+    """A video's `ndim`-D (or empty) JSON array of numbers, as float64."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: not valid JSON: {e}") from e
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or (arr.ndim != ndim and arr.size > 0):
+        raise DataError(f"{path}: video {vid!r}: expected a {ndim}-D array of numbers")
+    return arr.astype(np.float64)
+
+
+def _channels(videos: dict, vid: str, path, names) -> dict[str, np.ndarray]:
+    """The descriptor channels in `names` that a video has, as float64 arrays."""
+    if not isinstance(videos[vid], dict):
+        raise DataError(f"{path}: video {vid!r}: expected an object of descriptor channels")
+    return {ch: _numbers(videos[vid][ch], path, vid, 2) for ch in names if ch in videos[vid]}
 
 
 def _experiment_config(args) -> harness.ExperimentConfig:
@@ -61,8 +79,8 @@ def _load_generator(item: str) -> GeneratorModel:
         raise ParameterError(f"--model expects tag=path, got {item!r}")
     cfg, params, header = decoder.load_lm(path)
     for key in ("init_feature", "persist_feature"):
-        if key not in header:
-            raise DataError(f"{path}: checkpoint header has no {key!r}")
+        if not isinstance(header.get(key), str):
+            raise DataError(f"{path}: checkpoint header has no string {key!r}")
     return GeneratorModel(tag=tag, cfg=cfg, params=params,
                           init_feature=header["init_feature"],
                           persist_feature=header["persist_feature"])
@@ -88,15 +106,15 @@ def cmd_vocab(args) -> int:
 
 
 def cmd_codebook(args) -> int:
-    doc = _load_json(args.descriptors)
-    rows = []
-    for vid in sorted(doc.get("videos", {})):
-        channels = doc["videos"][vid]
-        if args.channel in channels:
-            rows.extend(channels[args.channel])
-    if not rows:
+    videos = _videos(args.descriptors)
+    parts = [desc for vid in sorted(videos)
+             for desc in _channels(videos, vid, args.descriptors, [args.channel]).values()
+             if desc.size > 0]
+    if not parts:
         raise DataError(f"no descriptors for channel {args.channel!r} in {args.descriptors}")
-    samples = np.asarray(rows, dtype=np.float64)
+    if any(p.shape[1] != parts[0].shape[1] for p in parts):
+        raise DataError(f"{args.descriptors}: {args.channel!r} descriptor widths differ")
+    samples = np.concatenate(parts)
     rng = make_rng(args.seed)
     if samples.shape[0] > args.max_samples:
         idx = rng.choice(samples.shape[0], size=args.max_samples, replace=False)
@@ -110,29 +128,28 @@ def cmd_codebook(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    flag = "descriptors" if args.kind == "bof" else "activations"
+    path = getattr(args, flag)
+    if path is None:
+        raise ParameterError(f"--kind {args.kind} needs --{flag}")
+    videos = _videos(path)
+    books = {book.channel: book for book in map(features.Codebook.load, args.codebooks)}
     store = harness.FeatureStore()
-    if args.kind == "bof":
-        doc = _load_json(args.descriptors)
-        books = {}
-        for path in args.codebooks:
-            book = features.Codebook.load(path)
-            books[book.channel] = book
-        for vid in sorted(doc.get("videos", {})):
-            desc = {ch: np.asarray(v, dtype=np.float64)
-                    for ch, v in doc["videos"][vid].items()}
-            fv = features.bof_encode(desc, books, name=args.name)
-            store.add(args.name, vid, fv.values)
-    elif args.kind == "mean":
-        doc = _load_json(args.activations)
-        for vid in sorted(doc.get("videos", {})):
-            vecs = [np.asarray(v, dtype=np.float64) for v in doc["videos"][vid]]
-            store.add(args.name, vid, features.mean_pool(vecs))
-    elif args.kind == "pyramid":
-        doc = _load_json(args.activations)
-        for vid in sorted(doc.get("videos", {})):
-            frames = [features.RegionActivations(scale1=f["scale1"], regions=f["regions"])
-                      for f in doc["videos"][vid]]
-            store.add(args.name, vid, features.pyramid_pool(frames, combo=args.combo))
+    for vid in sorted(videos):
+        if args.kind == "bof":
+            values = features.bof_encode(_channels(videos, vid, path, features.DESCRIPTOR_CHANNELS),
+                                         books, name=args.name).values
+        elif args.kind == "mean":
+            values = features.mean_pool(list(_numbers(videos[vid], path, vid, 2)))
+        else:
+            frames = videos[vid]
+            if not (isinstance(frames, list) and all(isinstance(f, dict) for f in frames)):
+                raise DataError(f"{path}: video {vid!r}: expected a list of frame objects")
+            values = features.pyramid_pool(
+                [features.RegionActivations(_numbers(f.get("scale1"), path, vid, 1),
+                                            _numbers(f.get("regions"), path, vid, 2))
+                 for f in frames], combo=args.combo)
+        store.add(args.name, vid, values)
     harness.save_features(store, args.name, args.out)
     print(f"encoded {len(store.videos(args.name))} videos "
           f"({args.kind}, dim {store.dim(args.name)}) -> {args.out}")
@@ -171,12 +188,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_rerank(args) -> int:
-    cfg = _experiment_config(args)
     store = _load_store(args.features)
     vocab = Vocabulary.load(args.vocab)
     eval_cfg, params = evaluator.load_evaluator(args.evaluator)
     pools = load_pools(args.pool)
-    chosen = harness.rerank_pools(cfg, pools, store, eval_cfg, params, vocab)
+    chosen = harness.rerank_pools(pools, store, eval_cfg, params, vocab)
     harness.save_chosen(chosen, args.out)
     if args.scored_pool:
         dump_pools(pools, args.scored_pool)
@@ -187,7 +203,10 @@ def cmd_rerank(args) -> int:
 def cmd_score(args) -> int:
     cfg = _experiment_config(args)
     dataset = harness.load_dataset(args.data)
-    report = harness.score_split(cfg, _load_json(args.captions), dataset)
+    captions = binio.read_json(args.captions)
+    if not (isinstance(captions, dict) and all(isinstance(c, str) for c in captions.values())):
+        raise DataError(f"{args.captions}: expected an object of video id -> caption string")
+    report = harness.score_split(cfg, captions, dataset)
     sys.stdout.write(report.to_text())
     if args.out:
         out = Path(args.out)
@@ -273,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evaluator", required=True)
     p.add_argument("--features", nargs="+", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--config")
     p.add_argument("--scored-pool")
     p.add_argument("--out", required=True)
 

@@ -12,7 +12,7 @@ written out by hand so gradients can be finite-difference checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -56,26 +56,25 @@ class LMConfig:
         return self.embed_dim + self.persist_dim if layer == 1 else self.hidden
 
 
-def init_lm_params(cfg: LMConfig, rng: np.random.Generator, scale: float = 0.08) -> Params:
-    """Uniform(-scale, scale) init; forget-gate bias starts at +1."""
-
-    def u(*shape):
-        return rng.uniform(-scale, scale, size=shape)
-
-    H = cfg.hidden
-    params: Params = {
-        "embed": u(cfg.vocab_size, cfg.embed_dim),
-        "init_W": u(cfg.embed_dim, cfg.init_dim),
-        "init_b": np.zeros(cfg.embed_dim),
-        "out_W": u(cfg.vocab_size, H),
-        "out_b": np.zeros(cfg.vocab_size),
-    }
+def lm_param_shapes(cfg: LMConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in initialisation order."""
+    H, E, V = cfg.hidden, cfg.embed_dim, cfg.vocab_size
+    shapes = {"embed": (V, E), "init_W": (E, cfg.init_dim), "init_b": (E,),
+              "out_W": (V, H), "out_b": (V,)}
     for layer in range(1, cfg.depth + 1):
-        params[f"l{layer}_Wx"] = u(4 * H, cfg.layer_input_dim(layer))
-        params[f"l{layer}_Wh"] = u(4 * H, H)
-        b = np.zeros(4 * H)
-        b[H : 2 * H] = 1.0
-        params[f"l{layer}_b"] = b
+        shapes[f"l{layer}_Wx"] = (4 * H, cfg.layer_input_dim(layer))
+        shapes[f"l{layer}_Wh"] = (4 * H, H)
+        shapes[f"l{layer}_b"] = (4 * H,)
+    return shapes
+
+
+def init_lm_params(cfg: LMConfig, rng: np.random.Generator, scale: float = 0.08) -> Params:
+    """Uniform(-scale, scale) weights, zero biases; forget-gate bias starts at +1."""
+    params: Params = {name: np.zeros(shape) if name.endswith("_b")
+                      else rng.uniform(-scale, scale, size=shape)
+                      for name, shape in lm_param_shapes(cfg).items()}
+    for layer in range(1, cfg.depth + 1):
+        params[f"l{layer}_b"][cfg.hidden : 2 * cfg.hidden] = 1.0
     return params
 
 
@@ -338,22 +337,17 @@ def fit_lm(params: Params, cfg: LMConfig, examples: list[Example], opt: OptState
     return history
 
 
-def save_lm(path, cfg: LMConfig, params: Params, extra: dict[str, str] | None = None) -> None:
-    header = {k: repr(v) for k, v in asdict(cfg).items()}
-    if extra:
-        header.update({k: str(v) for k, v in extra.items()})
-    binio.write_checkpoint(path, binio.LM_MAGIC, header, params)
+def save_lm(path, cfg: LMConfig, params: Params, extra: dict | None = None) -> None:
+    """Header: the config's fields plus `extra` (JSON values), which may not shadow them."""
+    header, extra = asdict(cfg), extra or {}
+    if header.keys() & extra.keys():
+        raise ParameterError(f"extra keys {sorted(header.keys() & extra.keys())} shadow LMConfig")
+    binio.write_checkpoint(path, binio.LM_MAGIC, {**header, **extra}, params)
 
 
-def load_lm(path) -> tuple[LMConfig, Params, dict[str, str]]:
+def load_lm(path) -> tuple[LMConfig, Params, dict]:
     header, tensors = binio.read_checkpoint(path, binio.LM_MAGIC)
-    cfg = LMConfig(
-        vocab_size=int(header["vocab_size"]),
-        init_dim=int(header["init_dim"]),
-        persist_dim=int(header["persist_dim"]),
-        depth=int(header["depth"]),
-        hidden=int(header["hidden"]),
-        embed_dim=int(header["embed_dim"]),
-        dropout_rate=float(header["dropout_rate"]),
-    )
+    names = {f.name for f in fields(LMConfig)}
+    cfg = binio.config_from_json(LMConfig, {k: v for k, v in header.items() if k in names}, path)
+    binio.check_shapes(path, tensors, lm_param_shapes(cfg))
     return cfg, tensors, header

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from . import binio
 from .decoder import LMConfig
 from .errors import DataError
 from .evaluator import EvaluatorConfig, project_video, _cosine, encode_sentence
@@ -62,13 +64,11 @@ def generate_pool(models: list[GeneratorModel], video_id: str, feature_of,
 
 
 def rerank(pool: CandidatePool, video_values: np.ndarray, eval_params: Params,
-           eval_cfg: EvaluatorConfig, vocab: Vocabulary,
-           blend_weight: float = 0.0) -> Candidate:
-    """Score every candidate with the evaluator and return the argmax.
+           eval_cfg: EvaluatorConfig, vocab: Vocabulary) -> Candidate:
+    """Score every candidate by the evaluator's cosine and return the argmax.
 
     Ties break toward higher generator log-prob, then the lexicographically
-    smaller caption. blend_weight mixes the generator log-prob into the score
-    (0 = pure evaluator, the paper-faithful default).
+    smaller caption.
     """
     if not pool.entries:
         raise DataError(f"empty candidate pool for video {pool.video_id!r}")
@@ -76,7 +76,7 @@ def rerank(pool: CandidatePool, video_values: np.ndarray, eval_params: Params,
     for cand in pool.entries:
         ids = encode(tokenize(cand.caption), vocab)
         sent = encode_sentence(ids, eval_params, eval_cfg)
-        cand.score = _cosine(sent, vid_emb) + blend_weight * cand.logprob
+        cand.score = _cosine(sent, vid_emb)
     return min(pool.entries, key=lambda c: (-c.score, -c.logprob, c.caption))
 
 
@@ -94,21 +94,22 @@ def dump_pools(pools: list[CandidatePool], path) -> None:
                 }, sort_keys=True) + "\n")
 
 
+@dataclass
+class _PoolRecord:  # one line of a pool file
+    video_id: str
+    model: str
+    caption: str
+    logprob: float
+    score: float | None = None
+
+
 def load_pools(path) -> list[CandidatePool]:
     pools: dict[str, CandidatePool] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                pool = pools.setdefault(rec["video_id"], CandidatePool(rec["video_id"]))
-                pool.entries.append(Candidate(
-                    caption=rec["caption"], model=rec["model"],
-                    logprob=float(rec["logprob"]),
-                    score=None if rec.get("score") is None else float(rec["score"]),
-                ))
-            except (KeyError, ValueError, json.JSONDecodeError) as e:
-                raise DataError(f"{path}:{lineno}: bad pool record") from e
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        if line.strip():
+            where = f"{path}:{lineno}"
+            rec = binio.config_from_json(_PoolRecord, binio.parse_json(line, where), where,
+                                         partial=True)
+            pools.setdefault(rec.video_id, CandidatePool(rec.video_id)).entries.append(
+                Candidate(rec.caption, rec.model, rec.logprob, rec.score))
     return [pools[k] for k in sorted(pools)]

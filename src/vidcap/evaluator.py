@@ -12,13 +12,12 @@ matched pairs over sampled negatives with a per-negative hinge.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import binio
-from .errors import DataError, DimensionError, FormatError, NumericError, ParameterError
+from .errors import DataError, DimensionError, NumericError, ParameterError
 from .numerics import OptState, Params, rmsprop_update
 from .text import PAD, EOS, Vocabulary, encode, tokenize
 
@@ -40,7 +39,8 @@ class EvaluatorConfig:
         for name in ("vocab_size", "video_dim", "embed_dim", "filters_per_width", "joint_dim"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.filter_widths or min(self.filter_widths) < 1:
+        if (not self.filter_widths or min(self.filter_widths) < 1
+                or len(set(self.filter_widths)) != len(self.filter_widths)):
             raise ParameterError(f"bad filter widths {self.filter_widths}")
         if self.margin <= 0:
             raise ParameterError(f"margin must be > 0, got {self.margin}")
@@ -48,20 +48,26 @@ class EvaluatorConfig:
             raise ParameterError(f"n_negatives must be >= 1, got {self.n_negatives}")
 
 
+def evaluator_param_shapes(cfg: EvaluatorConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in initialisation order."""
+    shapes = {"embed": (cfg.vocab_size, cfg.embed_dim)}
+    for w in cfg.filter_widths:
+        shapes[f"conv{w}_W"] = (cfg.filters_per_width, w * cfg.embed_dim)
+        shapes[f"conv{w}_b"] = (cfg.filters_per_width,)
+    shapes["sent_W"] = (cfg.joint_dim, len(cfg.filter_widths) * cfg.filters_per_width)
+    shapes["sent_b"] = (cfg.joint_dim,)
+    shapes["vid_W"] = (cfg.joint_dim, cfg.video_dim)
+    shapes["vid_b"] = (cfg.joint_dim,)
+    return shapes
+
+
 def init_evaluator_params(cfg: EvaluatorConfig, rng: np.random.Generator,
                           scale: float = 0.08) -> Params:
-    def u(*shape):
-        return rng.uniform(-scale, scale, size=shape)
-
-    params: Params = {"embed": u(cfg.vocab_size, cfg.embed_dim)}
+    """Uniform(-scale, scale) weights, zero biases and a zero PAD embedding."""
+    params: Params = {name: np.zeros(shape) if name.endswith("_b")
+                      else rng.uniform(-scale, scale, size=shape)
+                      for name, shape in evaluator_param_shapes(cfg).items()}
     params["embed"][PAD] = 0.0
-    for w in cfg.filter_widths:
-        params[f"conv{w}_W"] = u(cfg.filters_per_width, w * cfg.embed_dim)
-        params[f"conv{w}_b"] = np.zeros(cfg.filters_per_width)
-    params["sent_W"] = u(cfg.joint_dim, len(cfg.filter_widths) * cfg.filters_per_width)
-    params["sent_b"] = np.zeros(cfg.joint_dim)
-    params["vid_W"] = u(cfg.joint_dim, cfg.video_dim)
-    params["vid_b"] = np.zeros(cfg.joint_dim)
     return params
 
 
@@ -257,31 +263,11 @@ def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig
 
 
 def save_evaluator(path, cfg: EvaluatorConfig, params: Params) -> None:
-    header = {}
-    for k, v in asdict(cfg).items():
-        header[k] = ",".join(str(x) for x in v) if k == "filter_widths" else repr(v)
-    binio.write_checkpoint(path, binio.EVAL_MAGIC, header, params)
+    binio.write_checkpoint(path, binio.EVAL_MAGIC, asdict(cfg), params)
 
 
 def load_evaluator(path) -> tuple[EvaluatorConfig, Params]:
     header, tensors = binio.read_checkpoint(path, binio.EVAL_MAGIC)
-    raw_name = header["feature_name"]  # save_evaluator writes repr()
-    try:
-        feature_name = ast.literal_eval(raw_name)
-    except (ValueError, SyntaxError, MemoryError, RecursionError) as e:  # last two: deep nesting
-        raise FormatError(f"{path}: malformed feature_name {raw_name[:80]!r}") from e
-    if not isinstance(feature_name, str):
-        raise FormatError(
-            f"{path}: feature_name must be a string, got {type(feature_name).__name__}")
-    cfg = EvaluatorConfig(
-        vocab_size=int(header["vocab_size"]),
-        video_dim=int(header["video_dim"]),
-        embed_dim=int(header["embed_dim"]),
-        filter_widths=tuple(int(x) for x in header["filter_widths"].split(",")),
-        filters_per_width=int(header["filters_per_width"]),
-        joint_dim=int(header["joint_dim"]),
-        margin=float(header["margin"]),
-        n_negatives=int(header["n_negatives"]),
-        feature_name=feature_name,
-    )
+    cfg = binio.config_from_json(EvaluatorConfig, header, path)
+    binio.check_shapes(path, tensors, evaluator_param_shapes(cfg))
     return cfg, tensors

@@ -92,6 +92,11 @@ def pyramid_pool(frames: list[RegionActivations], combo: str = "avg-avg") -> np.
 
 
 @dataclass
+class _CodebookHeader:
+    channel: str
+
+
+@dataclass
 class Codebook:
     """k-means centroids for one descriptor channel."""
 
@@ -114,12 +119,15 @@ class Codebook:
         return self.centroids.shape[1]
 
     def save(self, path) -> None:
-        binio.write_codebook_file(path, self.channel, self.centroids)
+        binio.write_checkpoint(path, binio.CODEBOOK_MAGIC, {"channel": self.channel},
+                               {"centroids": self.centroids.astype(np.float32)})
 
     @classmethod
     def load(cls, path) -> "Codebook":
-        channel, centroids = binio.read_codebook_file(path)
-        return cls(channel=channel, centroids=centroids.astype(np.float64))
+        header, tensors = binio.read_checkpoint(path, binio.CODEBOOK_MAGIC)
+        head = binio.config_from_json(_CodebookHeader, header, path)
+        binio.check_shapes(path, tensors, {"centroids": (None, None)})
+        return cls(channel=head.channel, centroids=tensors["centroids"].astype(np.float64))
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

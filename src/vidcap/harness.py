@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,23 +64,11 @@ class Dataset:
 
 
 def load_dataset(path) -> Dataset:
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: not valid JSON: {e}") from e
-    if not isinstance(doc, dict) or "videos" not in doc:
+    doc = binio.read_json(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("videos"), list):
         raise DataError(f"{path}: expected a top-level 'videos' array")
-    records = []
-    for i, item in enumerate(doc["videos"]):
-        try:
-            records.append(VideoRecord(
-                id=str(item["id"]), category=int(item["category"]),
-                captions=[str(c) for c in item["captions"]], split=str(item["split"]),
-            ))
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{path}: videos[{i}]: malformed record: {e}") from e
-    return Dataset(records)
+    return Dataset([binio.config_from_json(VideoRecord, item, f"{path}: videos[{i}]")
+                    for i, item in enumerate(doc["videos"])])
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -307,32 +295,15 @@ class ExperimentConfig:
     beam_size: int = 5
     max_len: int = 30
     min_count: int = 5
-    blend_weight: float = 0.0
     # data: paths to load, or synth settings when data_path is None
     data_path: str | None = None
     feature_paths: list[str] = field(default_factory=list)
     synth: SynthConfig = field(default_factory=SynthConfig)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["filter_widths"] = list(self.filter_widths)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if "models" in d:
-            d["models"] = [ModelSpec(**m) for m in d["models"]]
-        if "synth" in d:
-            d["synth"] = SynthConfig(**d["synth"])
-        if "filter_widths" in d:
-            d["filter_widths"] = tuple(d["filter_widths"])
-        return cls(**d)
-
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        """A JSON object of fields; fields it leaves out keep their defaults."""
+        return binio.config_from_json(cls, binio.read_json(path), path, partial=True)
 
 
 @contextmanager
@@ -497,13 +468,11 @@ def generate_pools(cfg: ExperimentConfig, models: list[GeneratorModel], dataset:
     return [generate_pool(models, r.id, store.get, gen_cfg, vocab) for r in records]
 
 
-def rerank_pools(cfg: ExperimentConfig, pools: list[CandidatePool], store: FeatureStore,
-                 eval_cfg: EvaluatorConfig, eval_params: Params,
-                 vocab: Vocabulary) -> dict[str, str]:
+def rerank_pools(pools: list[CandidatePool], store: FeatureStore, eval_cfg: EvaluatorConfig,
+                 eval_params: Params, vocab: Vocabulary) -> dict[str, str]:
     """Score every candidate in place; returns {video id: chosen caption}."""
     return {pool.video_id: rerank(pool, store.get(pool.video_id, eval_cfg.feature_name),
-                                  eval_params, eval_cfg, vocab,
-                                  blend_weight=cfg.blend_weight).caption
+                                  eval_params, eval_cfg, vocab).caption
             for pool in pools}
 
 
@@ -555,7 +524,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
 
     with _stage("generate-rerank"):
         pools = generate_pools(cfg, models, dataset, store, vocab)
-        chosen = rerank_pools(cfg, pools, store, eval_cfg, eval_params, vocab)
+        chosen = rerank_pools(pools, store, eval_cfg, eval_params, vocab)
 
     with _stage("score"):
         for row in model_rows:

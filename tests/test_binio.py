@@ -1,8 +1,13 @@
+import struct
+import zlib
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
-from vidcap import binio
-from vidcap.errors import FormatError
+from vidcap import binio, decoder, evaluator
+from vidcap.errors import FormatError, ParameterError, VidcapError
+from vidcap.features import Codebook
 from vidcap.numerics import make_rng
 
 
@@ -85,13 +90,126 @@ class TestCheckpointFile:
             binio.write_checkpoint(tmp_path / "x.vlmp", binio.LM_MAGIC, {},
                                    {"bad": np.zeros(3, dtype=np.int64)})
 
+    def test_bit_flip_in_data_fails_checksum(self, tmp_path):
+        path = tmp_path / "c.vlmp"
+        binio.write_checkpoint(path, binio.LM_MAGIC, {"a": 1}, {"x": np.ones(3)})
+        raw = bytearray(path.read_bytes())
+        raw[-6] ^= 1  # inside the last float
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="c.vlmp: checksum"):
+            binio.read_checkpoint(path, binio.LM_MAGIC)
 
-class TestCodebookFile:
-    def test_round_trip(self, tmp_path):
-        rng = make_rng(2)
-        cents = rng.normal(size=(10, 6)).astype(np.float32)
-        path = tmp_path / "b.vcbk"
-        binio.write_codebook_file(path, "MBHx", cents)
-        channel, loaded = binio.read_codebook_file(path)
-        assert channel == "MBHx"
-        assert loaded.tobytes() == cents.tobytes()
+    def test_corrupt_extent_allocates_nothing(self, tmp_path):
+        path = tmp_path / "big.vlmp"
+        index = b'{"header":{},"tensors":[["x","<f8",[4294967295,4294967295]]],"version":1}'
+        body = binio.LM_MAGIC + struct.pack("<I", len(index)) + index
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="truncated"):
+            binio.read_checkpoint(path, binio.LM_MAGIC)
+
+
+@dataclass
+class _Inner:
+    n: int
+    x: float = 0.5
+
+
+@dataclass
+class _Outer:
+    name: str
+    widths: tuple[int, ...] = (1,)
+    inner: list[_Inner] = field(default_factory=list)
+    path: str | None = None
+
+    def __post_init__(self):
+        if not self.name:
+            raise ParameterError("name must not be empty")
+
+
+class TestConfigFromJson:
+    def test_decodes_nested_types(self):
+        doc = {"name": "a", "widths": [2, 3], "inner": [{"n": 1, "x": 2}], "path": None}
+        got = binio.config_from_json(_Outer, doc, "cfg.json")
+        assert got == _Outer("a", (2, 3), [_Inner(1, 2.0)], None)
+        assert isinstance(got.widths, tuple) and isinstance(got.inner[0].x, float)
+
+    def test_partial_keeps_defaults(self):
+        assert binio.config_from_json(_Outer, {"name": "a"}, "c", partial=True) == _Outer("a")
+        with pytest.raises(FormatError, match="missing key 'widths'"):
+            binio.config_from_json(_Outer, {"name": "a"}, "c")
+
+    @pytest.mark.parametrize("doc, words", [
+        ([1], "expected _Outer, got list"),
+        ({"name": "a", "bogus": 1}, "unknown key 'bogus'"),
+        ({"name": "a", "inner": [{"x": 1.0}]}, "missing key 'inner\\[0\\].n'"),
+        ({"name": 5}, "key 'name': expected str, got 5"),
+        ({"name": "a", "widths": [1, "2"]}, "key 'widths\\[1\\]': expected int"),
+        ({"name": "a", "widths": [True]}, "key 'widths\\[0\\]': expected int"),
+        ({"name": "a", "inner": [{"n": 1, "x": 10 ** 400}]},
+         "key 'inner\\[0\\].x': expected float"),
+        ({"name": "a", "path": 3}, "key 'path': expected str"),
+        ({"name": ""}, "name must not be empty"),
+    ])
+    def test_rejects_naming_file_and_key(self, doc, words):
+        with pytest.raises(FormatError, match=f"^cfg.json: .*{words}"):
+            binio.config_from_json(_Outer, doc, "cfg.json", partial=True)
+
+    @pytest.mark.parametrize("text", [b"{", b"\xff", b"[" * 100_000, b"1" * 5000])
+    def test_parse_json_rejects(self, text):
+        with pytest.raises(FormatError, match="^f.json: not valid JSON"):
+            binio.parse_json(text, "f.json")
+
+
+def _tiny_artifacts(tmp_path):
+    """One small file of each magic, with the loader that reads it."""
+    rng = make_rng(3)
+    feat = tmp_path / "f.vfea"
+    binio.write_feature_file(feat, "gcnn", [(f"v{i}", rng.normal(size=2)) for i in range(2)])
+    book = tmp_path / "b.vcbk"
+    Codebook(channel="HOG", centroids=rng.normal(size=(2, 2))).save(book)
+    lm_cfg = decoder.LMConfig(vocab_size=4, init_dim=1, persist_dim=1, depth=1, hidden=1,
+                              embed_dim=1)
+    lm = tmp_path / "m.vlmp"
+    decoder.save_lm(lm, lm_cfg, decoder.init_lm_params(lm_cfg, rng),
+                    extra={"init_feature": "categ", "persist_feature": "feat-a"})
+    ev_cfg = evaluator.EvaluatorConfig(vocab_size=4, video_dim=1, embed_dim=1, filter_widths=(1,),
+                                       filters_per_width=1, joint_dim=1, n_negatives=1,
+                                       feature_name="feat-a")
+    ev = tmp_path / "e.vevp"
+    evaluator.save_evaluator(ev, ev_cfg, evaluator.init_evaluator_params(ev_cfg, rng))
+    return [(feat, binio.read_feature_file), (book, Codebook.load),
+            (lm, decoder.load_lm), (ev, evaluator.load_evaluator)]
+
+
+def _variants(raw: bytes):
+    """Every truncation, then every offset set to 0x00, 0xFF and xor 1."""
+    for n in range(len(raw)):
+        yield raw[:n]
+    for i, b in enumerate(raw):
+        for v in {0x00, 0xFF, b ^ 1} - {b}:
+            yield raw[:i] + bytes([v]) + raw[i + 1:]
+
+
+def test_corruption_sweep(tmp_path):
+    """A damaged artifact of any kind raises FormatError naming the file; with the
+    checksum recomputed, so that only the parser stands guard, it loads or raises a
+    VidcapError, never another exception."""
+    loaded = 0
+    for path, load in _tiny_artifacts(tmp_path):
+        raw = path.read_bytes()
+        load(path)
+        bad = path.with_name("bad" + path.suffix)
+        for variant in _variants(raw):
+            bad.write_bytes(variant)
+            with pytest.raises(FormatError) as e:
+                load(bad)
+            assert str(bad) in str(e.value)
+            body = variant[:-4]
+            if len(variant) == len(raw) and body != raw[:-4]:
+                bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+                try:
+                    load(bad)
+                    loaded += 1
+                except VidcapError:
+                    pass
+    assert loaded > 0  # flips inside float data still parse

@@ -4,6 +4,7 @@ import pytest
 
 from vidcap.cli import main
 from vidcap.decoder import LMConfig, init_lm_params, save_lm
+from vidcap.evaluator import EvaluatorConfig, init_evaluator_params, save_evaluator
 from vidcap.features import DESCRIPTOR_CHANNELS
 from vidcap.numerics import make_rng
 
@@ -50,7 +51,7 @@ def test_stagewise_pipeline(workspace, tmp_path, capsys):
     models = [arg for tag in tags for arg in ("--model", f"{tag}={root / tag}.vlmp")]
     assert main(["generate", *inputs, *models, *cfg, "--out", str(root / "pool.jsonl")]) == 0
     assert main(["rerank", "--pool", str(root / "pool.jsonl"), "--evaluator",
-                 str(root / "e.vevp"), *inputs[2:], *cfg,  # inputs without --data
+                 str(root / "e.vevp"), *inputs[2:],  # inputs without --data
                  "--scored-pool", str(root / "pools.jsonl"),
                  "--out", str(root / "chosen.json")]) == 0
     assert main(["score", "--data", str(root / "dataset.json"), "--captions",
@@ -165,6 +166,84 @@ class TestExitCodes:
                      "--config", str(cfg_path), "--out", str(tmp_path / "pool.jsonl")]) == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and "init_feature" in err
+
+    @pytest.mark.parametrize("flip", [0, 9, -6])  # magic, index, float data
+    def test_corrupt_checkpoints_are_2(self, workspace, tmp_path, capsys, flip):
+        root, cfg_path = workspace
+        lm_cfg = LMConfig(vocab_size=5, init_dim=2, persist_dim=2, depth=1, hidden=4,
+                          embed_dim=4)
+        ckpt, ev = tmp_path / "m.vlmp", tmp_path / "e.vevp"
+        save_lm(ckpt, lm_cfg, init_lm_params(lm_cfg, make_rng(0)),
+                extra={"init_feature": "categ", "persist_feature": "feat-a"})
+        ev_cfg = EvaluatorConfig(vocab_size=5, video_dim=2, feature_name="feat-a")
+        save_evaluator(ev, ev_cfg, init_evaluator_params(ev_cfg, make_rng(0)))
+        for path in (ckpt, ev):
+            raw = bytearray(path.read_bytes())
+            raw[flip] ^= 1
+            path.write_bytes(bytes(raw))
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text(json.dumps({"video_id": "v", "model": "m", "caption": "a",
+                                    "logprob": -1.0}) + "\n")
+        assert main(["generate", *_stage_inputs(root), "--model", f"m={ckpt}",
+                     "--config", str(cfg_path), "--out", str(tmp_path / "p.jsonl")]) == 2
+        assert str(ckpt) in capsys.readouterr().err
+        assert main(["rerank", "--pool", str(pool), "--evaluator", str(ev),
+                     *_stage_inputs(root)[2:], "--out", str(tmp_path / "c.json")]) == 2
+        assert str(ev) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["vocab", "run"])
+    @pytest.mark.parametrize("text, words", [
+        ("{not json", "not valid JSON"),
+        ('{"bogus": 1}', "unknown key 'bogus'"),
+        ('{"models": [{"tag": "a"}]}', "missing key 'models[0].init_feature'"),
+        ('{"hidden": "x"}', "key 'hidden': expected int"),
+        ('{"synth": {"n_videos": 0}}', "n_videos must be >= 1"),
+    ])
+    def test_bad_config_is_2(self, workspace, tmp_path, capsys, command, text, words):
+        root, _ = workspace
+        bad = tmp_path / "bad-cfg.json"
+        bad.write_text(text)
+        args = ["--data", str(root / "dataset.json"), "--out", str(tmp_path / "v.tsv")] \
+            if command == "vocab" else ["--out", str(tmp_path / "run")]
+        assert main([command, *args, "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and words in err
+
+    @pytest.mark.parametrize("captions", ['{"video0020": 5}', "[1, 2]", '{"v": null}'])
+    def test_bad_captions_are_2(self, workspace, tmp_path, capsys, captions):
+        root, _ = workspace
+        path = tmp_path / "caps.json"
+        path.write_text(captions)
+        assert main(["score", "--data", str(root / "dataset.json"),
+                     "--captions", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["bof", "mean", "pyramid"])
+    @pytest.mark.parametrize("doc, words", [
+        ([1], "'videos' object"),
+        ({"videos": [1]}, "'videos' object"),
+        ({"videos": {"v0": [[1, "x"]]}}, "video 'v0'"),
+        ({"videos": {"v0": [[1, 2], [3]]}}, "video 'v0'"),
+        ({"videos": {"v0": 5}}, "video 'v0'"),
+    ])
+    def test_bad_encode_inputs_are_2(self, tmp_path, capsys, kind, doc, words):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        flag = "--descriptors" if kind == "bof" else "--activations"
+        assert main(["encode", "--kind", kind, flag, str(path), "--name", "x",
+                     "--out", str(tmp_path / "x.vfea")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and words in err
+
+    @pytest.mark.parametrize("doc", [[1], {"videos": {"v0": [[1, "x"]]}},
+                                     {"videos": {"v0": {"HOG": [[1, "x"]]}}},
+                                     {"videos": {"v0": {"HOG": [[1, 2]]}, "v1": {"HOG": [[1]]}}}])
+    def test_bad_descriptors_for_codebook_are_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "desc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["codebook", "--descriptors", str(path), "--channel", "HOG", "--k", "1",
+                     "--out", str(tmp_path / "b.vcbk")]) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_numeric_error_is_3(self, monkeypatch):
         from vidcap import cli

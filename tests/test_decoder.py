@@ -17,7 +17,7 @@ from vidcap.decoder import (
     train_step,
     zero_states,
 )
-from vidcap.errors import DataError
+from vidcap.errors import DataError, FormatError, ParameterError
 from vidcap.numerics import OptState, grad_check, make_rng
 from vidcap.text import BOS, EOS
 
@@ -297,3 +297,16 @@ class TestCheckpoint:
             assert params2[k].dtype == params[k].dtype
         save_lm(p2, cfg2, params2, extra={"init_feature": "categ"})
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("other", [tiny_cfg(depth=3), tiny_cfg(vocab=13), tiny_cfg(hidden=9)])
+    def test_params_not_fitting_config_rejected(self, tmp_path, other):
+        path = tmp_path / "m.vlmp"
+        save_lm(path, tiny_cfg(), init_lm_params(other, make_rng(0)))
+        with pytest.raises(FormatError, match="m.vlmp: tensor"):
+            load_lm(path)
+
+    def test_extra_may_not_shadow_config(self, tmp_path):
+        cfg = tiny_cfg()
+        with pytest.raises(ParameterError, match="depth"):
+            save_lm(tmp_path / "m.vlmp", cfg, init_lm_params(cfg, make_rng(0)),
+                    extra={"depth": 5})

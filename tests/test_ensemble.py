@@ -127,12 +127,6 @@ class TestRerank:
         best = rerank(pool, np.ones(4), params, cfg, VOCAB)
         assert best.model == "B"
 
-    def test_blend_weight_changes_pick(self):
-        cfg, params = self._eval_setup(7)
-        pool = CandidatePool("v", [Candidate("w x", "A", -100.0), Candidate("w x", "B", 0.0)])
-        best = rerank(pool, np.ones(4), params, cfg, VOCAB, blend_weight=1.0)
-        assert best.model == "B"
-
     def test_empty_pool_rejected(self):
         cfg, params = self._eval_setup(8)
         with pytest.raises(DataError):
@@ -159,4 +153,13 @@ class TestPoolFile:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"video_id": "v0"}\n')
         with pytest.raises(DataError):
+            load_pools(path)
+
+    @pytest.mark.parametrize("line", [b"[1]", b"\xff", b'{"video_id": "v0", "model": "m", '
+                                      b'"caption": 5, "logprob": -1.0}'])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"video_id": "v0", "model": "m", "caption": "a", "logprob": -1.0}\n'
+                         + line + b"\n")
+        with pytest.raises(DataError, match="bad.jsonl:2"):
             load_pools(path)

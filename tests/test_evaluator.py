@@ -1,9 +1,9 @@
-from dataclasses import asdict
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from vidcap import binio
 from vidcap.errors import DataError, DimensionError, FormatError, ParameterError
 from vidcap.evaluator import (
     EvaluatorConfig,
@@ -287,16 +287,28 @@ class TestCheckpoint:
         assert load_evaluator(path)[0].feature_name == name
 
     @pytest.mark.parametrize("raw", ["'unterminated", "feat-a", "12", "['a']", "(" * 300,
-                                     "-" * 100_000 + "1"])
+                                     "-" * 100_000 + "1", '["a"]', "null",
+                                     "[" * 100_000 + "]" * 100_000])
     def test_malformed_feature_name_names_file(self, tmp_path, raw):
-        cfg = tiny_cfg()
-        header = {k: repr(v) for k, v in asdict(cfg).items()}
-        header["filter_widths"] = ",".join(str(w) for w in cfg.filter_widths)
-        header["feature_name"] = raw
+        """`raw` is spliced into the index as feature_name's JSON text; length and
+        checksum are made valid again, so only the header decoding can object."""
+        cfg = tiny_cfg(feature_name="@@")
         path = tmp_path / "bad.vevp"
-        binio.write_checkpoint(path, binio.EVAL_MAGIC, header,
-                               init_evaluator_params(cfg, make_rng(0)))
+        save_evaluator(path, cfg, init_evaluator_params(cfg, make_rng(0)))
+        data = path.read_bytes()
+        (n,) = struct.unpack_from("<I", data, 4)
+        index = data[8 : 8 + n].replace(b'"@@"', raw.encode())
+        body = data[:4] + struct.pack("<I", len(index)) + index + data[8 + n : -4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(FormatError, match="bad.vevp"):
+            load_evaluator(path)
+
+    @pytest.mark.parametrize("other", [dict(filter_widths=(2, 4)), dict(joint_dim=7),
+                                       dict(video_dim=8)])
+    def test_params_not_fitting_config_rejected(self, tmp_path, other):
+        path = tmp_path / "e.vevp"
+        save_evaluator(path, tiny_cfg(), init_evaluator_params(tiny_cfg(**other), make_rng(0)))
+        with pytest.raises(FormatError, match="e.vevp: tensor"):
             load_evaluator(path)
 
     def test_bad_config_rejected(self):
@@ -304,3 +316,5 @@ class TestCheckpoint:
             tiny_cfg(margin=0.0)
         with pytest.raises(ParameterError):
             tiny_cfg(n_negatives=0)
+        with pytest.raises(ParameterError, match="filter widths"):
+            tiny_cfg(filter_widths=(2, 2))  # both would be named conv2_W

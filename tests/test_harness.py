@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -65,6 +66,14 @@ class TestDatasetIO:
             {"id": "v1", "split": "train", "captions": ["y"]},
         ]}))
         with pytest.raises(DataError, match=r"videos\[1\]"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("doc", [{"videos": 5}, {"videos": [
+        {"id": "v0", "category": 1, "split": "train", "captions": "a cat"}]}])
+    def test_wrong_types_rejected(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="bad.json"):
             load_dataset(path)
 
     def test_not_json(self, tmp_path):
@@ -202,7 +211,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(seed=7, lm_epochs=3)
         cfg.models = [ModelSpec("only", "categ", "feat-a", depth=1)]
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(asdict(cfg)))
         loaded = ExperimentConfig.load(path)
         assert loaded == cfg
 

@@ -23,6 +23,7 @@ A malformed file raises FormatError naming the file.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import json
@@ -126,6 +127,11 @@ def check_shapes(path, tensors: dict[str, np.ndarray], shapes: dict[str, tuple])
 class _FeatureHeader:
     name: str
     videos: list[str]
+
+    def __post_init__(self):
+        repeated = [vid for vid, n in collections.Counter(self.videos).items() if n > 1]
+        if repeated:
+            raise DataError(f"video id {repeated[0]!r} appears more than once")
 
 
 def write_feature_file(path, name: str, rows: list[tuple[str, np.ndarray]]) -> None:

@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
-    except (DataError, DimensionError, FileNotFoundError, KeyError) as e:
+    except (DataError, DimensionError, OSError, KeyError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

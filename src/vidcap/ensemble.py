@@ -11,7 +11,8 @@ import numpy as np
 from . import binio
 from .decoder import LMConfig
 from .errors import DataError
-from .evaluator import EvaluatorConfig, project_video, _cosine, encode_sentence
+from .evaluator import EvaluatorConfig, _cosines, encode_sentences, project_video
+from .evaluator import encode_sentence  # noqa: F401  (bench/layers.py traces this name)
 from .generation import GenerationConfig, beam_search
 from .numerics import Params
 from .text import Vocabulary, encode, tokenize
@@ -67,16 +68,17 @@ def rerank(pool: CandidatePool, video_values: np.ndarray, eval_params: Params,
            eval_cfg: EvaluatorConfig, vocab: Vocabulary) -> Candidate:
     """Score every candidate by the evaluator's cosine and return the argmax.
 
-    Ties break toward higher generator log-prob, then the lexicographically
-    smaller caption.
+    Distinct captions are encoded in one batch; identical ones share a score.
+    Ties break toward higher generator log-prob, then the smaller caption.
     """
     if not pool.entries:
         raise DataError(f"empty candidate pool for video {pool.video_id!r}")
     vid_emb = project_video(np.asarray(video_values, dtype=np.float64), eval_params)
+    captions = list(dict.fromkeys(c.caption for c in pool.entries))
+    sents = encode_sentences([encode(tokenize(c), vocab) for c in captions], eval_params, eval_cfg)
+    score_of = dict(zip(captions, _cosines(sents, vid_emb).tolist()))
     for cand in pool.entries:
-        ids = encode(tokenize(cand.caption), vocab)
-        sent = encode_sentence(ids, eval_params, eval_cfg)
-        cand.score = _cosine(sent, vid_emb)
+        cand.score = score_of[cand.caption]
     return min(pool.entries, key=lambda c: (-c.score, -c.logprob, c.caption))
 
 

@@ -1,13 +1,16 @@
 """Caption-video evaluator: convolutional sentence encoder, video projection,
 cosine scoring and discriminative training against sampled negatives.
 
-The sentence encoder embeds the token sequence (PAD embedding pinned to
-zero), runs 1-D convolutions of several widths with tanh, max-pools each
-filter over time (windows never extend past EOS; sequences shorter than a
-filter width get one zero-padded window), floors the pooled value at zero,
-and projects the concatenated pools into the joint space. Videos reach the
-same space through a single affine map. Training maximizes the cosine of
-matched pairs over sampled negatives with a per-negative hinge.
+The sentence encoder (Kim 2014, arXiv 1408.5882) takes a batch of token
+sequences, cut after EOS and PAD-padded into one (B, T) id matrix. It embeds
+them (PAD embedding pinned to zero), convolves every window of several widths,
+max-pools each filter over time with the positions past max(L - w, 0) masked
+(so windows never extend past EOS, and a sequence shorter than w keeps one
+zero-padded window), applies tanh, floors the pool at zero and projects it
+into the joint space. Videos reach the same space through one affine map.
+Training maximizes the cosine of matched pairs over sampled negatives with a
+per-negative hinge; its backward pass runs over the matched caption and the
+negatives whose hinge is active.
 """
 
 from __future__ import annotations
@@ -71,72 +74,77 @@ def init_evaluator_params(cfg: EvaluatorConfig, rng: np.random.Generator,
     return params
 
 
-def _effective_ids(ids: list[int]) -> list[int]:
+def _effective_ids(ids) -> list[int]:
     """Cut the sequence after the first EOS; PAD beyond it never enters a window."""
-    if len(ids) == 0:
+    ids = list(ids)
+    if not ids:
         raise DataError("cannot encode an empty token sequence")
-    if EOS in ids:
-        return list(ids[: ids.index(EOS) + 1])
-    return list(ids)
+    return ids[: ids.index(EOS) + 1] if EOS in ids else ids
 
 
-def _encode_sentence_cached(ids: list[int], params: Params, cfg: EvaluatorConfig):
-    seq = _effective_ids(ids)
-    emb = params["embed"][seq]  # (L, E)
-    L = len(seq)
-    pooled_parts = []
-    width_caches = []
+def pad_ids(seqs, cfg: EvaluatorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """EOS-cut token sequences as a (B, T) PAD-padded id matrix and their (B,)
+    lengths; T is the longest sequence or the widest filter, whichever is more."""
+    cut = [_effective_ids(s) for s in seqs]
+    T = max(max(map(len, cut)), max(cfg.filter_widths))
+    return np.array([s + [PAD] * (T - len(s)) for s in cut]), np.array([len(s) for s in cut])
+
+
+def _windows(emb: np.ndarray, w: int) -> np.ndarray:
+    """(B, T, E) -> (B, T - w + 1, w * E): window p holds tokens p..p+w-1 raveled."""
+    P = emb.shape[1] - w + 1
+    return np.concatenate([emb[:, k : k + P] for k in range(w)], axis=2)
+
+
+def _encode_rows(ids: np.ndarray, lengths: np.ndarray, params: Params, cfg: EvaluatorConfig):
+    """(B, joint_dim) embeddings of padded id rows, and the backward cache."""
+    emb = params["embed"][ids]  # (B, T, E)
+    emb[np.arange(ids.shape[1]) >= lengths[:, None]] = 0.0  # padding, whatever embed[PAD] holds
+    pres = []
     for w in cfg.filter_widths:
-        if L >= w:
-            windows = np.stack([emb[p : p + w].ravel() for p in range(L - w + 1)])
-            n_real = w  # every window row maps onto real tokens
-        else:
-            padded = np.zeros((w, cfg.embed_dim))
-            padded[:L] = emb
-            windows = padded.reshape(1, -1)
-            n_real = L
-        acts = np.tanh(windows @ params[f"conv{w}_W"].T + params[f"conv{w}_b"])
-        arg = np.argmax(acts, axis=0)
-        raw = acts[arg, np.arange(acts.shape[1])]
-        pooled = np.maximum(raw, 0.0)  # non-negative guard on the time pool
-        pooled_parts.append(pooled)
-        width_caches.append((windows, acts, arg, raw, n_real))
-    pooled_all = np.concatenate(pooled_parts)
-    sent = params["sent_W"] @ pooled_all + params["sent_b"]
-    return sent, (seq, emb, width_caches, pooled_all)
+        pre = _windows(emb, w) @ params[f"conv{w}_W"].T + params[f"conv{w}_b"]  # (B, P, F)
+        # windows past EOS never win the pool; a row shorter than w keeps window 0
+        pre[np.arange(pre.shape[1]) > np.maximum(lengths - w, 0)[:, None]] = -np.inf
+        pres.append(pre)
+    # tanh is monotonic, so it commutes with the time max-pool
+    pooled = np.maximum(np.tanh(np.concatenate([p.max(axis=1) for p in pres], axis=1)), 0.0)
+    return pooled @ params["sent_W"].T + params["sent_b"], (ids, emb, pooled, pres)
+
+
+def _encode_rows_backward(dsent: np.ndarray, rows: np.ndarray, cache, params: Params,
+                          cfg: EvaluatorConfig, grads: Params) -> None:
+    """Add to grads the gradient of sum_i dsent[i] . sent[rows[i]]."""
+    ids, emb, pooled, pres = cache
+    ids, emb, pooled = ids[rows], emb[rows], pooled[rows]
+    grads["sent_W"] += dsent.T @ pooled
+    grads["sent_b"] += dsent.sum(axis=0)
+    dpooled = dsent @ params["sent_W"]
+    demb = np.zeros_like(emb)
+    F, E = cfg.filters_per_width, cfg.embed_dim
+    for i, w in enumerate(cfg.filter_widths):
+        pre = pres[i][rows]
+        arg = pre.argmax(axis=1)[:, None]  # (B', 1, F): first maximum, as np.argmax
+        pool = pooled[:, None, i * F : (i + 1) * F]  # tanh(pre at arg), floored at 0
+        dpre = np.zeros_like(pre)
+        np.put_along_axis(dpre, arg, dpooled[:, None, i * F : (i + 1) * F]
+                          * (pool > 0.0) * (1.0 - pool * pool), axis=1)
+        grads[f"conv{w}_W"] += dpre.reshape(-1, F).T @ _windows(emb, w).reshape(-1, w * E)
+        grads[f"conv{w}_b"] += dpre.sum(axis=(0, 1))
+        dwin = dpre @ params[f"conv{w}_W"]  # (B', P, w*E)
+        for k in range(w):
+            demb[:, k : k + dwin.shape[1]] += dwin[:, :, k * E : (k + 1) * E]
+    np.add.at(grads["embed"], ids, demb)
+    grads["embed"][PAD] = 0.0  # PAD embedding stays pinned at zero
+
+
+def encode_sentences(seqs, params: Params, cfg: EvaluatorConfig) -> np.ndarray:
+    """(B, joint_dim) embeddings of B token sequences, encoded as one batch."""
+    return _encode_rows(*pad_ids(seqs, cfg), params, cfg)[0]
 
 
 def encode_sentence(ids: list[int], params: Params, cfg: EvaluatorConfig) -> np.ndarray:
     """Fixed-size sentence embedding in the joint space."""
-    sent, _ = _encode_sentence_cached(ids, params, cfg)
-    return sent
-
-
-def _encode_sentence_backward(dsent: np.ndarray, cache, params: Params,
-                              cfg: EvaluatorConfig, grads: Params) -> None:
-    seq, emb, width_caches, pooled_all = cache
-    grads["sent_W"] += np.outer(dsent, pooled_all)
-    grads["sent_b"] += dsent
-    dpooled = params["sent_W"].T @ dsent
-    demb = np.zeros_like(emb)
-    nf = cfg.filters_per_width
-    for wi, w in enumerate(cfg.filter_widths):
-        windows, acts, arg, raw, n_real = width_caches[wi]
-        dp = dpooled[wi * nf : (wi + 1) * nf] * (raw > 0.0)
-        dacts = np.zeros_like(acts)
-        dacts[arg, np.arange(nf)] = dp
-        dpre = dacts * (1.0 - acts * acts)
-        grads[f"conv{w}_W"] += dpre.T @ windows
-        grads[f"conv{w}_b"] += dpre.sum(axis=0)
-        dwin = dpre @ params[f"conv{w}_W"]  # (n_win, w*E)
-        E = cfg.embed_dim
-        if windows.shape[0] == 1 and n_real < w:
-            demb += dwin[0, : n_real * E].reshape(n_real, E)
-        else:
-            for p in range(dwin.shape[0]):
-                demb[p : p + w] += dwin[p].reshape(w, E)
-    np.add.at(grads["embed"], seq, demb)
-    grads["embed"][PAD] = 0.0  # PAD embedding stays pinned at zero
+    return encode_sentences([ids], params, cfg)[0]
 
 
 def project_video(values: np.ndarray, params: Params) -> np.ndarray:
@@ -148,21 +156,26 @@ def project_video(values: np.ndarray, params: Params) -> np.ndarray:
     return params["vid_W"] @ values + params["vid_b"]
 
 
+def _cosines(S: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cosine of each row of S with v; 0 where either embedding is zero."""
+    norms = np.linalg.norm(S, axis=1) * np.linalg.norm(v)
+    return np.divide(S @ v, norms, out=np.zeros(len(S)), where=norms != 0.0)
+
+
+def _cosines_backward(S: np.ndarray, v: np.ndarray, cos: np.ndarray, dcos: np.ndarray):
+    """Gradients of sum_i dcos[i] * cos(S[i], v): per row of S, and summed for v.
+    A zero embedding passes no gradient."""
+    ns, nv = np.linalg.norm(S, axis=1)[:, None], np.linalg.norm(v)
+    if nv == 0.0:
+        return np.zeros_like(S), np.zeros_like(v)
+    dc, c = np.where(ns > 0.0, dcos[:, None], 0.0), cos[:, None]
+    ns = np.where(ns > 0.0, ns, 1.0)
+    return (dc * (v / (ns * nv) - c * S / (ns * ns)),
+            (dc * (S / (ns * nv) - c * v / (nv * nv))).sum(axis=0))
+
+
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0  # documented convention for degenerate embeddings
-    return float(u @ v / (nu * nv))
-
-
-def _cosine_backward(u, v, dc):
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return np.zeros_like(u), np.zeros_like(v)
-    c = float(u @ v / (nu * nv))
-    du = dc * (v / (nu * nv) - c * u / (nu * nu))
-    dv = dc * (u / (nu * nv) - c * v / (nv * nv))
-    return du, dv
+    return float(_cosines(u[None], v)[0])
 
 
 def similarity(ids: list[int], video_values: np.ndarray, params: Params,
@@ -180,51 +193,45 @@ def ranking_loss(pos: float, negs: list[float], margin: float) -> float:
     return float(np.mean([max(0.0, margin - pos + n) for n in negs]))
 
 
+def negative_rows(start: int, n_own: int, n_rows: int, n_neg: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Uniform sample (no replacement) of up to n_neg of n_rows caption rows,
+    skipping the anchor video's own block start..start+n_own-1."""
+    if n_rows == n_own:
+        raise DataError("negative sampling needs captions of at least two videos")
+    idx = rng.choice(n_rows - n_own, size=min(n_neg, n_rows - n_own), replace=False)
+    return idx + n_own * (idx >= start)
+
+
 def sample_negatives(video_id: str, records, n_neg: int,
                      rng: np.random.Generator) -> list[str]:
     """Uniform sample (no replacement) from the other videos' captions."""
-    others = [r for r in records if r.id != video_id]
-    if not others:
-        raise DataError("negative sampling needs at least two videos")
-    pool = [c for r in others for c in r.captions]
-    take = min(n_neg, len(pool))
-    idx = rng.choice(len(pool), size=take, replace=False)
-    return [pool[i] for i in idx]
+    own = [c for r in records if r.id == video_id for c in r.captions]
+    captions = own + [c for r in records if r.id != video_id for c in r.captions]
+    return [captions[j] for j in negative_rows(0, len(own), len(captions), n_neg, rng)]
 
 
 def triple_loss_and_grads(params: Params, cfg: EvaluatorConfig, video_values,
-                          pos_ids: list[int], neg_ids_list: list[list[int]]):
-    """Hinge loss and gradients for one (video, positive, negatives) triple."""
+                          ids: np.ndarray, lengths: np.ndarray):
+    """Hinge loss and gradients for one (video, positive, negatives) triple
+    given as padded id rows (see `pad_ids`): row 0 is the positive caption and
+    the others its negatives; only row 0 and active negatives backpropagate."""
     video_values = np.asarray(video_values, dtype=np.float64)
     vid_emb = project_video(video_values, params)
-    s_pos, cache_pos = _encode_sentence_cached(pos_ids, params, cfg)
-    c_pos = _cosine(s_pos, vid_emb)
-
-    neg_caches, c_negs = [], []
-    for ids in neg_ids_list:
-        s, cache = _encode_sentence_cached(ids, params, cfg)
-        neg_caches.append((s, cache))
-        c_negs.append(_cosine(s, vid_emb))
-
-    n = len(c_negs)
-    hinges = [cfg.margin - c_pos + c for c in c_negs]
-    loss = float(np.mean([max(0.0, h) for h in hinges]))
+    sents, cache = _encode_rows(ids, lengths, params, cfg)
+    cos = _cosines(sents, vid_emb)
+    hinges = cfg.margin - cos[0] + cos[1:]
+    loss = float(np.maximum(hinges, 0.0).mean())
     if not np.isfinite(loss):
         raise NumericError("non-finite evaluator loss")
 
     grads: Params = {k: np.zeros_like(v) for k, v in params.items()}
-    dvid = np.zeros_like(vid_emb)
-    active = [j for j, h in enumerate(hinges) if h > 0.0]
-    if active:
-        dc_pos = -len(active) / n
-        du_pos, dv = _cosine_backward(s_pos, vid_emb, dc_pos)
-        dvid += dv
-        _encode_sentence_backward(du_pos, cache_pos, params, cfg, grads)
-        for j in active:
-            s, cache = neg_caches[j]
-            du, dv = _cosine_backward(s, vid_emb, 1.0 / n)
-            dvid += dv
-            _encode_sentence_backward(du, cache, params, cfg, grads)
+    rows = np.flatnonzero(np.concatenate(([True], hinges > 0.0)))
+    if len(rows) > 1:
+        dcos = np.full(len(rows), 1.0 / len(hinges))
+        dcos[0] = -(len(rows) - 1) / len(hinges)
+        dsent, dvid = _cosines_backward(sents[rows], vid_emb, cos[rows], dcos)
+        _encode_rows_backward(dsent, rows, cache, params, cfg, grads)
         grads["vid_W"] += np.outer(dvid, video_values)
         grads["vid_b"] += dvid
     return loss, grads
@@ -237,24 +244,27 @@ def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig
 
     records: VideoRecord-like objects with .id and .captions; feature_of maps
     a video id to its (frozen) feature vector. Returns (params, loss history).
-    Negatives are resampled for every triple.
+    Every caption is encoded once into one padded id matrix, video by video;
+    negatives are resampled for every triple as rows of it.
     """
     records = sorted(records, key=lambda r: r.id)
     if len(records) < 2:
         raise DataError("evaluator training needs at least two videos")
     params = init_evaluator_params(cfg, rng)
     opt = opt or OptState()
-    encoded = {r.id: [encode(tokenize(c), vocab) for c in r.captions] for r in records}
+    ids, lengths = pad_ids([encode(tokenize(c), vocab) for r in records for c in r.captions], cfg)
+    starts = np.cumsum([0] + [len(r.captions) for r in records])
     history = []
     for _ in range(epochs):
-        order = rng.permutation(len(records))
         losses = []
-        for i in order:
-            rec = records[i]
-            pos = encoded[rec.id][rng.integers(len(rec.captions))]
-            negs = [encode(tokenize(c), vocab)
-                    for c in sample_negatives(rec.id, records, cfg.n_negatives, rng)]
-            loss, grads = triple_loss_and_grads(params, cfg, feature_of(rec.id), pos, negs)
+        for i in rng.permutation(len(records)):
+            rec, start = records[i], int(starts[i])
+            rows = np.concatenate((
+                [start + rng.integers(len(rec.captions))],
+                negative_rows(start, len(rec.captions), len(ids), cfg.n_negatives, rng)))
+            cols = max(lengths[rows].max(), max(cfg.filter_widths))
+            loss, grads = triple_loss_and_grads(params, cfg, feature_of(rec.id),
+                                                ids[rows, :cols], lengths[rows])
             rmsprop_update(params, grads, opt)
             params["embed"][PAD] = 0.0
             losses.append(loss)

@@ -213,6 +213,7 @@ def _onehot_pair(i: int, n_i: int, j: int, n_j: int) -> np.ndarray:
 def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Dataset, FeatureStore]:
     """Deterministic synthetic benchmark: dataset plus feat-a / feat-b / categ
     feature families (same seed, same bytes)."""
+    from .features import category_onehot  # here: at module level it adds 3 ms to every import
     nc, no = len(SYNTH_COLORS), len(SYNTH_OBJECTS)
     na, nv = len(SYNTH_ADVERBS), len(SYNTH_ACTIONS)
     n_obj_videos = (cfg.n_videos + 1) // 2
@@ -249,9 +250,7 @@ def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Dataset,
         records.append(VideoRecord(id=vid, category=category, captions=captions, split=split))
         store.add("feat-a", vid, feat_a + rng.normal(0.0, cfg.noise_sigma, feat_a.shape))
         store.add("feat-b", vid, feat_b + rng.normal(0.0, cfg.noise_sigma, feat_b.shape))
-        categ = np.zeros(cfg.n_categories)
-        categ[category] = 1.0
-        store.add("categ", vid, categ)
+        store.add("categ", vid, category_onehot(category, cfg.n_categories).values)
     return Dataset(records), store
 
 

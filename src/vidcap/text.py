@@ -51,16 +51,19 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         entries = []
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    tok, idx = line.split("\t")
-                    entries.append((int(idx), tok))
-                except ValueError as e:
-                    raise DataError(f"{path}:{lineno}: bad vocab line {line!r}") from e
+        try:
+            with open(path, encoding="utf-8") as f:
+                lines = f.read().split("\n")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+        for lineno, line in enumerate(lines, 1):
+            if not line:
+                continue
+            try:
+                tok, idx = line.split("\t")
+                entries.append((int(idx), tok))
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: bad vocab line {line!r}") from e
         entries.sort()
         if [i for i, _ in entries] != list(range(len(entries))):
             raise DataError(f"{path}: vocabulary ids are not contiguous from 0")

@@ -67,7 +67,8 @@ def test_acceptance_1_gradient_correctness():
                 for _ in range(4)]
 
         def ev_loss(p):
-            return evaluator.triple_loss_and_grads(p, ecfg, video, pos, negs)
+            return evaluator.triple_loss_and_grads(p, ecfg, video,
+                                                   *evaluator.pad_ids([pos, *negs], ecfg))
 
         err = grad_check(ev_loss, eparams, make_rng(seed + 40), h=1e-5,
                          samples_per_param=5)

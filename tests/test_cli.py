@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from vidcap.binio import write_feature_file
 from vidcap.cli import main
 from vidcap.decoder import LMConfig, init_lm_params, save_lm
 from vidcap.evaluator import EvaluatorConfig, init_evaluator_params, save_evaluator
@@ -244,6 +246,28 @@ class TestExitCodes:
         assert main(["codebook", "--descriptors", str(path), "--channel", "HOG", "--k", "1",
                      "--out", str(tmp_path / "b.vcbk")]) == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_vocab_not_utf8_is_2(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        vocab = tmp_path / "vocab.tsv"
+        vocab.write_bytes(b"\xff\xfe")
+        assert main(["train-eval", *_stage_inputs(root)[:-1], str(vocab), "--config",
+                     str(cfg_path), "--out", str(tmp_path / "e.vevp")]) == 2
+        assert str(vocab) in capsys.readouterr().err
+
+    def test_directory_as_input_is_2(self, tmp_path, capsys):
+        assert main(["score", "--data", str(tmp_path), "--captions", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_repeated_video_id_in_features_is_2(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        feats = tmp_path / "feat-a.vfea"
+        write_feature_file(feats, "feat-a", [("v0", np.ones(3)), ("v0", np.zeros(3))])
+        args = [str(feats) if a.endswith("feat-a.vfea") else a for a in _stage_inputs(root)]
+        assert main(["train-eval", *args, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "e.vevp")]) == 2
+        err = capsys.readouterr().err
+        assert str(feats) in err and "'v0'" in err
 
     def test_numeric_error_is_3(self, monkeypatch):
         from vidcap import cli

@@ -18,9 +18,11 @@ from vidcap.evaluator import (
     encode_sentence,
     init_evaluator_params,
     project_video,
+    similarity,
 )
 from vidcap.generation import GenerationConfig
 from vidcap.numerics import make_rng
+from reference_evaluator import ref_encode_sentence
 from vidcap.text import build_vocab, encode, tokenize
 
 VOCAB = build_vocab(["w x y z"], min_count=1)
@@ -126,6 +128,32 @@ class TestRerank:
         pool = CandidatePool("v", [Candidate("w x", "A", -5.0), Candidate("w x", "B", -1.0)])
         best = rerank(pool, np.ones(4), params, cfg, VOCAB)
         assert best.model == "B"
+
+    def test_batch_scores_equal_per_candidate_similarity(self):
+        """One batched encoding of the pool scores each candidate as the
+        one-sentence path and the per-sentence oracle do; identical captions
+        score bit-equal, so their tie falls to log-prob, then to caption."""
+        cfg = EvaluatorConfig(vocab_size=len(VOCAB), video_dim=4, embed_dim=4,
+                              filter_widths=(2, 3, 5), filters_per_width=6, joint_dim=5)
+        params = init_evaluator_params(cfg, make_rng(9), scale=0.6)
+        rng = make_rng(10)
+        captions = [" ".join(rng.choice(["w", "x", "y", "z"], size=int(rng.integers(0, 6))))
+                    for _ in range(6)]
+        pool = CandidatePool("v", [Candidate(c, f"m{i}", -1.0) for i, c in enumerate(captions)]
+                             + [Candidate(captions[2], "dup", -0.5),
+                                Candidate(captions[2], "dup-same-logprob", -0.5)])
+        video = rng.normal(size=4)
+        best = rerank(pool, video, params, cfg, VOCAB)
+        vid_emb = project_video(video, params)
+        for c in pool.entries:
+            ids = encode(tokenize(c.caption), VOCAB)
+            assert abs(c.score - similarity(ids, video, params, cfg)) <= 1e-12
+            assert abs(c.score - _cosine(ref_encode_sentence(ids, params, cfg), vid_emb)) <= 1e-12
+        dups = [c.score for c in pool.entries if c.caption == captions[2]]
+        assert dups[0] == dups[1] == dups[2]
+        assert best == min(pool.entries, key=lambda c: (-c.score, -c.logprob, c.caption))
+        pool.entries = pool.entries[6:]
+        assert rerank(pool, video, params, cfg, VOCAB).model == "dup"
 
     def test_empty_pool_rejected(self):
         cfg, params = self._eval_setup(8)

@@ -3,14 +3,25 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from reference_evaluator import (
+    ref_encode_sentence,
+    ref_sample_negatives,
+    ref_train_evaluator,
+    ref_triple_loss_and_grads,
+)
+from vidcap import evaluator
 from vidcap.errors import DataError, DimensionError, FormatError, ParameterError
 from vidcap.evaluator import (
     EvaluatorConfig,
     _cosine,
     encode_sentence,
+    encode_sentences,
     init_evaluator_params,
     load_evaluator,
+    negative_rows,
+    pad_ids,
     project_video,
     ranking_loss,
     sample_negatives,
@@ -66,6 +77,82 @@ class TestEncodeSentence:
         cfg = tiny_cfg()
         with pytest.raises(DataError):
             encode_sentence([], init_evaluator_params(cfg, make_rng(0)), cfg)
+
+
+# Token ids 0..11 include PAD, BOS, EOS and UNK, so drawn sequences hold EOS
+# mid-sequence followed by other tokens, PAD before EOS and repeated ids.
+SEQS = st.lists(st.integers(0, 11), min_size=1, max_size=9)
+
+
+@st.composite
+def triples(draw):
+    """(cfg, params, video, pos, negs): lengths 1-9 against widths up to 5 give
+    sentences shorter than every filter and of length exactly w. `case` picks
+    plain random weights, a video aligned with the positive (most hinges
+    inactive), zero sentence embeddings, a zero video embedding, or a PAD
+    embedding that is not zero (padding must still read as zeros)."""
+    widths = draw(st.sampled_from([(1,), (2,), (2, 3), (2, 3, 4), (3, 5), (1, 4)]))
+    cfg = tiny_cfg(vocab_size=12, video_dim=6, joint_dim=6, filter_widths=widths,
+                   embed_dim=draw(st.integers(1, 5)), filters_per_width=draw(st.integers(1, 5)),
+                   margin=draw(st.sampled_from([0.05, 0.2, 1.5])))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    params = init_evaluator_params(cfg, rng, scale=draw(st.sampled_from([0.08, 0.5, 1.0])))
+    pos, negs = draw(SEQS), draw(st.lists(SEQS, min_size=1, max_size=8))
+    case = draw(st.sampled_from(["plain", "aligned", "zero-sentences", "zero-video", "pad"]))
+    video = rng.normal(size=cfg.video_dim)
+    if case == "aligned":
+        params["vid_W"], params["vid_b"] = np.eye(6), np.zeros(6)
+        video = ref_encode_sentence(pos, params, cfg)
+    elif case == "zero-sentences":
+        params["sent_W"][:], params["sent_b"][:] = 0.0, 0.0
+    elif case == "zero-video":
+        params["vid_b"][:], video = 0.0, np.zeros(cfg.video_dim)
+    elif case == "pad":
+        params["embed"][PAD] = rng.normal(size=cfg.embed_dim)
+    return cfg, params, video, pos, negs
+
+
+class TestBatchedEncoder:
+    @given(triples())
+    def test_triple_matches_per_sentence_oracle(self, triple):
+        cfg, params, video, pos, negs = triple
+        want_loss, want = ref_triple_loss_and_grads(params, cfg, video, pos, negs)
+        loss, grads = triple_loss_and_grads(params, cfg, video, *pad_ids([pos, *negs], cfg))
+        assert abs(loss - want_loss) <= 1e-12
+        assert grads.keys() == want.keys()
+        # A cosine's gradient grows as 1 / |sentence embedding|, and with it the
+        # rounding in every sum it enters (norms reach 1e-4 here).
+        norms = [np.linalg.norm(ref_encode_sentence(ids, params, cfg)) for ids in [pos, *negs]]
+        tol = 1e-12 * max([1.0] + [1.0 / n for n in norms if n > 0.0])
+        for k in want:
+            np.testing.assert_allclose(grads[k], want[k], rtol=0, atol=tol, err_msg=k)
+
+    @given(triples())
+    def test_encodings_match_per_sentence_oracle(self, triple):
+        cfg, params, _, pos, negs = triple
+        got = encode_sentences([pos, *negs], params, cfg)
+        want = [ref_encode_sentence(ids, params, cfg) for ids in [pos, *negs]]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_all_hinges_inactive_and_zero_norm_covered(self):
+        """The two degenerate corners of the oracle test, pinned down once."""
+        cfg = tiny_cfg(video_dim=6, joint_dim=6)
+        params = init_evaluator_params(cfg, make_rng(3), scale=1.0)
+        params["vid_W"], params["vid_b"] = np.eye(6), np.zeros(6)
+        pos, neg = [BOS, 5, 6, 7, EOS], [BOS, 9, EOS, 4]
+        video = ref_encode_sentence(pos, params, cfg)
+        loss, grads = triple_loss_and_grads(params, cfg, video, *pad_ids([pos, neg], cfg))
+        assert loss == 0.0 and all(not g.any() for g in grads.values())
+        params["sent_W"][:], params["sent_b"][:] = 0.0, 0.0
+        loss, grads = triple_loss_and_grads(params, cfg, video, *pad_ids([pos, neg], cfg))
+        assert loss == cfg.margin and all(not g.any() for g in grads.values())
+
+    def test_pad_ids_width_and_cut(self):
+        cfg = tiny_cfg(filter_widths=(2, 5))
+        ids, lengths = pad_ids([[BOS, EOS, 7, 8], [BOS, 4, 5, 6, 7, 8, EOS]], cfg)
+        assert lengths.tolist() == [2, 7]
+        assert ids.tolist() == [[BOS, EOS, PAD, PAD, PAD, PAD, PAD], [BOS, 4, 5, 6, 7, 8, EOS]]
+        assert pad_ids([[BOS]], cfg)[0].shape == (1, 5)  # at least the widest filter
 
 
 class TestProjectVideo:
@@ -177,6 +264,25 @@ class TestSampleNegatives:
         with pytest.raises(DataError):
             sample_negatives("v0", self._records(1, 3), 5, make_rng(0))
 
+    @given(st.lists(st.integers(0, 4), min_size=2, max_size=6), st.integers(1, 25),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_row_draw_matches_reference(self, n_caps, n_neg, seed, data):
+        """The row-index draw of train_evaluator and sample_negatives picks the
+        captions the caption-list rebuild picks, with the same RNG calls."""
+        records = [VideoRecord(id=f"v{i}", category=0, split="test",  # may have no captions
+                               captions=[f"caption {i} {j}" for j in range(n)])
+                   for i, n in enumerate(n_caps)]
+        rows = [c for r in records for c in r.captions]
+        a = data.draw(st.integers(0, len(records) - 1))
+        if n_caps[a] == len(rows):
+            return  # no other captions: rejected, see test_single_video_rejected
+        rngs = [make_rng(seed) for _ in range(3)]
+        want = ref_sample_negatives(f"v{a}", records, n_neg, rngs[0])
+        drawn = negative_rows(sum(n_caps[:a]), n_caps[a], len(rows), n_neg, rngs[1])
+        assert [rows[j] for j in drawn] == want
+        assert sample_negatives(f"v{a}", records, n_neg, rngs[2]) == want
+        assert len({r.random() for r in rngs}) == 1
+
 
 class TestTraining:
     def test_gradients_match_finite_differences(self):
@@ -190,7 +296,7 @@ class TestTraining:
         negs = [seq(rng, cfg, int(rng.integers(1, 6))) for _ in range(3)]
 
         def loss_fn(p):
-            return triple_loss_and_grads(p, cfg, video, pos, negs)
+            return triple_loss_and_grads(p, cfg, video, *pad_ids([pos, *negs], cfg))
 
         assert grad_check(loss_fn, params, make_rng(11), samples_per_param=6) < 1e-4
 
@@ -209,10 +315,42 @@ class TestTraining:
         video = s_pos.copy()
         c_neg = _cosine(encode_sentence(neg, params, cfg), video)
         assert c_neg < 1.0 - cfg.margin  # constructed to sit outside the margin
-        loss, grads = triple_loss_and_grads(params, cfg, video, pos, [neg])
+        loss, grads = triple_loss_and_grads(params, cfg, video, *pad_ids([pos, neg], cfg))
         assert loss == 0.0
         for k, g in grads.items():
             assert np.array_equal(g, np.zeros_like(g)), k
+
+    def test_matches_per_sentence_training(self):
+        """Encoding once and drawing rows trains the same weights as
+        re-encoding every caption and rebuilding the caption list per triple."""
+        corpus = ["red cat posing", "blue dog running fast", "a green bird", "black horse",
+                  "the red cat", "a dog", "green bird eating seeds today", "horse jumping"]
+        vocab = build_vocab(corpus, min_count=1)
+        cfg = tiny_cfg(vocab_size=len(vocab), video_dim=4, n_negatives=5, filter_widths=(2, 4))
+        records = [VideoRecord(id=f"v{i}", category=0, split="train",
+                               captions=[corpus[i], corpus[i + 4]][: 1 + i % 2])
+                   for i in range(4)]
+        feats = {f"v{i}": np.eye(4)[i] for i in range(4)}
+        got, got_hist = train_evaluator(records, feats.__getitem__, vocab, cfg, make_rng(4),
+                                        opt=OptState(learning_rate=5e-3), epochs=4)
+        want, want_hist = ref_train_evaluator(records, feats.__getitem__, vocab, cfg, make_rng(4),
+                                              opt=OptState(learning_rate=5e-3), epochs=4)
+        np.testing.assert_allclose(got_hist, want_hist, rtol=0, atol=1e-12)
+        for k in want:
+            np.testing.assert_allclose(got[k], want[k], rtol=0, atol=1e-12, err_msg=k)
+
+    def test_one_triple_call_per_video_and_epoch(self, monkeypatch):
+        calls = []
+        real = evaluator.triple_loss_and_grads
+        monkeypatch.setattr(evaluator, "triple_loss_and_grads",
+                            lambda *a: calls.append(a[3].shape[0]) or real(*a))
+        corpus = ["red cat posing", "blue dog posing", "green bird posing"]
+        vocab = build_vocab(corpus, min_count=1)
+        cfg = tiny_cfg(vocab_size=len(vocab), video_dim=3, n_negatives=2)
+        records = [VideoRecord(id=f"v{i}", category=0, split="train", captions=[corpus[i]])
+                   for i in range(3)]
+        train_evaluator(records, lambda v: np.ones(3), vocab, cfg, make_rng(0), epochs=2)
+        assert calls == [3] * 6  # the positive and n_negatives rows per triple
 
     def test_zero_epochs_returns_init(self):
         cfg = tiny_cfg()

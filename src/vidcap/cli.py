@@ -138,7 +138,7 @@ def cmd_encode(args) -> int:
     for vid in sorted(videos):
         if args.kind == "bof":
             values = features.bof_encode(_channels(videos, vid, path, features.DESCRIPTOR_CHANNELS),
-                                         books, name=args.name).values
+                                         books)
         elif args.kind == "mean":
             values = features.mean_pool(list(_numbers(videos[vid], path, vid, 2)))
         else:

@@ -47,18 +47,14 @@ def generate_pool(models: list[GeneratorModel], video_id: str, feature_of,
                   gen_cfg: GenerationConfig, vocab: Vocabulary) -> CandidatePool:
     """One beam-search caption per model; duplicates stay, tagged per source.
 
-    feature_of(video_id, name) -> vector; a missing feature raises a DataError
-    naming the model and the feature.
+    feature_of(video_id, name) -> float64 vector is FeatureStore.get or a
+    callable with its contract: a feature it cannot resolve raises DataError
+    naming the feature and the video.
     """
     pool = CandidatePool(video_id=video_id)
     for m in models:
-        try:
-            init_vec = feature_of(video_id, m.init_feature)
-            persist_vec = feature_of(video_id, m.persist_feature)
-        except KeyError as e:
-            raise DataError(
-                f"model {m.tag!r}: feature {e.args[0]!r} missing for video {video_id!r}"
-            ) from e
+        init_vec = feature_of(video_id, m.init_feature)
+        persist_vec = feature_of(video_id, m.persist_feature)
         caption, logprob = beam_search(m.params, m.cfg, init_vec, persist_vec, gen_cfg, vocab)
         pool.entries.append(Candidate(caption=caption, model=m.tag, logprob=logprob))
     return pool

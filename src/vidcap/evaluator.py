@@ -184,15 +184,6 @@ def similarity(ids: list[int], video_values: np.ndarray, params: Params,
     return _cosine(encode_sentence(ids, params, cfg), project_video(video_values, params))
 
 
-def ranking_loss(pos: float, negs: list[float], margin: float) -> float:
-    """Mean per-negative hinge: max(0, margin - pos + neg)."""
-    if margin <= 0:
-        raise ParameterError(f"margin must be > 0, got {margin}")
-    if len(negs) == 0:
-        raise DataError("ranking_loss needs at least one negative score")
-    return float(np.mean([max(0.0, margin - pos + n) for n in negs]))
-
-
 def negative_rows(start: int, n_own: int, n_rows: int, n_neg: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Uniform sample (no replacement) of up to n_neg of n_rows caption rows,

@@ -1,9 +1,10 @@
 """Video-level feature construction.
 
 Turns per-frame activations, per-trajectory descriptors and category labels
-into fixed-size vectors: mean pooling, two-scale region-pyramid pooling,
-k-means codebooks with bag-of-features encoding, one-hot categories and
-concatenation.
+into fixed-size float64 vectors: mean pooling, two-scale region-pyramid
+pooling, k-means codebooks with bag-of-features encoding and one-hot
+categories. Concatenation is harness.FeatureStore's compound names: feature
+'a+b' resolves to a's vector followed by b's.
 """
 
 from __future__ import annotations
@@ -23,22 +24,6 @@ REGION_COUNT = 26
 DESCRIPTOR_CHANNELS = ("trajectory-shape", "HOG", "HOF", "MBHx", "MBHy")
 
 POOL_COMBOS = ("avg-avg", "max-avg", "max-max")
-
-
-@dataclass
-class FeatureVector:
-    name: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise DimensionError(f"feature {self.name!r} must be a non-empty vector")
-        check_finite(self.values, f"feature {self.name!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -212,11 +197,7 @@ def train_codebook(
     return Codebook(channel=channel, centroids=centroids, objective_history=history)
 
 
-def bof_encode(
-    descriptors: dict[str, np.ndarray],
-    codebooks: dict[str, Codebook],
-    name: str = "dt-bof",
-) -> FeatureVector:
+def bof_encode(descriptors: dict[str, np.ndarray], codebooks: dict[str, Codebook]) -> np.ndarray:
     """Hard-assignment bag-of-features over the five descriptor channels.
 
     Per channel: nearest-centroid histogram, L1-normalized (an empty channel
@@ -241,21 +222,12 @@ def bof_encode(
             np.add.at(hist, idx, 1.0)
             hist /= hist.sum()
         parts.append(hist)
-    return FeatureVector(name=name, values=np.concatenate(parts))
+    return np.concatenate(parts)
 
 
-def category_onehot(idx: int, n_categories: int = 20, name: str = "categ") -> FeatureVector:
+def category_onehot(idx: int, n_categories: int = 20) -> np.ndarray:
     if not 0 <= idx < n_categories:
         raise DataError(f"category index {idx} out of range [0,{n_categories})")
     values = np.zeros(n_categories)
     values[idx] = 1.0
-    return FeatureVector(name=name, values=values)
-
-
-def concat_features(parts: list[FeatureVector]) -> FeatureVector:
-    if len(parts) == 0:
-        raise DataError("concat_features of an empty list")
-    return FeatureVector(
-        name="+".join(p.name for p in parts),
-        values=np.concatenate([p.values for p in parts]),
-    )
+    return values

@@ -16,7 +16,6 @@ from .text import PAD, BOS, EOS, UNK, Vocabulary, decode
 class GenerationConfig:
     beam_size: int = 5
     max_len: int = 30
-    length_normalize: bool = False
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -37,12 +36,11 @@ def beam_search_ids(params: Params, lm_cfg: LMConfig, init_vec, persist_vec,
 
     Ties break exactly: expansions rank by (-score, token tuple), so among
     equal scores the lexicographically smaller sequence survives, and the
-    final pick ranks retired hypotheses the same way (score divided by length
-    when `length_normalize` is set). Each step is vectorised over the beam x
-    vocabulary score matrix: the top-k keeps every entry tied with the
-    `beam_size`-th best, and one `np.lexsort` orders those by score, prefix
-    rank and token. The live beam is held as arrays (prefix matrix, log-prob
-    vector, batched LSTM states) gathered by parent row.
+    final pick ranks retired hypotheses the same way. Each step is vectorised
+    over the beam x vocabulary score matrix: the top-k keeps every entry tied
+    with the `beam_size`-th best, and one `np.lexsort` orders those by score,
+    prefix rank and token. The live beam is held as arrays (prefix matrix,
+    log-prob vector, batched LSTM states) gathered by parent row.
     """
     init_vec = np.asarray(init_vec, dtype=np.float64)
     persist_vec = np.asarray(persist_vec, dtype=np.float64)
@@ -92,12 +90,7 @@ def beam_search_ids(params: Params, lm_cfg: LMConfig, init_vec, persist_vec,
         prefixes, logprob = prefixes[live], score[live]
         states = [(h[parent[live]], c[parent[live]]) for h, c in new_states]
 
-    def final_key(hyp):
-        tokens, lp = hyp
-        final = lp / max(1, len(tokens)) if gen_cfg.length_normalize else lp
-        return (-final, tuple(tokens))
-
-    tokens, lp = min(completed or truncated, key=final_key)
+    tokens, lp = min(completed or truncated, key=lambda hyp: (-hyp[1], tuple(hyp[0])))
     return tokens, lp, bool(completed)
 
 

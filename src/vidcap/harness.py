@@ -111,7 +111,7 @@ class FeatureStore:
             return self._dims[name]
         if "+" in name:
             return sum(self.dim(p) for p in name.split("+"))
-        raise KeyError(name)
+        raise DataError(f"feature {name!r} not in the store")
 
     def get(self, video_id: str, name: str) -> np.ndarray:
         """Resolve one feature; compound names like 'feat-a+categ' concatenate
@@ -119,18 +119,11 @@ class FeatureStore:
         if name in self._data:
             row = self._data[name].get(video_id)
             if row is None:
-                raise KeyError(name)
+                raise DataError(f"feature {name!r} missing for video {video_id!r}")
             return row.astype(np.float64)
         if "+" in name:
             return np.concatenate([self.get(video_id, p) for p in name.split("+")])
-        raise KeyError(name)
-
-    def has(self, video_id: str, name: str) -> bool:
-        try:
-            self.get(video_id, name)
-            return True
-        except KeyError:
-            return False
+        raise DataError(f"feature {name!r} not in the store (video {video_id!r})")
 
 
 def save_features(store: FeatureStore, name: str, path) -> None:
@@ -250,7 +243,7 @@ def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Dataset,
         records.append(VideoRecord(id=vid, category=category, captions=captions, split=split))
         store.add("feat-a", vid, feat_a + rng.normal(0.0, cfg.noise_sigma, feat_a.shape))
         store.add("feat-b", vid, feat_b + rng.normal(0.0, cfg.noise_sigma, feat_b.shape))
-        store.add("categ", vid, category_onehot(category, cfg.n_categories).values)
+        store.add("categ", vid, category_onehot(category, cfg.n_categories))
     return Dataset(records), store
 
 
@@ -502,9 +495,9 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
         first_id = _records(dataset, "train")[0].id
         _records(dataset, cfg.eval_split)
         for spec in cfg.models:
-            for name in (spec.init_feature, spec.persist_feature):
-                if not store.has(first_id, name):
-                    raise DataError(f"model {spec.tag!r}: feature {name!r} not in store")
+            store.get(first_id, spec.init_feature)
+            store.get(first_id, spec.persist_feature)
+        store.get(first_id, cfg.evaluator_feature)
         vocab = make_vocab(cfg, dataset)
 
     models: list[GeneratorModel] = []

@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 from .errors import DataError
 from .text import tokenize
 
+ROUGE_BETA = 1.2   # recall weight of the ROUGE-L F-measure
+CIDER_N = 4        # CIDEr-D averages n-gram orders 1..CIDER_N
+CIDER_SIGMA = 6.0  # width of CIDEr-D's gaussian length penalty
+
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
@@ -28,14 +32,12 @@ def _check_aligned(hypotheses: dict, references: dict) -> list[str]:
     return ids
 
 
-def bleu4(hypotheses: dict[str, str], references: dict[str, list[str]],
-          smooth: bool = False) -> float:
+def bleu4(hypotheses: dict[str, str], references: dict[str, list[str]]) -> float:
     """Corpus BLEU with uniform weights over n=1..4.
 
     Clipped n-gram precision against the per-video reference maxima; brevity
     penalty uses the closest reference length (ties prefer the shorter one).
-    Unsmoothed by default: any n with zero matches corpus-wide gives 0. The
-    smooth flag adds a tiny epsilon to the match counts for micro-corpora.
+    Unsmoothed: any n with zero matches corpus-wide gives 0.
     """
     ids = _check_aligned(hypotheses, references)
     matches = [0] * 4
@@ -55,12 +57,11 @@ def bleu4(hypotheses: dict[str, str], references: dict[str, list[str]],
                     max_ref[g] = max(max_ref[g], c)
             matches[n - 1] += sum(min(c, max_ref[g]) for g, c in counts.items())
             totals[n - 1] += max(0, len(hyp) - n + 1)
-    eps = 1e-9 if smooth else 0.0
     log_p = 0.0
     for m, t in zip(matches, totals):
-        if t == 0 or m + eps == 0.0:
+        if t == 0 or m == 0:
             return 0.0
-        log_p += math.log((m + eps) / t) / 4.0
+        log_p += math.log(m / t) / 4.0
     if hyp_len_total == 0:
         return 0.0
     bp = 1.0 if hyp_len_total > ref_len_total else math.exp(1.0 - ref_len_total / hyp_len_total)
@@ -79,7 +80,7 @@ def _lcs_len(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def rouge_l_single(hypothesis: str, refs: list[str], beta: float = 1.2) -> float:
+def rouge_l_single(hypothesis: str, refs: list[str]) -> float:
     """Per-video ROUGE-L: LCS F-measure, maximized over the references."""
     if not refs:
         raise DataError("rouge_l needs at least one reference")
@@ -92,21 +93,21 @@ def rouge_l_single(hypothesis: str, refs: list[str], beta: float = 1.2) -> float
             continue
         p = lcs / len(hyp)
         r = lcs / len(ref)
-        f = (1 + beta * beta) * p * r / (r + beta * beta * p)
+        f = (1 + ROUGE_BETA * ROUGE_BETA) * p * r / (r + ROUGE_BETA * ROUGE_BETA * p)
         best = max(best, f)
     return best
 
 
-def rouge_l(hypotheses: dict[str, str], references: dict[str, list[str]],
-            beta: float = 1.2) -> tuple[float, dict[str, float]]:
+def rouge_l(hypotheses: dict[str, str],
+            references: dict[str, list[str]]) -> tuple[float, dict[str, float]]:
     """Corpus score (mean over videos) plus the per-video breakdown."""
     ids = _check_aligned(hypotheses, references)
-    per_video = {vid: rouge_l_single(hypotheses[vid], references[vid], beta) for vid in ids}
+    per_video = {vid: rouge_l_single(hypotheses[vid], references[vid]) for vid in ids}
     return sum(per_video.values()) / len(ids), per_video
 
 
-def cider_d(hypotheses: dict[str, str], references: dict[str, list[str]],
-            n_max: int = 4, sigma: float = 6.0) -> tuple[float, dict[str, float]]:
+def cider_d(hypotheses: dict[str, str],
+            references: dict[str, list[str]]) -> tuple[float, dict[str, float]]:
     """CIDEr-D: tf-idf n-gram cosine with count clipping and a gaussian
     length penalty, averaged over n=1..4 and scaled by 10.
 
@@ -122,7 +123,7 @@ def cider_d(hypotheses: dict[str, str], references: dict[str, list[str]],
         seen = set()
         for ref in references[vid]:
             toks = tokenize(ref)
-            for n in range(1, n_max + 1):
+            for n in range(1, CIDER_N + 1):
                 seen.update(_ngrams(toks, n).keys())
         for g in seen:
             df[g] += 1
@@ -130,7 +131,7 @@ def cider_d(hypotheses: dict[str, str], references: dict[str, list[str]],
 
     def tfidf(tokens: list[str]):
         vecs, norms = [], []
-        for n in range(1, n_max + 1):
+        for n in range(1, CIDER_N + 1):
             vec = {g: c * (log_n - math.log(max(1.0, df[g])))
                    for g, c in _ngrams(tokens, n).items()}
             vecs.append(vec)
@@ -145,13 +146,13 @@ def cider_d(hypotheses: dict[str, str], references: dict[str, list[str]],
         for ref in references[vid]:
             rtoks = tokenize(ref)
             r_vecs, r_norms = tfidf(rtoks)
-            penalty = math.exp(-((len(hyp) - len(rtoks)) ** 2) / (2.0 * sigma * sigma))
-            for n in range(n_max):
+            penalty = math.exp(-((len(hyp) - len(rtoks)) ** 2) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
+            for n in range(CIDER_N):
                 num = sum(min(w, r_vecs[n].get(g, 0.0)) * r_vecs[n].get(g, 0.0)
                           for g, w in h_vecs[n].items())
                 if h_norms[n] > 0.0 and r_norms[n] > 0.0:
                     total += penalty * num / (h_norms[n] * r_norms[n])
-        per_video[vid] = 10.0 * total / (len(references[vid]) * n_max)
+        per_video[vid] = 10.0 * total / (len(references[vid]) * CIDER_N)
     return sum(per_video.values()) / len(ids), per_video
 
 

@@ -17,7 +17,7 @@ from vidcap.text import BOS, EOS, PAD, UNK
 def ref_beam_search_ids(params, lm_cfg, init_vec, persist_vec, gen_cfg):
     """(tokens, logprob, completed) by the per-expansion loop: expansions sort
     by (-score, token tuple); the final pick ranks retired hypotheses the same
-    way, dividing the score by the length when `length_normalize` is set."""
+    way."""
     init_vec = np.asarray(init_vec, dtype=np.float64)
     persist_vec = np.asarray(persist_vec, dtype=np.float64)
     x0 = np.concatenate([params["init_W"] @ init_vec + params["init_b"], persist_vec])
@@ -59,12 +59,7 @@ def ref_beam_search_ids(params, lm_cfg, init_vec, persist_vec, gen_cfg):
             else:
                 live.append(hyp)
 
-    def final_key(hyp):
-        tokens, logprob, _ = hyp
-        score = logprob / max(1, len(tokens)) if gen_cfg.length_normalize else logprob
-        return (-score, tuple(tokens))
-
-    tokens, logprob, _ = min(completed or truncated, key=final_key)
+    tokens, logprob, _ = min(completed or truncated, key=lambda hyp: (-hyp[1], tuple(hyp[0])))
     return tokens, logprob, bool(completed)
 
 

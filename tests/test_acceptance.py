@@ -11,12 +11,13 @@ import time
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from reference_beam import greedy_ids
 from reference_metrics import ref_bleu4, ref_cider_d, ref_rouge_l
 from vidcap import binio, decoder, evaluator, harness, metrics
 from vidcap.features import DESCRIPTOR_CHANNELS, Codebook, bof_encode, kmeans
 from vidcap.generation import GenerationConfig, beam_search_ids
-from vidcap.numerics import OptState, grad_check, make_rng
+from vidcap.numerics import OptState, make_rng
 from vidcap.text import BOS, EOS, build_vocab, encode, tokenize
 
 WORDS8 = ["a", "man", "dog", "runs", "fast", "ball", "red", "plays"]
@@ -277,16 +278,15 @@ def test_acceptance_8_bof_pipeline():
     books_small = {ch: Codebook(channel=ch, centroids=rng.normal(size=(7, 3)))
                    for ch in DESCRIPTOR_CHANNELS}
     desc = {ch: rng.normal(size=(11, 3)) for ch in DESCRIPTOR_CHANNELS}
-    assert bof_encode(desc, books_small).dim == 5 * 7
+    assert bof_encode(desc, books_small).shape == (5 * 7,)
 
     books_1000 = {ch: Codebook(channel=ch, centroids=rng.normal(size=(1000, 4)))
                   for ch in DESCRIPTOR_CHANNELS}
     desc4 = {ch: rng.normal(size=(5, 4)) for ch in DESCRIPTOR_CHANNELS}
-    assert bof_encode(desc4, books_1000).dim == 5000
+    assert bof_encode(desc4, books_1000).shape == (5000,)
 
     shuffled = {ch: d[make_rng(1).permutation(len(d))] for ch, d in desc.items()}
-    assert np.array_equal(bof_encode(desc, books_small).values,
-                          bof_encode(shuffled, books_small).values)
+    assert np.array_equal(bof_encode(desc, books_small), bof_encode(shuffled, books_small))
     _report(8, "k-means objective non-increasing on 10 runs; BoF dim = 5k "
                "(5000 at k=1000); descriptor-permutation invariant")
 

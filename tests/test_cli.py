@@ -193,6 +193,26 @@ class TestExitCodes:
                      *_stage_inputs(root)[2:], "--out", str(tmp_path / "c.json")]) == 2
         assert str(ev) in capsys.readouterr().err
 
+    def test_run_missing_evaluator_feature_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"evaluator_feature": "nope"}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "[data] feature 'nope'" in capsys.readouterr().err
+
+    def test_rerank_features_without_evaluator_feature_is_2(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        ev = tmp_path / "e.vevp"
+        ev_cfg = EvaluatorConfig(vocab_size=5, video_dim=2, feature_name="feat-a+feat-b")
+        save_evaluator(ev, ev_cfg, init_evaluator_params(ev_cfg, make_rng(0)))
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text(json.dumps({"video_id": "video0020", "model": "m", "caption": "a",
+                                    "logprob": -1.0}) + "\n")
+        assert main(["rerank", "--pool", str(pool), "--evaluator", str(ev),
+                     "--features", str(root / "feat-a.vfea"), "--vocab", str(root / "vocab.tsv"),
+                     "--out", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert "'feat-b'" in err and "'video0020'" in err
+
     @pytest.mark.parametrize("command", ["vocab", "run"])
     @pytest.mark.parametrize("text, words", [
         ("{not json", "not valid JSON"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from vidcap.decoder import (
     LMConfig,
     batch_loss_and_grads,
@@ -18,7 +19,7 @@ from vidcap.decoder import (
     zero_states,
 )
 from vidcap.errors import DataError, FormatError, ParameterError
-from vidcap.numerics import OptState, grad_check, make_rng
+from vidcap.numerics import OptState, make_rng
 from vidcap.text import BOS, EOS
 
 

@@ -21,6 +21,7 @@ from vidcap.evaluator import (
     similarity,
 )
 from vidcap.generation import GenerationConfig
+from vidcap.harness import FeatureStore
 from vidcap.numerics import make_rng
 from reference_evaluator import ref_encode_sentence
 from vidcap.text import build_vocab, encode, tokenize
@@ -53,12 +54,11 @@ class TestGeneratePool:
         assert pool.entries[0].caption == pool.entries[1].caption
         assert len(pool.entries) == 2
 
-    def test_missing_feature_names_model_and_feature(self):
-        def broken(vid, name):
-            raise KeyError(name)
-
-        with pytest.raises(DataError, match=r"m0.*fa"):
-            generate_pool([make_model("m0", 0)], "vid0", broken,
+    def test_missing_feature_names_feature_and_video(self):
+        store = FeatureStore()
+        store.add("fa", "vid0", feature_of("vid0", "fa"))  # no "fb"
+        with pytest.raises(DataError, match=r"'fb'.*'vid0'"):
+            generate_pool([make_model("m0", 0)], "vid0", store.get,
                           GenerationConfig(beam_size=2, max_len=4), VOCAB)
 
 

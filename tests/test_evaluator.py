@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gradcheck import grad_check
 from reference_evaluator import (
     ref_encode_sentence,
     ref_sample_negatives,
@@ -23,7 +24,6 @@ from vidcap.evaluator import (
     negative_rows,
     pad_ids,
     project_video,
-    ranking_loss,
     sample_negatives,
     save_evaluator,
     similarity,
@@ -31,7 +31,7 @@ from vidcap.evaluator import (
     triple_loss_and_grads,
 )
 from vidcap.harness import VideoRecord
-from vidcap.numerics import OptState, grad_check, make_rng
+from vidcap.numerics import OptState, make_rng
 from vidcap.text import BOS, EOS, PAD, build_vocab
 
 
@@ -212,25 +212,6 @@ class TestSimilarity:
         params = init_evaluator_params(cfg, rng)
         s = similarity(seq(rng, cfg, 4), rng.normal(size=cfg.video_dim), params, cfg)
         assert -1.0 <= s <= 1.0
-
-
-class TestRankingLoss:
-    def test_separated_scores_zero_loss(self):
-        assert ranking_loss(1.0, [-1.0, -1.0], 0.2) == 0.0
-
-    def test_equal_scores_give_margin(self):
-        assert ranking_loss(0.4, [0.4, 0.4, 0.4], 0.2) == pytest.approx(0.2)
-
-    def test_hand_value(self):
-        assert ranking_loss(0.0, [0.5], 0.2) == pytest.approx(0.7)
-
-    def test_empty_negatives(self):
-        with pytest.raises(DataError):
-            ranking_loss(0.0, [], 0.2)
-
-    def test_zero_iff_separated_by_margin(self):
-        assert ranking_loss(0.5, [0.3], 0.2) == pytest.approx(0.0)
-        assert ranking_loss(0.5, [0.301], 0.2) > 0.0
 
 
 class TestSampleNegatives:

@@ -8,16 +8,15 @@ from vidcap.features import (
     DESCRIPTOR_CHANNELS,
     REGION_COUNT,
     Codebook,
-    FeatureVector,
     RegionActivations,
     bof_encode,
     category_onehot,
-    concat_features,
     kmeans,
     mean_pool,
     pyramid_pool,
     train_codebook,
 )
+from vidcap.harness import FeatureStore
 from vidcap.numerics import make_rng
 
 
@@ -143,19 +142,19 @@ class TestBofEncode:
     def test_output_dim_is_5k(self):
         books = _books(k=5)
         desc = {ch: make_rng(1).normal(size=(7, 3)) for ch in DESCRIPTOR_CHANNELS}
-        assert bof_encode(desc, books).dim == 25
+        assert bof_encode(desc, books).shape == (25,)
 
     def test_dim_5000_at_k_1000(self):
         rng = make_rng(2)
         books = {ch: Codebook(channel=ch, centroids=rng.normal(size=(1000, 4)))
                  for ch in DESCRIPTOR_CHANNELS}
         desc = {ch: rng.normal(size=(3, 4)) for ch in DESCRIPTOR_CHANNELS}
-        assert bof_encode(desc, books).dim == 5000
+        assert bof_encode(desc, books).shape == (5000,)
 
     def test_all_nearest_first_centroid(self):
         books = _books(k=4)
         desc = {ch: np.tile(books[ch].centroids[0], (6, 1)) for ch in DESCRIPTOR_CHANNELS}
-        out = bof_encode(desc, books).values
+        out = bof_encode(desc, books)
         for c in range(5):
             assert np.allclose(out[c * 4 : (c + 1) * 4], [1.0, 0.0, 0.0, 0.0])
 
@@ -163,14 +162,14 @@ class TestBofEncode:
         books = _books(k=4)
         desc = {ch: make_rng(3).normal(size=(5, 3)) for ch in DESCRIPTOR_CHANNELS}
         desc["HOF"] = np.zeros((0, 3))
-        out = bof_encode(desc, books).values
+        out = bof_encode(desc, books)
         hof_slice = out[2 * 4 : 3 * 4]
         assert np.array_equal(hof_slice, np.zeros(4))
 
     def test_channel_subvectors_l1_normalized(self):
         books = _books(k=6)
         desc = {ch: make_rng(4).normal(size=(9, 3)) for ch in DESCRIPTOR_CHANNELS}
-        out = bof_encode(desc, books).values
+        out = bof_encode(desc, books)
         assert np.all(out >= 0)
         for c in range(5):
             assert out[c * 6 : (c + 1) * 6].sum() == pytest.approx(1.0)
@@ -194,25 +193,24 @@ class TestBofEncode:
         books = _books(k=4)
         desc = {ch: rng.normal(size=(8, 3)) for ch in DESCRIPTOR_CHANNELS}
         shuffled = {ch: d[rng.permutation(len(d))] for ch, d in desc.items()}
-        assert np.array_equal(bof_encode(desc, books).values,
-                              bof_encode(shuffled, books).values)
+        assert np.array_equal(bof_encode(desc, books), bof_encode(shuffled, books))
 
     def test_tie_breaks_to_lowest_index(self):
         c = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
         books = {ch: Codebook(channel=ch, centroids=c) for ch in DESCRIPTOR_CHANNELS}
         desc = {ch: np.array([[0.0, 0.0]]) for ch in DESCRIPTOR_CHANNELS}
-        out = bof_encode(desc, books).values
+        out = bof_encode(desc, books)
         # centroids 0 and 1 (and 2) are equidistant from the origin
         assert np.allclose(out[:3], [1.0, 0.0, 0.0])
 
 
 class TestCategoryOnehot:
     def test_basic(self):
-        fv = category_onehot(3, 20)
-        assert fv.dim == 20 and fv.values[3] == 1.0 and fv.values.sum() == 1.0
+        v = category_onehot(3, 20)
+        assert v.shape == (20,) and v[3] == 1.0 and v.sum() == 1.0
 
     def test_single_category(self):
-        assert np.array_equal(category_onehot(0, 1).values, [1.0])
+        assert np.array_equal(category_onehot(0, 1), [1.0])
 
     def test_boundary_rejected(self):
         with pytest.raises(DataError):
@@ -220,25 +218,32 @@ class TestCategoryOnehot:
 
 
 class TestConcatFeatures:
+    """Features concatenate through FeatureStore's compound 'a+b' names."""
+
     def test_basic(self):
-        out = concat_features([FeatureVector("x", [1.0, 2.0]), FeatureVector("y", [3.0])])
-        assert np.allclose(out.values, [1.0, 2.0, 3.0])
-        assert out.name == "x+y"
+        store = FeatureStore()
+        store.add("x", "v", [1.0, 2.0])
+        store.add("y", "v", [3.0])
+        assert np.array_equal(store.get("v", "y+x"), [3.0, 1.0, 2.0])
 
     def test_dimension_arithmetic(self):
-        g = FeatureVector("gcnn", np.ones(1024))
-        c = FeatureVector("categ", np.ones(20))
-        out = concat_features([g, c])
-        assert out.dim == 1044 and out.name == "gcnn+categ"
+        store = FeatureStore()
+        store.add("gcnn", "v", np.ones(1024))
+        store.add("categ", "v", category_onehot(3, 20))
+        assert store.dim("gcnn+categ") == 1044
+        assert store.get("v", "gcnn+categ").shape == (1044,)
 
     def test_single_identity(self):
-        fv = FeatureVector("solo", [4.0, 5.0])
-        out = concat_features([fv])
-        assert out.name == "solo" and np.array_equal(out.values, fv.values)
+        store = FeatureStore()
+        store.add("solo", "v", [4.0, 5.0])
+        assert np.array_equal(store.get("v", "solo"), [4.0, 5.0])
 
     def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            concat_features([])
+        store = FeatureStore()
+        store.add("x", "v", [1.0])
+        for name in ("", "x+"):
+            with pytest.raises(DataError):
+                store.get("v", name)
 
 
 class TestCodebookFile:

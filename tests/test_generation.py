@@ -141,8 +141,7 @@ def beam_cases(draw):
         params["out_b"][:] = 0.0
     # beam sizes past 40 exceed live x V at the first steps, so every expansion survives
     gen_cfg = GenerationConfig(beam_size=draw(st.one_of(st.integers(1, 8), st.integers(9, 600))),
-                               max_len=draw(st.integers(1, 6)),
-                               length_normalize=draw(st.booleans()))
+                               max_len=draw(st.integers(1, 6)))
     return params, cfg, rng.normal(size=3), rng.normal(size=2), gen_cfg
 
 

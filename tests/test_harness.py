@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from vidcap import binio
+from vidcap import binio, harness
 from vidcap.errors import DataError, ParameterError
 from vidcap.harness import (
     Dataset,
@@ -108,13 +108,17 @@ class TestFeatureStore:
         assert np.allclose(store.get("v", "a+b+c"), [1.0, 2.0, 3.0, 4.0])
         assert store.dim("a+b+c") == 4
 
-    def test_unknown_name_raises_keyerror(self):
+    def test_unknown_name_raises_data_error(self):
         store = FeatureStore()
         store.add("a", "v", [1.0])
-        with pytest.raises(KeyError):
+        with pytest.raises(DataError, match=r"'nope'.*'v'"):
             store.get("v", "nope")
-        with pytest.raises(KeyError):
+        with pytest.raises(DataError, match=r"'nope'.*'v'"):
+            store.get("v", "a+nope")
+        with pytest.raises(DataError, match=r"'a'.*'other'"):
             store.get("other", "a")
+        with pytest.raises(DataError, match="'nope'"):
+            store.dim("a+nope")
 
     def test_dim_consistency_enforced(self):
         store = FeatureStore()
@@ -243,6 +247,11 @@ class TestRunExperiment:
         cfg.synth = SynthConfig(n_videos=16)
         with pytest.raises(DataError, match=r"\[data\].*no-such-feature"):
             run_experiment(cfg)
+
+    def test_missing_evaluator_feature_rejected_before_training(self, monkeypatch):
+        monkeypatch.setattr(harness, "fit_lm", lambda *a, **k: pytest.fail("train-lm ran"))
+        with pytest.raises(DataError, match=r"\[data\].*nope"):
+            run_experiment(ExperimentConfig(evaluator_feature="nope"))
 
     def test_output_files_written(self, tmp_path):
         cfg = ExperimentConfig(seed=3)

@@ -41,12 +41,6 @@ class TestBleu4:
         # shares unigrams but no 4-grams: unsmoothed BLEU-4 must be 0
         assert bleu4({"v0": "a dog a dog a"}, {"v0": ["dog a man runs fast"]}) == 0.0
 
-    def test_smoothing_rescues_zero_matches(self):
-        hyps = {"v0": "a man runs fast today"}
-        refs = {"v0": ["a man runs far away"]}
-        assert bleu4(hyps, refs) == 0.0
-        assert bleu4(hyps, refs, smooth=True) > 0.0
-
     def test_brevity_tie_prefers_shorter(self):
         # hyp length 3, refs lengths 2 and 4: tie resolved to 2 -> BP=1
         val = bleu4({"v0": "a b c"}, {"v0": ["a b", "a b c d"]})

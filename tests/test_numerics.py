@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gradcheck import grad_check
 from vidcap.errors import DimensionError, NumericError, ParameterError
 from vidcap.numerics import (
     OptState,
     dropout_mask,
-    grad_check,
     make_rng,
     rmsprop_step,
     softmax,

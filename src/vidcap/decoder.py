@@ -23,7 +23,6 @@ from .numerics import (
     Params,
     dropout_mask,
     log_softmax,
-    make_rng,
     rmsprop_update,
     sigmoid,
 )
@@ -100,9 +99,8 @@ def _stack_step_cached(x, states, params: Params, cfg: LMConfig, masks):
         h_prev, c_prev = states[layer - 1]
         H = cfg.hidden
         a = inp @ Wx.T + h_prev @ Wh.T + b
-        i = sigmoid(a[..., :H])
-        f = sigmoid(a[..., H : 2 * H])
-        o = sigmoid(a[..., 2 * H : 3 * H])
+        ifo = sigmoid(a[..., : 3 * H])
+        i, f, o = ifo[..., :H], ifo[..., H : 2 * H], ifo[..., 2 * H :]
         g = np.tanh(a[..., 3 * H :])
         c = f * c_prev + i * g
         tc = np.tanh(c)

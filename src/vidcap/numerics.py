@@ -47,13 +47,9 @@ def log_softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp for large |x|.
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) cannot overflow: 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -86,10 +82,13 @@ def rmsprop_step(param: np.ndarray, grad: np.ndarray, state: OptState, name: str
         raise NumericError(f"non-finite gradient for {name}")
     acc = state.acc.get(name)
     if acc is None:
-        acc = np.zeros_like(param)
-    acc = state.decay * acc + (1.0 - state.decay) * grad * grad
-    state.acc[name] = acc
-    param -= state.learning_rate * grad / np.sqrt(acc + state.epsilon)
+        acc = state.acc[name] = np.zeros_like(param)
+    step = (1.0 - state.decay) * grad
+    step *= grad
+    acc *= state.decay
+    acc += step
+    np.sqrt(np.add(acc, state.epsilon, out=step), out=step)
+    param -= np.divide(state.learning_rate * grad, step, out=step)
     return param
 
 

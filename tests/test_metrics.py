@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_metrics import ref_bleu4, ref_cider_d, ref_rouge_l
+from reference_metrics import _lcs, ref_bleu4, ref_cider_d, ref_rouge_l, toks
+from vidcap import metrics
 from vidcap.errors import DataError
-from vidcap.metrics import bleu4, cider_d, rouge_l, rouge_l_single, score_captions
+from vidcap.metrics import bleu4, cider_d, rouge_l, score_captions
 from vidcap.numerics import make_rng
 
 WORDS = ["a", "man", "dog", "runs", "fast", "ball", "red", "plays"]
@@ -50,6 +51,11 @@ class TestBleu4:
     def test_missing_reference(self):
         with pytest.raises(DataError):
             bleu4({"v0": "a"}, {"v0": []})
+
+
+def rouge_l_single(hypothesis, refs):
+    """Per-video ROUGE-L of one hypothesis against its references."""
+    return rouge_l({"v0": hypothesis}, {"v0": refs})[1]["v0"]
 
 
 class TestRougeL:
@@ -166,3 +172,117 @@ class TestReport:
         import json
         doc = json.loads(report.to_json())
         assert doc["bleu4"] == report.bleu4
+
+
+def _f_of_lcs(lcs, n_hyp, n_ref, beta=1.2):
+    """ROUGE-L's F-measure from an LCS length, in the library's float order."""
+    if lcs == 0:
+        return 0.0
+    p, r = lcs / n_hyp, lcs / n_ref
+    return (1 + beta * beta) * p * r / (r + beta * beta * p)
+
+
+@st.composite
+def token_pairs(draw):
+    """Two token lists over an alphabet of 1-3 tokens (so tokens repeat), long
+    enough to need more than 64 bits per bitmask."""
+    alphabet = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    seq = st.lists(st.sampled_from(alphabet), max_size=80)
+    return draw(seq), draw(seq)
+
+
+class TestBitParallelLcs:
+    """`metrics._rouge_f` computes the LCS length bit-parallel. Its F-measure
+    is strictly increasing in the LCS length at fixed caption lengths, so
+    equal F-measures mean equal LCS lengths."""
+
+    @given(token_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dp_table(self, pair):
+        a, b = pair
+        assert metrics._rouge_f(a, [b]) == _f_of_lcs(_lcs(a, b), len(a), len(b))
+
+    @given(token_pairs(), token_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_max_over_references(self, pair, more):
+        hyp, refs = pair[0], [pair[1], *more]
+        want = max(_f_of_lcs(_lcs(hyp, r), len(hyp), len(r)) for r in refs)
+        assert metrics._rouge_f(hyp, refs) == want
+
+    def test_long_identical_is_exactly_one(self):
+        seq = ["a", "b"] * 50
+        assert metrics._rouge_f(seq, [seq[:-1], seq]) == 1.0
+
+
+CAPTION_WORDS = ["a", "dog", "runs", "a dog", "ball"]
+caption = st.lists(st.sampled_from(CAPTION_WORDS), max_size=7).map(" ".join)
+no_tokens = st.sampled_from(["", "...", " ,!? ", "'"])
+
+
+@st.composite
+def corpora(draw):
+    """2-5 videos with 1-4 references each. Hypotheses may be empty or
+    punctuation only, or equal one of their references; references may be
+    shorter than four tokens; the small vocabulary repeats n-grams."""
+    hyps, refs = {}, {}
+    for i in range(draw(st.integers(2, 5))):
+        rs = draw(st.lists(caption, min_size=1, max_size=4))
+        hyps[f"v{i}"] = draw(st.one_of(caption, no_tokens, st.sampled_from(rs)))
+        refs[f"v{i}"] = rs
+    return hyps, refs
+
+
+class TestTwoPassScorer:
+    @given(corpora())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_plain_loop_oracles(self, corpus):
+        hyps, refs = corpus
+        report = score_captions(hyps, refs)
+        rouge, rouge_per = ref_rouge_l(hyps, refs)
+        cider, cider_per = ref_cider_d(hyps, refs)
+        assert report.bleu4 == pytest.approx(ref_bleu4(hyps, refs), abs=1e-9)
+        assert report.rouge_l == pytest.approx(rouge, abs=1e-9)
+        assert report.cider == pytest.approx(cider, abs=1e-9)
+        assert sorted(report.per_video) == sorted(hyps)
+        for vid, row in report.per_video.items():
+            assert row["rouge_l"] == pytest.approx(rouge_per[vid], abs=1e-9)
+            assert row["cider"] == pytest.approx(cider_per[vid], abs=1e-9)
+            if toks(hyps[vid]) and toks(hyps[vid]) in [toks(r) for r in refs[vid]]:
+                assert row["rouge_l"] == 1.0
+
+    @given(corpora())
+    @settings(max_examples=100, deadline=None)
+    def test_sums_in_the_oracles_order(self, corpus):
+        """The oracles add their terms in the textbook order, as the scorer
+        does, so every score agrees to the bit."""
+        hyps, refs = corpus
+        report = score_captions(hyps, refs)
+        assert report.bleu4 == ref_bleu4(hyps, refs)
+        assert (report.rouge_l, report.cider) == (ref_rouge_l(hyps, refs)[0], ref_cider_d(hyps, refs)[0])
+        assert {vid: row["cider"] for vid, row in report.per_video.items()} == ref_cider_d(hyps, refs)[1]
+
+    @given(corpora())
+    @settings(max_examples=50, deadline=None)
+    def test_views_equal_the_report(self, corpus):
+        hyps, refs = corpus
+        report = score_captions(hyps, refs)
+        assert bleu4(hyps, refs) == report.bleu4
+        corpus_r, per_r = rouge_l(hyps, refs)
+        corpus_c, per_c = cider_d(hyps, refs)
+        assert (corpus_r, corpus_c) == (report.rouge_l, report.cider)
+        assert per_r == {vid: row["rouge_l"] for vid, row in report.per_video.items()}
+        assert per_c == {vid: row["cider"] for vid, row in report.per_video.items()}
+
+    def test_rejects_like_the_views(self):
+        with pytest.raises(DataError, match="'v1' has no references"):
+            score_captions({"v0": "a", "v1": "b"}, {"v0": ["a"], "v1": []})
+        with pytest.raises(DataError, match="at least two videos"):
+            score_captions({"v0": "a"}, {"v0": ["a"]})
+        with pytest.raises(DataError, match="at least two videos"):
+            score_captions({}, {})
+
+    def test_no_state_between_calls(self):
+        hyps, refs = random_corpus(3, n_videos=4)
+        first = score_captions(hyps, refs).to_json()
+        score_captions(*random_corpus(4, n_videos=5))
+        assert score_captions(hyps, refs).to_json() == first

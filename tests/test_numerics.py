@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcheck import grad_check
@@ -10,8 +10,34 @@ from vidcap.numerics import (
     dropout_mask,
     make_rng,
     rmsprop_step,
+    sigmoid,
     softmax,
 )
+
+# +-0, where exp(-|x|) underflows (745, 746), subnormals, and a spread.
+SPECIAL = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 5e-324, -5e-324,
+           1e-310, -1e-310, 2.2250738585072014e-308, 36.7, -36.7, 1.0, -1.0]
+
+
+def sigmoid_by_sign(x):
+    """The sign-split sigmoid that `sigmoid` replaced, kept as its oracle."""
+    out = np.empty_like(x, dtype=x.dtype)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def rmsprop_step_copying(param, grad, state, name):
+    """The allocating RMSProp step that `rmsprop_step` replaced, kept as its oracle."""
+    acc = state.acc.get(name)
+    if acc is None:
+        acc = np.zeros_like(param)
+    acc = state.decay * acc + (1.0 - state.decay) * grad * grad
+    state.acc[name] = acc
+    param -= state.learning_rate * grad / np.sqrt(acc + state.epsilon)
+    return param
 
 
 class TestSoftmax:
@@ -42,7 +68,54 @@ class TestSoftmax:
         assert np.all(out >= 0)
 
 
+class TestSigmoid:
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+    @example(SPECIAL + [np.inf, -np.inf])
+    def test_bytes_equal_to_sign_split_form(self, values):
+        x = np.array(values)
+        assert sigmoid(x).tobytes() == sigmoid_by_sign(x).tobytes()
+
+    def test_strided_slab(self):
+        # the decoder passes the i|f|o columns of a wider pre-activation
+        a = make_rng(1).normal(size=(16, 4 * 48)) * 8
+        got = sigmoid(a[:, : 3 * 48])
+        assert got.shape == (16, 3 * 48)
+        assert got.tobytes() == sigmoid_by_sign(np.ascontiguousarray(a[:, : 3 * 48])).tobytes()
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan, 0.0]))[:2]).all()
+
+
 class TestRmsProp:
+    @given(st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=30), st.integers(1, 20))
+    @example(SPECIAL, 20)
+    @settings(deadline=None)
+    def test_bytes_equal_to_copying_form(self, values, steps):
+        grads = np.array(values)
+        start = make_rng(len(values)).normal(size=grads.shape)
+        params = [start.copy(), start.copy()]
+        states = [OptState(learning_rate=0.01, decay=0.9, epsilon=1e-8) for _ in range(2)]
+        for k in range(steps):
+            g = grads * (k + 1) if k % 2 else grads[::-1].copy()
+            rmsprop_step(params[0], g, states[0], name="p")
+            rmsprop_step_copying(params[1], g, states[1], name="p")
+            assert params[0].tobytes() == params[1].tobytes()
+            assert states[0].acc["p"].tobytes() == states[1].acc["p"].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_grad_mutates_nothing(self, bad):
+        state = OptState(learning_rate=0.01)
+        p = np.array([1.0, -2.0, 3.0])
+        with pytest.raises(NumericError):
+            rmsprop_step(p, np.array([0.1, bad, 0.2]), state, name="p")
+        assert "p" not in state.acc
+        rmsprop_step(p, np.array([0.1, 0.3, 0.2]), state, name="p")
+        acc, before = state.acc["p"].copy(), p.copy()
+        with pytest.raises(NumericError):
+            rmsprop_step(p, np.array([bad, 0.3, 0.2]), state, name="p")
+        assert state.acc["p"].tobytes() == acc.tobytes()
+        assert p.tobytes() == before.tobytes()
+
     def test_zero_grad_leaves_param(self):
         state = OptState(learning_rate=0.01, decay=0.9, epsilon=1e-8)
         state.acc["p"] = np.full(3, 0.5)

@@ -26,15 +26,8 @@ from .numerics import make_rng
 from .text import Vocabulary
 
 
-def _load_store(paths) -> harness.FeatureStore:
-    store = harness.FeatureStore()
-    for p in paths or []:
-        harness.load_features(p, store)
-    return store
-
-
 def _load_inputs(args) -> tuple[harness.Dataset, harness.FeatureStore, Vocabulary]:
-    return (harness.load_dataset(args.data), _load_store(args.features),
+    return (harness.load_dataset(args.data), harness.load_features(*args.features),
             Vocabulary.load(args.vocab))
 
 
@@ -188,7 +181,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_rerank(args) -> int:
-    store = _load_store(args.features)
+    store = harness.load_features(*args.features)
     vocab = Vocabulary.load(args.vocab)
     eval_cfg, params = evaluator.load_evaluator(args.evaluator)
     pools = load_pools(args.pool)

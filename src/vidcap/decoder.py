@@ -8,6 +8,11 @@ every step. Layers 2..depth add the lower layer's output to their own
 
 Training is teacher-forced with full-sequence backpropagation through time,
 written out by hand so gradients can be finite-difference checked.
+
+Dropout is on exactly when a pass is given an rng and dropout_rate > 0; the
+rng is the only train/eval switch. Each time step draws its own inverted-
+dropout masks, in this order: one per layer input (layer 1 first), then, at
+steps t >= 1, one for the top output before the softmax projection.
 """
 
 from __future__ import annotations
@@ -86,9 +91,8 @@ def zero_states(cfg: LMConfig, batch: int | None = None):
 def _stack_step_cached(x, states, params: Params, cfg: LMConfig, masks):
     """Run all layers for one time step, returning everything backward needs.
 
-    masks: per-layer input dropout masks (or None for eval). The residual add
-    uses the clean lower-layer output; dropout applies on the cell input path
-    only.
+    masks: per-layer input dropout masks, or None. The residual add uses the
+    clean lower-layer output; dropout applies on the cell input path only.
     """
     new_states = []
     layer_caches = []
@@ -107,16 +111,15 @@ def _stack_step_cached(x, states, params: Params, cfg: LMConfig, masks):
         hcell = o * tc
         out = hcell if layer == 1 else hcell + out
         new_states.append((hcell, c))
-        layer_caches.append((inp, h_prev, c_prev, i, f, o, g, tc, out))
+        layer_caches.append((inp, h_prev, c_prev, i, f, o, g, tc))
         if layer < cfg.depth:
-            nxt = out
-            inp = nxt if masks is None else nxt * masks[layer]
+            inp = out if masks is None else out * masks[layer]
     return out, new_states, layer_caches
 
 
-def stack_step(x, states, params: Params, cfg: LMConfig, masks=None):
+def stack_step(x, states, params: Params, cfg: LMConfig):
     """Public step through the residual stack: (top output, new states)."""
-    out, new_states, _ = _stack_step_cached(np.asarray(x), states, params, cfg, masks)
+    out, new_states, _ = _stack_step_cached(np.asarray(x), states, params, cfg, None)
     return out, new_states
 
 
@@ -141,42 +144,18 @@ def make_batch(examples: list[Example]) -> Batch:
     return Batch(init=init, persist=persist, targets=targets)
 
 
-def _draw_masks(cfg: LMConfig, B: int, L: int, rng) -> tuple[list, list]:
-    """Fresh inverted-dropout masks per step: one per layer input, one for the
-    pre-softmax top output (steps 1..L-1 only)."""
-    rate = cfg.dropout_rate
-    step_masks, top_masks = [], []
-    for t in range(L):
-        step_masks.append([
-            dropout_mask((B, cfg.layer_input_dim(layer)), rate, rng)
-            for layer in range(1, cfg.depth + 1)
-        ])
-        top_masks.append(dropout_mask((B, cfg.hidden), rate, rng) if t >= 1 else None)
-    return step_masks, top_masks
-
-
-def _forward(params: Params, cfg: LMConfig, batch: Batch, mode: str, rng):
+def _forward(params: Params, cfg: LMConfig, batch: Batch, rng):
     """Teacher-forced forward pass over the whole batch.
 
     Step 0 consumes the projected init feature, step t>=1 the embedding of
     targets[:, t-1]; the logits at step t>=1 score targets[:, t]. Returns the
-    scalar mean loss plus caches for the backward pass.
+    scalar mean loss plus one cache per step for the backward pass.
     """
-    if mode not in ("train", "eval"):
-        raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
     B, L = batch.targets.shape
     if batch.init.shape != (B, cfg.init_dim):
         raise DimensionError(f"init features {batch.init.shape} != (B,{cfg.init_dim})")
     if batch.persist.shape != (B, cfg.persist_dim):
         raise DimensionError(f"persist features {batch.persist.shape} != (B,{cfg.persist_dim})")
-
-    if mode == "train" and cfg.dropout_rate > 0.0:
-        if rng is None:
-            raise ParameterError("train mode with dropout needs an rng")
-        step_masks, top_masks = _draw_masks(cfg, B, L, rng)
-    else:
-        step_masks = [None] * L
-        top_masks = [None] * L
 
     pred_mask = (batch.targets != PAD).astype(np.float64)
     pred_mask[:, 0] = 0.0  # BOS is input only
@@ -184,65 +163,59 @@ def _forward(params: Params, cfg: LMConfig, batch: Batch, mode: str, rng):
     if n_pred == 0:
         raise DataError("batch contains no predictable tokens")
 
+    rate = cfg.dropout_rate if rng is not None else 0.0
+    rows = np.arange(B)
     states = zero_states(cfg, B)
     x_init = batch.init @ params["init_W"].T + params["init_b"]
-    caches = []
+    steps = []
     logprobs = np.zeros((B, L))
-    logits_all = []
     for t in range(L):
         x_emb = x_init if t == 0 else params["embed"][batch.targets[:, t - 1]]
         u = np.concatenate([x_emb, batch.persist], axis=1)
-        top, states, layer_caches = _stack_step_cached(u, states, params, cfg, step_masks[t])
+        masks = [dropout_mask((B, cfg.layer_input_dim(layer)), rate, rng)
+                 for layer in range(1, cfg.depth + 1)] if rate > 0.0 else None
+        top, states, layer_caches = _stack_step_cached(u, states, params, cfg, masks)
+        step = {"layers": layer_caches, "masks": masks}
         if t >= 1:
-            top_used = top if top_masks[t] is None else top * top_masks[t]
+            top_mask = dropout_mask((B, cfg.hidden), rate, rng) if rate > 0.0 else None
+            top_used = top if top_mask is None else top * top_mask
             logits = top_used @ params["out_W"].T + params["out_b"]
             lp = log_softmax(logits, axis=1)
-            logprobs[:, t] = lp[np.arange(B), batch.targets[:, t]]
-            logits_all.append(logits)
-            caches.append((u, layer_caches, top, top_used, lp))
-        else:
-            caches.append((u, layer_caches, top, None, None))
-    nll = -(logprobs * pred_mask).sum()
-    loss = nll / n_pred
+            logprobs[:, t] = lp[rows, batch.targets[:, t]]
+            step.update(top_mask=top_mask, top_used=top_used, logits=logits, lp=lp)
+        steps.append(step)
+    loss = -(logprobs * pred_mask).sum() / n_pred
     if not np.isfinite(loss):
         raise NumericError("non-finite loss")
-    fwd = dict(caches=caches, step_masks=step_masks, top_masks=top_masks,
-               pred_mask=pred_mask, n_pred=n_pred, x_init=x_init,
-               logits=np.stack(logits_all, axis=1) if logits_all else None)
-    return loss, fwd
+    return loss, dict(steps=steps, pred_mask=pred_mask, n_pred=n_pred)
 
 
 def _backward(params: Params, cfg: LMConfig, batch: Batch, fwd) -> Params:
     B, L = batch.targets.shape
-    H = cfg.hidden
-    E = cfg.embed_dim
+    rows = np.arange(B)
     grads: Params = {k: np.zeros_like(v) for k, v in params.items()}
-    dh_carry = [np.zeros((B, H)) for _ in range(cfg.depth)]
-    dc_carry = [np.zeros((B, H)) for _ in range(cfg.depth)]
-    n_pred = fwd["n_pred"]
+    dh_carry = [np.zeros((B, cfg.hidden)) for _ in range(cfg.depth)]
+    dc_carry = [np.zeros((B, cfg.hidden)) for _ in range(cfg.depth)]
 
     for t in range(L - 1, -1, -1):
-        u, layer_caches, top, top_used, lp = fwd["caches"][t]
+        step = fwd["steps"][t]
         if t >= 1:
-            dz = np.exp(lp)
-            dz[np.arange(B), batch.targets[:, t]] -= 1.0
-            dz *= fwd["pred_mask"][:, t : t + 1] / n_pred
-            grads["out_W"] += dz.T @ top_used
+            dz = np.exp(step["lp"])
+            dz[rows, batch.targets[:, t]] -= 1.0
+            dz *= fwd["pred_mask"][:, t : t + 1] / fwd["n_pred"]
+            grads["out_W"] += dz.T @ step["top_used"]
             grads["out_b"] += dz.sum(axis=0)
-            dtop = dz @ params["out_W"]
-            if fwd["top_masks"][t] is not None:
-                dtop *= fwd["top_masks"][t]
+            d_res = dz @ params["out_W"]
+            if step["top_mask"] is not None:
+                d_res *= step["top_mask"]
         else:
-            dtop = np.zeros((B, H))
+            d_res = np.zeros((B, cfg.hidden))
 
-        # Walk the stack top-down; d_out[l] is the grad on layer l's residual
-        # output (clean, pre-dropout).
-        d_out = [np.zeros((B, H)) for _ in range(cfg.depth)]
-        d_out[cfg.depth - 1] = dtop
-        du = None
+        # Walk the stack top-down; d_res is the grad on the current layer's
+        # residual output (clean, pre-dropout).
         for layer in range(cfg.depth, 0, -1):
-            inp, h_prev, c_prev, i, f, o, g, tc, _ = layer_caches[layer - 1]
-            dh = d_out[layer - 1] + dh_carry[layer - 1]
+            inp, h_prev, c_prev, i, f, o, g, tc = step["layers"][layer - 1]
+            dh = d_res + dh_carry[layer - 1]
             do = dh * tc
             dc = dh * o * (1.0 - tc * tc) + dc_carry[layer - 1]
             df = dc * c_prev
@@ -257,16 +230,13 @@ def _backward(params: Params, cfg: LMConfig, batch: Batch, fwd) -> Params:
             grads[f"l{layer}_b"] += da.sum(axis=0)
             dh_carry[layer - 1] = da @ params[f"l{layer}_Wh"]
             dinp = da @ params[f"l{layer}_Wx"]
-            mask = fwd["step_masks"][t]
+            if step["masks"] is not None:
+                dinp *= step["masks"][layer - 1]
             if layer >= 2:
-                if mask is not None:
-                    dinp = dinp * mask[layer - 1]
                 # Residual skip plus the cell-input path both land on out_{l-1}.
-                d_out[layer - 2] += d_out[layer - 1] + dinp
-            else:
-                du = dinp if mask is None else dinp * mask[0]
+                d_res = d_res + dinp
 
-        dx_emb = du[:, :E]  # persist channel grads are dropped: features frozen
+        dx_emb = dinp[:, : cfg.embed_dim]  # persist channel grads are dropped: features frozen
         if t == 0:
             grads["init_W"] += dx_emb.T @ batch.init
             grads["init_b"] += dx_emb.sum(axis=0)
@@ -275,50 +245,42 @@ def _backward(params: Params, cfg: LMConfig, batch: Batch, fwd) -> Params:
     return grads
 
 
-def batch_loss_and_grads(params: Params, cfg: LMConfig, batch: Batch,
-                         mode: str = "train", rng=None):
-    loss, fwd = _forward(params, cfg, batch, mode, rng)
-    grads = _backward(params, cfg, batch, fwd)
-    return loss, grads
+def batch_loss_and_grads(params: Params, cfg: LMConfig, batch: Batch, rng=None):
+    """Mean loss and its gradients; dropout is on when an rng is given."""
+    loss, fwd = _forward(params, cfg, batch, rng)
+    return loss, _backward(params, cfg, batch, fwd)
 
 
 def forward_logprob(init_vec, persist_vec, target: list[int], params: Params,
-                    cfg: LMConfig, mode: str = "eval", rng=None):
-    """Per-step logits and total log-probability of one caption.
+                    cfg: LMConfig):
+    """Per-step logits and total log-probability of one caption, without dropout.
 
     Returns (logits of shape (len-1, vocab) for steps 1..len-1, summed log
     probability of the predicted tokens)."""
     batch = make_batch([(np.asarray(init_vec), np.asarray(persist_vec), list(target))])
-    loss, fwd = _forward(params, cfg, batch, mode, rng)
-    total_logprob = -loss * fwd["n_pred"]
-    return fwd["logits"][0], float(total_logprob)
+    loss, fwd = _forward(params, cfg, batch, None)
+    logits = np.stack([step["logits"][0] for step in fwd["steps"][1:]])
+    return logits, float(-loss * fwd["n_pred"])
 
 
 def train_step(batch: Batch, params: Params, cfg: LMConfig, opt: OptState,
                rng) -> float:
     """One RMSProp update over the batch; returns the pre-update mean loss."""
-    loss, grads = batch_loss_and_grads(params, cfg, batch, mode="train", rng=rng)
+    loss, grads = batch_loss_and_grads(params, cfg, batch, rng)
     rmsprop_update(params, grads, opt)
     return float(loss)
 
 
-def dataset_nll(examples: list[Example], params: Params, cfg: LMConfig,
-                batch_size: int = 64) -> tuple[float, int]:
-    """Total eval-mode negative log-likelihood and predicted-token count."""
+def perplexity(examples: list[Example], params: Params, cfg: LMConfig) -> float:
+    """exp of the mean per-token negative log-likelihood, without dropout."""
     if not examples:
         raise DataError("empty dataset")
     total, count = 0.0, 0
-    for s in range(0, len(examples), batch_size):
-        batch = make_batch(examples[s : s + batch_size])
-        loss, fwd = _forward(params, cfg, batch, mode="eval", rng=None)
+    for s in range(0, len(examples), 64):
+        loss, fwd = _forward(params, cfg, make_batch(examples[s : s + 64]), None)
         total += loss * fwd["n_pred"]
         count += int(fwd["n_pred"])
-    return float(total), count
-
-
-def perplexity(examples: list[Example], params: Params, cfg: LMConfig) -> float:
-    nll, count = dataset_nll(examples, params, cfg)
-    return float(np.exp(nll / count))
+    return float(np.exp(total / count))
 
 
 def fit_lm(params: Params, cfg: LMConfig, examples: list[Example], opt: OptState,

@@ -132,11 +132,13 @@ def save_features(store: FeatureStore, name: str, path) -> None:
     binio.write_feature_file(path, name, rows)
 
 
-def load_features(path, store: FeatureStore | None = None) -> FeatureStore:
-    store = store if store is not None else FeatureStore()
-    name, rows = binio.read_feature_file(path)
-    for vid, vec in rows:
-        store.add(name, vid, vec)
+def load_features(*paths) -> FeatureStore:
+    """One store holding every feature file in `paths` (none gives an empty store)."""
+    store = FeatureStore()
+    for path in paths:
+        name, rows = binio.read_feature_file(path)
+        for vid, vec in rows:
+            store.add(name, vid, vec)
     return store
 
 
@@ -379,11 +381,7 @@ def load_data(cfg: ExperimentConfig) -> tuple[Dataset, FeatureStore]:
     benchmark drawn from stream 0 when data_path is unset."""
     if not cfg.data_path:
         return synth_generate(cfg.synth, stage_rng(cfg, 0))
-    dataset = load_dataset(cfg.data_path)
-    store = FeatureStore()
-    for p in cfg.feature_paths:
-        load_features(p, store)
-    return dataset, store
+    return load_dataset(cfg.data_path), load_features(*cfg.feature_paths)
 
 
 def write_data(dataset: Dataset, store: FeatureStore, out: Path) -> None:

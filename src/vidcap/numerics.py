@@ -28,16 +28,6 @@ def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
     return x
 
 
-def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax (max subtraction); output sums to 1 along `axis`."""
-    v = np.asarray(v)
-    if v.size == 0:
-        raise DimensionError("softmax of empty input")
-    shifted = v - np.max(v, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
 def log_softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     v = np.asarray(v)
     if v.size == 0:

@@ -27,7 +27,6 @@ class Vocabulary:
     """Token/id bijection with fixed reserved ids PAD=0, BOS=1, EOS=2, UNK=3."""
 
     id_to_token: list[str]
-    min_count: int = 1
     token_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -80,8 +79,7 @@ def build_vocab(corpus: list[str], min_count: int = 5) -> Vocabulary:
         counts.update(tokenize(caption))
     kept = [t for t, c in counts.items() if c >= min_count]
     kept.sort(key=lambda t: (-counts[t], t))
-    vocab = Vocabulary(id_to_token=list(RESERVED) + kept, min_count=min_count)
-    return vocab
+    return Vocabulary(id_to_token=list(RESERVED) + kept)
 
 
 def encode(tokens: list[str], vocab: Vocabulary) -> TokenSeq:

@@ -46,8 +46,7 @@ def test_acceptance_1_gradient_correctness():
 
             def lm_loss(p):
                 # fixed rng per call keeps the dropout masks identical
-                return decoder.batch_loss_and_grads(p, cfg, batch, mode="train",
-                                                    rng=make_rng(555))
+                return decoder.batch_loss_and_grads(p, cfg, batch, rng=make_rng(555))
 
             err = grad_check(lm_loss, params, make_rng(seed), h=1e-5,
                              samples_per_param=5)

@@ -73,6 +73,22 @@ def test_stagewise_pipeline(workspace, tmp_path, capsys):
     for key in ("bleu4", "cider", "rouge_l"):
         assert report[key] == ensemble[key], key
 
+    # A run over the files `synth` wrote (data_path, feature_paths) writes the
+    # bytes of the run that drew the synthetic benchmark itself.
+    files_cfg = json.loads(cfg_path.read_text())
+    files_cfg["data_path"] = str(root / "dataset.json")
+    files_cfg["feature_paths"] = [str(root / f"{name}.vfea")
+                                  for name in ("feat-a", "feat-b", "categ")]
+    files_cfg_path = tmp_path / "files.json"
+    files_cfg_path.write_text(json.dumps(files_cfg))
+    files_dir = tmp_path / "files"
+    assert main(["run", "--config", str(files_cfg_path), "--out", str(files_dir)]) == 0
+    written = sorted(p.name for p in run_dir.iterdir())
+    assert len(written) == 9
+    assert sorted(p.name for p in files_dir.iterdir()) == written
+    for name in written:
+        assert (run_dir / name).read_bytes() == (files_dir / name).read_bytes(), name
+
 
 def test_codebook_and_encode(workspace, tmp_path):
     root, _ = workspace
@@ -298,3 +314,4 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_run", boom)
         assert cli.main(["run"]) == 3
+

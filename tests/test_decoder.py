@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from gradcheck import grad_check
 from vidcap.decoder import (
     LMConfig,
     batch_loss_and_grads,
-    dataset_nll,
     forward_logprob,
     init_lm_params,
     load_lm,
@@ -194,7 +194,7 @@ class TestForward:
         params = init_lm_params(cfg, rng)
         examples = random_examples(cfg, rng, n=4, min_len=1, max_len=7)
         batch = make_batch(examples)
-        loss, _ = batch_loss_and_grads(params, cfg, batch, mode="eval")
+        loss, _ = batch_loss_and_grads(params, cfg, batch)
         total, count = 0.0, 0
         for ex in examples:
             _, lp = forward_logprob(ex[0], ex[1], ex[2], params, cfg)
@@ -211,7 +211,7 @@ class TestTraining:
         batch = make_batch(random_examples(cfg, rng))
 
         def loss_fn(p):
-            return batch_loss_and_grads(p, cfg, batch, mode="eval")
+            return batch_loss_and_grads(p, cfg, batch)
 
         assert grad_check(loss_fn, params, make_rng(9), samples_per_param=5) < 1e-4
 
@@ -258,6 +258,37 @@ class TestTraining:
         assert all(np.array_equal(p1[k], p2[k]) for k in p1)
 
 
+class TestDropoutSwitch:
+    """The rng is the only train/eval switch: dropout is on exactly when one is given."""
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_rate_has_no_effect_without_rng(self, depth):
+        cfg = tiny_cfg(depth=depth)
+        dropped = replace(cfg, dropout_rate=0.3)
+        rng = make_rng(20)
+        params = init_lm_params(cfg, rng)
+        examples = random_examples(cfg, rng, n=5)
+        assert perplexity(examples, params, dropped) == perplexity(examples, params, cfg)
+        for ex in examples:
+            logits_d, lp_d = forward_logprob(*ex, params, dropped)
+            logits, lp = forward_logprob(*ex, params, cfg)
+            assert np.array_equal(logits_d, logits)
+            assert lp_d == lp
+
+    def test_equal_seeds_give_equal_masks(self):
+        cfg = replace(tiny_cfg(depth=2), dropout_rate=0.3)
+        rng = make_rng(21)
+        params = init_lm_params(cfg, rng)
+        batch = make_batch(random_examples(cfg, rng, n=4))
+        loss_a, grads_a = batch_loss_and_grads(params, cfg, batch, rng=make_rng(3))
+        loss_b, grads_b = batch_loss_and_grads(params, cfg, batch, rng=make_rng(3))
+        loss_e, grads_e = batch_loss_and_grads(params, cfg, batch)
+        assert loss_a == loss_b
+        assert all(np.array_equal(grads_a[k], grads_b[k]) for k in params)
+        assert loss_a != loss_e
+        assert not np.array_equal(grads_a["l1_Wx"], grads_e["l1_Wx"])
+
+
 class TestPerplexity:
     def test_uniform_model_equals_vocab_size(self):
         cfg = tiny_cfg()
@@ -280,7 +311,7 @@ class TestPerplexity:
     def test_empty_dataset(self):
         cfg = tiny_cfg()
         with pytest.raises(DataError):
-            dataset_nll([], init_lm_params(cfg, make_rng(0)), cfg)
+            perplexity([], init_lm_params(cfg, make_rng(0)), cfg)
 
 
 class TestCheckpoint:

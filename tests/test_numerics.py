@@ -8,10 +8,10 @@ from vidcap.errors import DimensionError, NumericError, ParameterError
 from vidcap.numerics import (
     OptState,
     dropout_mask,
+    log_softmax,
     make_rng,
     rmsprop_step,
     sigmoid,
-    softmax,
 )
 
 # +-0, where exp(-|x|) underflows (745, 746), subnormals, and a spread.
@@ -38,6 +38,11 @@ def rmsprop_step_copying(param, grad, state, name):
     state.acc[name] = acc
     param -= state.learning_rate * grad / np.sqrt(acc + state.epsilon)
     return param
+
+
+def softmax(v):
+    """Probabilities read back from `log_softmax`, the one the decoder uses."""
+    return np.exp(log_softmax(v))
 
 
 class TestSoftmax:

@@ -7,12 +7,18 @@ every step. Layers 2..depth add the lower layer's output to their own
 (residual), and the top output feeds the softmax projection.
 
 Training is teacher-forced with full-sequence backpropagation through time,
-written out by hand so gradients can be finite-difference checked.
+written out by hand so gradients can be finite-difference checked. Teacher
+forcing knows every input in advance, so a pass runs layer-major (Appleyard,
+Kocisky and Blunsom 2016, arXiv 1604.01946): each layer runs all its time
+steps before the next layer starts. The input projection, the output
+projection, the softmax and every weight gradient are one matmul over all
+steps; only the h @ Wh recurrence and the gate math loop per step. Beam
+search steps the same cell one token at a time through `stack_step`.
 
 Dropout is on exactly when a pass is given an rng and dropout_rate > 0; the
-rng is the only train/eval switch. Each time step draws its own inverted-
-dropout masks, in this order: one per layer input (layer 1 first), then, at
-steps t >= 1, one for the top output before the softmax projection.
+rng is the only train/eval switch. The inverted-dropout masks are drawn up
+front, step by step: at each step one per layer input (layer 1 first), then,
+at steps t >= 1, one for the top output before the softmax projection.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .numerics import (
     OptState,
     Params,
     dropout_mask,
-    log_softmax,
     rmsprop_update,
     sigmoid,
 )
@@ -88,38 +93,27 @@ def zero_states(cfg: LMConfig, batch: int | None = None):
             for _ in range(cfg.depth)]
 
 
-def _stack_step_cached(x, states, params: Params, cfg: LMConfig, masks):
-    """Run all layers for one time step, returning everything backward needs.
-
-    masks: per-layer input dropout masks, or None. The residual add uses the
-    clean lower-layer output; dropout applies on the cell input path only.
-    """
-    new_states = []
-    layer_caches = []
-    inp = x if masks is None else x * masks[0]
-    out = None
-    for layer in range(1, cfg.depth + 1):
-        Wx, Wh, b = params[f"l{layer}_Wx"], params[f"l{layer}_Wh"], params[f"l{layer}_b"]
-        h_prev, c_prev = states[layer - 1]
-        H = cfg.hidden
-        a = inp @ Wx.T + h_prev @ Wh.T + b
-        ifo = sigmoid(a[..., : 3 * H])
-        i, f, o = ifo[..., :H], ifo[..., H : 2 * H], ifo[..., 2 * H :]
-        g = np.tanh(a[..., 3 * H :])
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        hcell = o * tc
-        out = hcell if layer == 1 else hcell + out
-        new_states.append((hcell, c))
-        layer_caches.append((inp, h_prev, c_prev, i, f, o, g, tc))
-        if layer < cfg.depth:
-            inp = out if masks is None else out * masks[layer]
-    return out, new_states, layer_caches
+def _cell(a, c_prev):
+    """LSTM gate math from the pre-activation a = [i f o g] and the previous
+    cell state: (h, c, the sigmoid gates [i f o], g, tanh(c))."""
+    H = c_prev.shape[-1]
+    ifo = sigmoid(a[..., : 3 * H])
+    g = np.tanh(a[..., 3 * H :])
+    c = ifo[..., H : 2 * H] * c_prev + ifo[..., :H] * g
+    tc = np.tanh(c)
+    return ifo[..., 2 * H :] * tc, c, ifo, g, tc
 
 
 def stack_step(x, states, params: Params, cfg: LMConfig):
-    """Public step through the residual stack: (top output, new states)."""
-    out, new_states, _ = _stack_step_cached(np.asarray(x), states, params, cfg, None)
+    """One step through the residual stack: (top output, new states)."""
+    new_states = []
+    inp = out = np.asarray(x)
+    for layer in range(1, cfg.depth + 1):
+        Wx, Wh, b = params[f"l{layer}_Wx"], params[f"l{layer}_Wh"], params[f"l{layer}_b"]
+        h_prev, c_prev = states[layer - 1]
+        h, c, _, _, _ = _cell(inp @ Wx.T + h_prev @ Wh.T + b, c_prev)
+        out = inp = h if layer == 1 else h + out
+        new_states.append((h, c))
     return out, new_states
 
 
@@ -144,12 +138,31 @@ def make_batch(examples: list[Example]) -> Batch:
     return Batch(init=init, persist=persist, targets=targets)
 
 
+def _layer_forward(inp, Wx, Wh, b):
+    """One layer over all L steps of its (L, B, D) input. The input projection
+    is one matmul; only h @ Wh and the gate math run per step. Returns the
+    (L, B, .) stacks of h, c, the gates [i f o g] and tanh(c)."""
+    (L, B, D), H = inp.shape, Wh.shape[1]
+    gates = inp.reshape(L * B, D) @ Wx.T
+    gates += b
+    gates = gates.reshape(L, B, 4 * H)  # step t's input projection, then its gates
+    WhT = np.ascontiguousarray(Wh.T)
+    hs, cs, tcs = (np.empty((L, B, H)) for _ in range(3))
+    c = np.zeros((B, H))
+    for t in range(L):
+        a = gates[t] if t == 0 else gates[t] + hs[t - 1] @ WhT
+        hs[t], cs[t], gates[t, :, : 3 * H], gates[t, :, 3 * H :], tcs[t] = _cell(a, c)
+        c = cs[t]
+    return hs, cs, gates, tcs
+
+
 def _forward(params: Params, cfg: LMConfig, batch: Batch, rng):
-    """Teacher-forced forward pass over the whole batch.
+    """Teacher-forced forward pass over the whole batch, layer by layer.
 
     Step 0 consumes the projected init feature, step t>=1 the embedding of
-    targets[:, t-1]; the logits at step t>=1 score targets[:, t]. Returns the
-    scalar mean loss plus one cache per step for the backward pass.
+    targets[:, t-1]; the log-probs at step t>=1 score targets[:, t]. Stacks
+    are time-major, (L, B, .). Returns the scalar mean loss and the cache for
+    the backward pass.
     """
     B, L = batch.targets.shape
     if batch.init.shape != (B, cfg.init_dim):
@@ -163,85 +176,118 @@ def _forward(params: Params, cfg: LMConfig, batch: Batch, rng):
     if n_pred == 0:
         raise DataError("batch contains no predictable tokens")
 
-    rate = cfg.dropout_rate if rng is not None else 0.0
-    rows = np.arange(B)
-    states = zero_states(cfg, B)
-    x_init = batch.init @ params["init_W"].T + params["init_b"]
-    steps = []
+    H, E = cfg.hidden, cfg.embed_dim
+    masks = top_mask = None
+    if rng is not None and cfg.dropout_rate > 0.0:
+        masks = [np.empty((L, B, cfg.layer_input_dim(layer))) for layer in range(1, cfg.depth + 1)]
+        top_mask = np.empty((L - 1, B, H))
+        for t in range(L):  # drawn step by step, in the order of the module docstring
+            for mask in masks:
+                mask[t] = dropout_mask(mask.shape[1:], cfg.dropout_rate, rng)
+            if t >= 1:
+                top_mask[t - 1] = dropout_mask((B, H), cfg.dropout_rate, rng)
+
+    out = np.empty((L, B, E + cfg.persist_dim))
+    out[0, :, :E] = batch.init @ params["init_W"].T + params["init_b"]
+    out[1:, :, :E] = params["embed"][batch.targets[:, :-1].T]
+    out[:, :, E:] = batch.persist
+    layers = []
+    for layer in range(1, cfg.depth + 1):
+        inp = out if masks is None else out * masks[layer - 1]
+        hs, cs, gates, tcs = _layer_forward(inp, params[f"l{layer}_Wx"],
+                                            params[f"l{layer}_Wh"], params[f"l{layer}_b"])
+        out = hs if layer == 1 else hs + out
+        layers.append((inp, hs, cs, gates, tcs))
+
+    top = out[1:].reshape((L - 1) * B, H)
+    if top_mask is not None:
+        top = top * top_mask.reshape(top.shape)
+    lp = top @ params["out_W"].T
+    lp += params["out_b"]
+    lp -= lp.max(axis=1, keepdims=True)  # log_softmax in place: the logits are not kept
+    lp -= np.log(np.exp(lp).sum(axis=1, keepdims=True))
     logprobs = np.zeros((B, L))
-    for t in range(L):
-        x_emb = x_init if t == 0 else params["embed"][batch.targets[:, t - 1]]
-        u = np.concatenate([x_emb, batch.persist], axis=1)
-        masks = [dropout_mask((B, cfg.layer_input_dim(layer)), rate, rng)
-                 for layer in range(1, cfg.depth + 1)] if rate > 0.0 else None
-        top, states, layer_caches = _stack_step_cached(u, states, params, cfg, masks)
-        step = {"layers": layer_caches, "masks": masks}
-        if t >= 1:
-            top_mask = dropout_mask((B, cfg.hidden), rate, rng) if rate > 0.0 else None
-            top_used = top if top_mask is None else top * top_mask
-            logits = top_used @ params["out_W"].T + params["out_b"]
-            lp = log_softmax(logits, axis=1)
-            logprobs[:, t] = lp[rows, batch.targets[:, t]]
-            step.update(top_mask=top_mask, top_used=top_used, logits=logits, lp=lp)
-        steps.append(step)
+    logprobs[:, 1:] = lp[np.arange(len(lp)), batch.targets[:, 1:].T.ravel()].reshape(L - 1, B).T
     loss = -(logprobs * pred_mask).sum() / n_pred
     if not np.isfinite(loss):
         raise NumericError("non-finite loss")
-    return loss, dict(steps=steps, pred_mask=pred_mask, n_pred=n_pred)
+    return loss, dict(layers=layers, masks=masks, top_mask=top_mask, top=top, lp=lp,
+                      pred_mask=pred_mask, n_pred=n_pred)
+
+
+def _layer_backward(d_out, Wh, cs, gates, tcs):
+    """Gate pre-activation gradients (L, B, 4H) of one layer, given the
+    gradient on its h at every step. The gate derivatives are formed once over
+    all steps; only the dh/dc carries and da_t @ Wh run per step."""
+    L, B, H = cs.shape
+    gates = gates.reshape(L, B, 4, H)
+    i, f, o, g = (gates[:, :, n] for n in range(4))
+    # da_t = [dc*k_i, dc*k_f, dh*k_o, dc*k_g]; k is formed in place and
+    # turned into da step by step, so the pass holds one (L, B, 4H) array.
+    k = np.empty((L, B, 4, H))
+    np.subtract(1.0, gates[:, :, :3], out=k[:, :, :3])
+    k[:, :, :3] *= gates[:, :, :3]  # sigmoid' of i, f, o
+    k[:, :, 0] *= g
+    k[0, :, 1] = 0.0  # c_prev is zero at step 0
+    k[1:, :, 1] *= cs[:-1]
+    k[:, :, 2] *= tcs
+    np.multiply(g, g, out=k[:, :, 3])
+    np.subtract(1.0, k[:, :, 3], out=k[:, :, 3])
+    k[:, :, 3] *= i  # i * tanh'(g)
+    o_dtc = np.multiply(tcs, tcs, out=tcs)  # the cache is consumed
+    np.subtract(1.0, o_dtc, out=o_dtc)
+    o_dtc *= o  # o * tanh'(c)
+    dh_carry = dc_carry = np.zeros((B, H))
+    for t in range(L - 1, -1, -1):
+        dh = d_out[t] + dh_carry
+        dc = dh * o_dtc[t]
+        dc += dc_carry
+        da = k[t]
+        da[:, 2] *= dh
+        da[:, :2] *= dc[:, None]
+        da[:, 3] *= dc
+        if t > 0:
+            dc_carry = dc * f[t]
+            dh_carry = da.reshape(B, 4 * H) @ Wh
+    return k.reshape(L, B, 4 * H)
 
 
 def _backward(params: Params, cfg: LMConfig, batch: Batch, fwd) -> Params:
+    """Gradients of the mean loss. Consumes `fwd`: its log-probs and cached
+    stacks are overwritten."""
     B, L = batch.targets.shape
-    rows = np.arange(B)
-    grads: Params = {k: np.zeros_like(v) for k, v in params.items()}
-    dh_carry = [np.zeros((B, cfg.hidden)) for _ in range(cfg.depth)]
-    dc_carry = [np.zeros((B, cfg.hidden)) for _ in range(cfg.depth)]
+    H, E = cfg.hidden, cfg.embed_dim
+    grads: Params = {}
+    # d loss / d logits = (softmax - one-hot) * weight, formed over the cached log-probs
+    dz = np.exp(fwd["lp"], out=fwd["lp"])
+    dz[np.arange(len(dz)), batch.targets[:, 1:].T.ravel()] -= 1.0
+    dz *= fwd["pred_mask"][:, 1:].T.reshape(-1, 1) / fwd["n_pred"]
+    grads["out_W"] = dz.T @ fwd["top"]
+    grads["out_b"] = dz.sum(axis=0)
+    # d_res: the grad on the current layer's residual output (clean, pre-dropout)
+    d_res = np.zeros((L, B, H))
+    d_res[1:] = (dz @ params["out_W"]).reshape(L - 1, B, H)
+    if fwd["top_mask"] is not None:
+        d_res[1:] *= fwd["top_mask"]
 
-    for t in range(L - 1, -1, -1):
-        step = fwd["steps"][t]
-        if t >= 1:
-            dz = np.exp(step["lp"])
-            dz[rows, batch.targets[:, t]] -= 1.0
-            dz *= fwd["pred_mask"][:, t : t + 1] / fwd["n_pred"]
-            grads["out_W"] += dz.T @ step["top_used"]
-            grads["out_b"] += dz.sum(axis=0)
-            d_res = dz @ params["out_W"]
-            if step["top_mask"] is not None:
-                d_res *= step["top_mask"]
-        else:
-            d_res = np.zeros((B, cfg.hidden))
+    for layer in range(cfg.depth, 0, -1):
+        inp, hs, cs, gates, tcs = fwd["layers"].pop()
+        da = _layer_backward(d_res, params[f"l{layer}_Wh"], cs, gates, tcs).reshape(L * B, 4 * H)
+        grads[f"l{layer}_Wx"] = da.T @ inp.reshape(L * B, -1)
+        grads[f"l{layer}_Wh"] = da[B:].T @ hs[:-1].reshape(-1, H)
+        grads[f"l{layer}_b"] = da.sum(axis=0)
+        # layer 1: only the embedding columns; persist features are frozen
+        Wx = params[f"l{layer}_Wx"] if layer >= 2 else params["l1_Wx"][:, :E]
+        dinp = (da @ Wx).reshape(L, B, -1)
+        if fwd["masks"] is not None:
+            dinp *= fwd["masks"][layer - 1][..., : dinp.shape[2]]
+        if layer >= 2:
+            d_res += dinp  # the residual skip and the cell-input path both land on out_{l-1}
 
-        # Walk the stack top-down; d_res is the grad on the current layer's
-        # residual output (clean, pre-dropout).
-        for layer in range(cfg.depth, 0, -1):
-            inp, h_prev, c_prev, i, f, o, g, tc = step["layers"][layer - 1]
-            dh = d_res + dh_carry[layer - 1]
-            do = dh * tc
-            dc = dh * o * (1.0 - tc * tc) + dc_carry[layer - 1]
-            df = dc * c_prev
-            di = dc * g
-            dg = dc * i
-            dc_carry[layer - 1] = dc * f
-            da = np.concatenate(
-                [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o),
-                 dg * (1.0 - g * g)], axis=1)
-            grads[f"l{layer}_Wx"] += da.T @ inp
-            grads[f"l{layer}_Wh"] += da.T @ h_prev
-            grads[f"l{layer}_b"] += da.sum(axis=0)
-            dh_carry[layer - 1] = da @ params[f"l{layer}_Wh"]
-            dinp = da @ params[f"l{layer}_Wx"]
-            if step["masks"] is not None:
-                dinp *= step["masks"][layer - 1]
-            if layer >= 2:
-                # Residual skip plus the cell-input path both land on out_{l-1}.
-                d_res = d_res + dinp
-
-        dx_emb = dinp[:, : cfg.embed_dim]  # persist channel grads are dropped: features frozen
-        if t == 0:
-            grads["init_W"] += dx_emb.T @ batch.init
-            grads["init_b"] += dx_emb.sum(axis=0)
-        else:
-            np.add.at(grads["embed"], batch.targets[:, t - 1], dx_emb)
+    grads["init_W"] = dinp[0].T @ batch.init
+    grads["init_b"] = dinp[0].sum(axis=0)
+    grads["embed"] = np.zeros_like(params["embed"])
+    np.add.at(grads["embed"], batch.targets[:, :-1].T, dinp[1:])
     return grads
 
 
@@ -259,8 +305,7 @@ def forward_logprob(init_vec, persist_vec, target: list[int], params: Params,
     probability of the predicted tokens)."""
     batch = make_batch([(np.asarray(init_vec), np.asarray(persist_vec), list(target))])
     loss, fwd = _forward(params, cfg, batch, None)
-    logits = np.stack([step["logits"][0] for step in fwd["steps"][1:]])
-    return logits, float(-loss * fwd["n_pred"])
+    return fwd["top"] @ params["out_W"].T + params["out_b"], float(-loss * fwd["n_pred"])
 
 
 def train_step(batch: Batch, params: Params, cfg: LMConfig, opt: OptState,

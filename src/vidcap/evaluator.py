@@ -21,7 +21,7 @@ import numpy as np
 
 from . import binio
 from .errors import DataError, DimensionError, NumericError, ParameterError
-from .numerics import OptState, Params, rmsprop_update
+from .numerics import OptState, Params, rmsprop_decay, rmsprop_update
 from .text import PAD, EOS, Vocabulary, encode, tokenize
 
 
@@ -256,7 +256,10 @@ def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig
             cols = max(lengths[rows].max(), max(cfg.filter_widths))
             loss, grads = triple_loss_and_grads(params, cfg, feature_of(rec.id),
                                                 ids[rows, :cols], lengths[rows])
-            rmsprop_update(params, grads, opt)
+            if loss == 0.0:  # no active hinge: every gradient is exactly zero
+                rmsprop_decay(opt)
+            else:
+                rmsprop_update(params, grads, opt)
             params["embed"][PAD] = 0.0
             losses.append(loss)
         history.append(float(np.mean(losses)))

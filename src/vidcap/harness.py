@@ -13,7 +13,7 @@ import numpy as np
 from . import binio
 from .decoder import LMConfig, init_lm_params, fit_lm, perplexity
 from .ensemble import CandidatePool, GeneratorModel, dump_pools, generate_pool, rerank
-from .errors import DataError, ParameterError, VidcapError
+from .errors import DataError, FormatError, ParameterError, VidcapError
 from .evaluator import EvaluatorConfig, train_evaluator
 from .generation import GenerationConfig
 from .metrics import MetricReport, score_captions
@@ -133,11 +133,16 @@ def save_features(store: FeatureStore, name: str, path) -> None:
 
 
 def load_features(*paths) -> FeatureStore:
-    """One store holding every feature file in `paths` (none gives an empty store)."""
+    """One store holding every feature file in `paths` (none gives an empty store).
+    A feature may be split over several files, but no video may appear twice."""
     store = FeatureStore()
     for path in paths:
         name, rows = binio.read_feature_file(path)
+        known = set(store.videos(name))
         for vid, vec in rows:
+            if vid in known:
+                raise FormatError(f"{path}: feature {name!r} for video {vid!r} "
+                                  "is already in an earlier file")
             store.add(name, vid, vec)
     return store
 

@@ -305,6 +305,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(feats) in err and "'v0'" in err
 
+    def test_video_repeated_across_feature_files_is_2(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        first, second = tmp_path / "a.vfea", tmp_path / "b.vfea"
+        write_feature_file(first, "x", [("v0", np.ones(3))])
+        write_feature_file(second, "x", [("v0", np.zeros(3))])
+        args = _stage_inputs(root)
+        at = args.index("--vocab")
+        args[at:at] = [str(first), str(second)]  # two more --features files
+        assert main(["train-eval", *args, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "e.vevp")]) == 2
+        err = capsys.readouterr().err
+        assert str(second) in err and "'x'" in err and "'v0'" in err
+
     def test_numeric_error_is_3(self, monkeypatch):
         from vidcap import cli
         from vidcap.errors import NumericError

@@ -3,11 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gradcheck import grad_check
+from reference_decoder import ref_batch_loss_and_grads, ref_forward_logprob, ref_perplexity
+from vidcap import decoder
 from vidcap.decoder import (
     LMConfig,
     batch_loss_and_grads,
+    fit_lm,
     forward_logprob,
     init_lm_params,
     load_lm,
@@ -256,6 +260,56 @@ class TestTraining:
         l2, p2 = run()
         assert l1 == l2
         assert all(np.array_equal(p1[k], p2[k]) for k in p1)
+
+
+class TestLayerMajor:
+    """The layer-major pass against the step-major oracle in reference_decoder.py."""
+
+    @given(depth=st.integers(1, 3), rate=st.sampled_from([0.0, 0.3]),
+           lengths=st.lists(st.integers(2, 9), min_size=1, max_size=6),
+           seed=st.integers(0, 2**16))
+    @example(depth=2, rate=0.3, lengths=[2, 2, 2], seed=0)  # L = 2: one predicted step
+    def test_matches_step_major_oracle(self, depth, rate, lengths, seed):
+        cfg = replace(tiny_cfg(depth=depth, hidden=7), dropout_rate=rate)
+        rng = make_rng(seed)
+        params = {k: rng.normal(0.0, 0.5, v.shape)
+                  for k, v in init_lm_params(cfg, rng).items()}
+        examples = [(rng.normal(size=cfg.init_dim), rng.normal(size=cfg.persist_dim),
+                     [BOS] + list(rng.integers(4, cfg.vocab_size, size=n - 2)) + [EOS])
+                    for n in lengths]
+        batch = make_batch(examples)
+        got_rng, want_rng = make_rng(seed + 1), make_rng(seed + 1)
+        loss, grads = batch_loss_and_grads(params, cfg, batch, rng=got_rng)
+        want_loss, want_grads = ref_batch_loss_and_grads(params, cfg, batch, rng=want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert loss == pytest.approx(want_loss, rel=0, abs=1e-12)
+        assert set(grads) == set(want_grads)
+        for k in want_grads:
+            np.testing.assert_allclose(grads[k], want_grads[k], rtol=0, atol=1e-12, err_msg=k)
+        for ex in examples:
+            logits, lp = forward_logprob(*ex, params, cfg)
+            want_logits, want_lp = ref_forward_logprob(*ex, params, cfg)
+            np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12)
+            assert lp == pytest.approx(want_lp, rel=0, abs=1e-12)
+        assert perplexity(examples, params, cfg) == pytest.approx(
+            ref_perplexity(examples, params, cfg), rel=0, abs=1e-12)
+
+    def test_one_train_step_call_per_batch(self, monkeypatch):
+        """fit_lm steps through decoder.train_step, and train_step updates
+        through decoder.rmsprop_update: the module attributes a tracer wraps."""
+        steps, updates = [], []
+        real_step, real_update = decoder.train_step, decoder.rmsprop_update
+        monkeypatch.setattr(decoder, "train_step", lambda batch, *a:
+                            steps.append(len(batch.targets)) or real_step(batch, *a))
+        monkeypatch.setattr(decoder, "rmsprop_update",
+                            lambda *a: updates.append(1) or real_update(*a))
+        cfg = tiny_cfg()
+        rng = make_rng(22)
+        params = init_lm_params(cfg, rng)
+        fit_lm(params, cfg, random_examples(cfg, rng, n=5), OptState(), rng,
+               epochs=2, batch_size=2)
+        assert steps == [2, 2, 1] * 2
+        assert len(updates) == len(steps)
 
 
 class TestDropoutSwitch:

@@ -31,7 +31,7 @@ from vidcap.evaluator import (
     triple_loss_and_grads,
 )
 from vidcap.harness import VideoRecord
-from vidcap.numerics import OptState, make_rng
+from vidcap.numerics import OptState, make_rng, rmsprop_update
 from vidcap.text import BOS, EOS, PAD, build_vocab
 
 
@@ -319,6 +319,46 @@ class TestTraining:
         np.testing.assert_allclose(got_hist, want_hist, rtol=0, atol=1e-12)
         for k in want:
             np.testing.assert_allclose(got[k], want[k], rtol=0, atol=1e-12, err_msg=k)
+
+    def test_inactive_triples_only_decay(self, monkeypatch):
+        """A triple with no active hinge has all-zero gradients, so decaying
+        the accumulators leaves the same bits as a full RMSProp update."""
+        corpus = ["red cat posing", "blue dog running fast", "a green bird", "black horse",
+                  "the red cat", "a dog", "green bird eating seeds today", "horse jumping"]
+        vocab = build_vocab(corpus, min_count=1)
+        cfg = tiny_cfg(vocab_size=len(vocab), video_dim=4)
+        records = [VideoRecord(id=f"v{i}", category=0, split="train",
+                               captions=[corpus[i], corpus[i + 4]]) for i in range(4)]
+        feats = {f"v{i}": np.eye(4)[i] for i in range(4)}
+
+        def run():
+            opt = OptState(learning_rate=2e-2)
+            params, _ = train_evaluator(records, feats.__getitem__, vocab, cfg, make_rng(4),
+                                        opt=opt, epochs=15)
+            return params, opt.acc
+
+        got, got_acc = run()
+        last, inactive = {}, []
+        real = evaluator.triple_loss_and_grads
+
+        def recording(params, *args):
+            loss, last["grads"] = real(params, *args)
+            last["params"] = params
+            return loss, last["grads"]
+
+        def full_update(opt):
+            assert not any(g.any() for g in last["grads"].values())
+            inactive.append(1)
+            rmsprop_update(last["params"], last["grads"], opt)
+
+        monkeypatch.setattr(evaluator, "triple_loss_and_grads", recording)
+        monkeypatch.setattr(evaluator, "rmsprop_decay", full_update)
+        want, want_acc = run()
+        assert len(inactive) > 0
+        assert got.keys() == want.keys() == got_acc.keys() == want_acc.keys()
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
+            assert got_acc[k].tobytes() == want_acc[k].tobytes(), k
 
     def test_one_triple_call_per_video_and_epoch(self, monkeypatch):
         calls = []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vidcap import binio, harness
-from vidcap.errors import DataError, ParameterError
+from vidcap.errors import DataError, FormatError, ParameterError
 from vidcap.harness import (
     Dataset,
     ExperimentConfig,
@@ -139,6 +139,15 @@ class TestFeatureStore:
                                                 ("v1", np.array([1.0, np.nan], np.float32))])
         with pytest.raises(DataError, match=r"'gcnn' for 'v1'"):
             load_features(path)
+
+    def test_video_repeated_across_files_rejected(self, tmp_path):
+        a, b, c = tmp_path / "a.vfea", tmp_path / "b.vfea", tmp_path / "c.vfea"
+        binio.write_feature_file(a, "x", [("v0", np.ones(2)), ("v1", np.ones(2))])
+        binio.write_feature_file(b, "x", [("v0", np.zeros(2))])
+        binio.write_feature_file(c, "x", [("v2", np.zeros(2))])
+        with pytest.raises(FormatError, match=r"b\.vfea: feature 'x' for video 'v0'"):
+            load_features(a, b)
+        assert load_features(a, c).videos("x") == ["v0", "v1", "v2"]  # one feature, two files
 
     def test_empty_family_saves_zero_count_file(self, tmp_path):
         store = FeatureStore()

@@ -65,6 +65,11 @@ def _experiment_config(args) -> harness.ExperimentConfig:
     return cfg
 
 
+def _final(history: list[float]) -> str:
+    """The last entry of a loss or objective history, "none" when no epoch ran."""
+    return f"{history[-1]:.4f}" if history else "none"
+
+
 def _load_generator(item: str) -> GeneratorModel:
     """A --model tag=path checkpoint, bound to the features its header names."""
     tag, _, path = item.partition("=")
@@ -112,11 +117,11 @@ def cmd_codebook(args) -> int:
     if samples.shape[0] > args.max_samples:
         idx = rng.choice(samples.shape[0], size=args.max_samples, replace=False)
         samples = samples[np.sort(idx)]
-    book = features.train_codebook(samples, args.k, rng, max_iters=args.max_iters,
-                                   channel=args.channel)
+    centroids, _, history = features.kmeans(samples, args.k, rng, max_iters=args.max_iters)
+    book = features.Codebook(args.channel, centroids)
     book.save(args.out)
     print(f"codebook {args.channel}: k={book.k} d={book.dim} "
-          f"final objective {book.objective_history[-1]:.4f} -> {args.out}")
+          f"final objective {_final(history)} -> {args.out}")
     return 0
 
 
@@ -157,7 +162,7 @@ def cmd_train_lm(args) -> int:
         "init_feature": model.init_feature, "persist_feature": model.persist_feature})
     ppl = harness.generator_perplexity(cfg, model, dataset, store, vocab)
     print(f"{cfg.eval_split} perplexity: {ppl:.4f}")
-    print(f"final train loss {history[-1]:.4f} -> {args.out}")
+    print(f"final train loss {_final(history)} -> {args.out}")
     return 0
 
 
@@ -165,7 +170,7 @@ def cmd_train_eval(args) -> int:
     cfg = _experiment_config(args)
     eval_cfg, params, history = harness.fit_evaluator(cfg, *_load_inputs(args))
     evaluator.save_evaluator(args.out, eval_cfg, params)
-    print(f"final evaluator loss {history[-1]:.4f} -> {args.out}")
+    print(f"final evaluator loss {_final(history)} -> {args.out}")
     return 0
 
 
@@ -221,83 +226,62 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="video captioning pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def flag(*args, **kwargs) -> argparse.ArgumentParser:
+        """A flag declared once, for the subcommands that take it as a parent."""
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*args, **kwargs)
+        return p
+
+    data, out = flag("--data", required=True), flag("--out", required=True)
+    config, seed = flag("--config"), flag("--seed", type=int, default=None)
+    inputs = flag("--features", nargs="+", required=True)
+    inputs.add_argument("--vocab", required=True)
+
+    def add(name, fn, parents, **kwargs):
+        p = sub.add_parser(name, parents=parents, **kwargs)
         p.set_defaults(func=fn)
         return p
 
-    p = add("synth", cmd_synth, help="generate the synthetic benchmark")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=None)
+    add("synth", cmd_synth, [out, config, seed], help="generate the synthetic benchmark")
+    add("vocab", cmd_vocab, [data, out, config], help="build a vocabulary from caption data")
 
-    p = add("vocab", cmd_vocab, help="build a vocabulary from caption data")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-
-    p = add("codebook", cmd_codebook, help="train a k-means codebook")
+    p = add("codebook", cmd_codebook, [out], help="train a k-means codebook")
     p.add_argument("--descriptors", required=True)
     p.add_argument("--channel", required=True, choices=features.DESCRIPTOR_CHANNELS)
     p.add_argument("--k", type=int, default=1000)
     p.add_argument("--max-samples", type=int, default=250000)
     p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0)  # not the config seed: sampling, k-means++
 
-    p = add("encode", cmd_encode, help="encode raw inputs into a feature file")
+    p = add("encode", cmd_encode, [out], help="encode raw inputs into a feature file")
     p.add_argument("--kind", required=True, choices=("bof", "mean", "pyramid"))
     p.add_argument("--descriptors", help="descriptor JSON (bof)")
     p.add_argument("--codebooks", nargs="+", default=[], help="codebook files (bof)")
     p.add_argument("--activations", help="activation JSON (mean/pyramid)")
     p.add_argument("--combo", default="avg-avg", choices=features.POOL_COMBOS)
     p.add_argument("--name", required=True)
-    p.add_argument("--out", required=True)
 
-    p = add("train-lm", cmd_train_lm, help="train one caption generator")
-    p.add_argument("--data", required=True)
-    p.add_argument("--features", nargs="+", required=True)
-    p.add_argument("--vocab", required=True)
+    p = add("train-lm", cmd_train_lm, [data, inputs, config, seed, out],
+            help="train one caption generator")
     p.add_argument("--model", required=True, help="tag of the config's roster entry")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-
-    p = add("train-eval", cmd_train_eval, help="train the caption-video evaluator")
-    p.add_argument("--data", required=True)
-    p.add_argument("--features", nargs="+", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-
-    p = add("generate", cmd_generate, help="beam-search candidate pools")
-    p.add_argument("--data", required=True)
-    p.add_argument("--features", nargs="+", required=True)
-    p.add_argument("--vocab", required=True)
+    add("train-eval", cmd_train_eval, [data, inputs, config, seed, out],
+        help="train the caption-video evaluator")
+    p = add("generate", cmd_generate, [data, inputs, config, out],
+            help="beam-search candidate pools")
     p.add_argument("--model", action="append", required=True,
                    help="tag=checkpoint.vlmp (repeatable)")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
 
-    p = add("rerank", cmd_rerank, help="pick the best candidate per video")
+    p = add("rerank", cmd_rerank, [inputs, out], help="pick the best candidate per video")
     p.add_argument("--pool", required=True)
     p.add_argument("--evaluator", required=True)
-    p.add_argument("--features", nargs="+", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--scored-pool")
-    p.add_argument("--out", required=True)
 
-    p = add("score", cmd_score, help="BLEU-4 / ROUGE-L / CIDEr-D report")
-    p.add_argument("--data", required=True)
+    p = add("score", cmd_score, [data, config], help="BLEU-4 / ROUGE-L / CIDEr-D report")
     p.add_argument("--captions", required=True, help="JSON {video_id: caption}")
-    p.add_argument("--config")
     p.add_argument("--out")
 
-    p = add("run", cmd_run, help="full pipeline: train, generate, rerank, score")
+    p = add("run", cmd_run, [config, seed], help="full pipeline: train, generate, rerank, score")
     p.add_argument("--out")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=None)
     return parser
 
 

@@ -17,8 +17,9 @@ search steps the same cell one token at a time through `stack_step`.
 
 Dropout is on exactly when a pass is given an rng and dropout_rate > 0; the
 rng is the only train/eval switch. The inverted-dropout masks are drawn up
-front, step by step: at each step one per layer input (layer 1 first), then,
-at steps t >= 1, one for the top output before the softmax projection.
+front, one draw per mask tensor: one (L, B, .) mask per layer input (layer 1
+first), then one (L - 1, B, H) mask for the top output before the softmax
+projection at steps t >= 1. Step t reads row t of each.
 """
 
 from __future__ import annotations
@@ -87,10 +88,8 @@ def init_lm_params(cfg: LMConfig, rng: np.random.Generator, scale: float = 0.08)
     return params
 
 
-def zero_states(cfg: LMConfig, batch: int | None = None):
-    shape = (cfg.hidden,) if batch is None else (batch, cfg.hidden)
-    return [(np.zeros(shape), np.zeros(shape))
-            for _ in range(cfg.depth)]
+def zero_states(cfg: LMConfig):
+    return [(np.zeros(cfg.hidden), np.zeros(cfg.hidden)) for _ in range(cfg.depth)]
 
 
 def _cell(a, c_prev):
@@ -178,14 +177,10 @@ def _forward(params: Params, cfg: LMConfig, batch: Batch, rng):
 
     H, E = cfg.hidden, cfg.embed_dim
     masks = top_mask = None
-    if rng is not None and cfg.dropout_rate > 0.0:
-        masks = [np.empty((L, B, cfg.layer_input_dim(layer))) for layer in range(1, cfg.depth + 1)]
-        top_mask = np.empty((L - 1, B, H))
-        for t in range(L):  # drawn step by step, in the order of the module docstring
-            for mask in masks:
-                mask[t] = dropout_mask(mask.shape[1:], cfg.dropout_rate, rng)
-            if t >= 1:
-                top_mask[t - 1] = dropout_mask((B, H), cfg.dropout_rate, rng)
+    if rng is not None and cfg.dropout_rate > 0.0:  # in the order of the module docstring
+        masks = [dropout_mask((L, B, cfg.layer_input_dim(layer)), cfg.dropout_rate, rng)
+                 for layer in range(1, cfg.depth + 1)]
+        top_mask = dropout_mask((L - 1, B, H), cfg.dropout_rate, rng)
 
     out = np.empty((L, B, E + cfg.persist_dim))
     out[0, :, :E] = batch.init @ params["init_W"].T + params["init_b"]
@@ -331,6 +326,8 @@ def perplexity(examples: list[Example], params: Params, cfg: LMConfig) -> float:
 def fit_lm(params: Params, cfg: LMConfig, examples: list[Example], opt: OptState,
            rng: np.random.Generator, epochs: int = 10, batch_size: int = 16) -> list[float]:
     """Shuffled mini-batch training; returns the mean loss per epoch."""
+    if batch_size < 1 or epochs < 0:
+        raise ParameterError(f"need batch_size >= 1 and epochs >= 0, got {batch_size=}, {epochs=}")
     history = []
     for _ in range(epochs):
         order = rng.permutation(len(examples))

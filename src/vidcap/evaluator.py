@@ -238,6 +238,8 @@ def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig
     Every caption is encoded once into one padded id matrix, video by video;
     negatives are resampled for every triple as rows of it.
     """
+    if epochs < 0:
+        raise ParameterError(f"epochs must be >= 0, got {epochs}")
     records = sorted(records, key=lambda r: r.id)
     if len(records) < 2:
         raise DataError("evaluator training needs at least two videos")
@@ -260,7 +262,6 @@ def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig
                 rmsprop_decay(opt)
             else:
                 rmsprop_update(params, grads, opt)
-            params["embed"][PAD] = 0.0
             losses.append(loss)
         history.append(float(np.mean(losses)))
     return params, history

@@ -9,7 +9,7 @@ categories. Concatenation is harness.FeatureStore's compound names: feature
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class Codebook:
 
     channel: str
     centroids: np.ndarray  # (k, d)
-    objective_history: list[float] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         self.centroids = np.asarray(self.centroids, dtype=np.float64)
@@ -124,11 +123,6 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         diff = points[s : s + chunk, None, :] - centroids[None, :, :]
         out[s : s + chunk] = np.einsum("nkd,nkd->nk", diff, diff)
     return out
-
-
-def assign_nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of nearest centroid per point; ties go to the lowest index."""
-    return np.argmin(_sq_dists(points, centroids), axis=1)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -186,17 +180,6 @@ def kmeans(
     return centroids, assignments, history
 
 
-def train_codebook(
-    samples: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    max_iters: int = 100,
-    channel: str = "trajectory-shape",
-) -> Codebook:
-    centroids, _, history = kmeans(samples, k, rng, max_iters=max_iters)
-    return Codebook(channel=channel, centroids=centroids, objective_history=history)
-
-
 def bof_encode(descriptors: dict[str, np.ndarray], codebooks: dict[str, Codebook]) -> np.ndarray:
     """Hard-assignment bag-of-features over the five descriptor channels.
 
@@ -218,7 +201,7 @@ def bof_encode(descriptors: dict[str, np.ndarray], codebooks: dict[str, Codebook
                 raise DimensionError(
                     f"channel {channel!r}: descriptors {desc.shape} vs codebook dim {book.dim}"
                 )
-            idx = assign_nearest(desc, book.centroids)
+            idx = np.argmin(_sq_dists(desc, book.centroids), axis=1)  # ties: lowest index
             np.add.at(hist, idx, 1.0)
             hist /= hist.sum()
         parts.append(hist)

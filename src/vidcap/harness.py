@@ -55,9 +55,8 @@ class Dataset:
             raise ParameterError(f"unknown split {name!r}")
         return [r for r in self.records if r.split == name]
 
-    def references(self, split: str | None = None) -> dict[str, list[str]]:
-        recs = self.records if split is None else self.split(split)
-        return {r.id: list(r.captions) for r in recs}
+    def references(self, split: str) -> dict[str, list[str]]:
+        return {r.id: list(r.captions) for r in self.split(split)}
 
     def counts(self) -> dict[str, int]:
         return {s: len(self.split(s)) for s in SPLITS}
@@ -191,16 +190,9 @@ class SynthConfig:
                 f"n_videos > {max_videos} would force duplicate concept pairs")
 
 
-def _object_captions(color: str, obj: str, k: int) -> list[str]:
-    base = f"{color} {obj} is {SYNTH_FIXED_ACTION}"
-    return [f"a {base}", f"the {base}", f"a {base} today",
-            f"there is a {color} {obj} {SYNTH_FIXED_ACTION}"][:k]
-
-
-def _action_captions(adv: str, act: str, k: int) -> list[str]:
-    base = f"{SYNTH_FIXED_OBJECT} is {adv} {act}"
-    return [f"a {base}", f"the {base}", f"a {base} today",
-            f"there is a {SYNTH_FIXED_OBJECT} {adv} {act}"][:k]
+def _captions(subject: str, doing: str, k: int) -> list[str]:
+    base = f"{subject} is {doing}"
+    return [f"a {base}", f"the {base}", f"a {base} today", f"there is a {subject} {doing}"][:k]
 
 
 def _onehot_pair(i: int, n_i: int, j: int, n_j: int) -> np.ndarray:
@@ -238,13 +230,13 @@ def synth_generate(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Dataset,
         if i % 2 == 0:
             combo = int(obj_combos[oi]); oi += 1
             color, obj = SYNTH_COLORS[combo // no], SYNTH_OBJECTS[combo % no]
-            captions = _object_captions(color, obj, cfg.captions_per_video)
+            captions = _captions(f"{color} {obj}", SYNTH_FIXED_ACTION, cfg.captions_per_video)
             feat_a = _onehot_pair(combo // no, nc + 1, combo % no, no + 1)
             feat_b = _onehot_pair(na, na + 1, nv, nv + 1)  # 'none' + fixed action bins
         else:
             combo = int(act_combos[ai]); ai += 1
             adv, act = SYNTH_ADVERBS[combo // nv], SYNTH_ACTIONS[combo % nv]
-            captions = _action_captions(adv, act, cfg.captions_per_video)
+            captions = _captions(SYNTH_FIXED_OBJECT, f"{adv} {act}", cfg.captions_per_video)
             feat_a = _onehot_pair(nc, nc + 1, no, no + 1)  # 'none' + fixed object bins
             feat_b = _onehot_pair(combo // nv, na + 1, combo % nv, nv + 1)
         records.append(VideoRecord(id=vid, category=category, captions=captions, split=split))
@@ -366,6 +358,8 @@ def stage_rng(cfg: ExperimentConfig, k: int) -> np.random.Generator:
     """Stream k of cfg.seed: 0 for the data, i + 1 for roster model i and
     len(cfg.models) + 1 for the evaluator. It equals stream k of
     SeedSequence(cfg.seed).spawn(n) for every n > k."""
+    if cfg.seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {cfg.seed}")
     seq = np.random.SeedSequence(cfg.seed, spawn_key=(k,))
     return np.random.Generator(np.random.PCG64(seq))
 
@@ -486,14 +480,13 @@ def save_chosen(chosen: dict[str, str], path) -> None:
         json.dump(chosen, f, sort_keys=True, indent=1)
 
 
-def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
-                   store: FeatureStore | None = None,
-                   out_dir: str | None = None) -> RunResult:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
     """Train every roster model and the evaluator, generate candidate pools on
     the eval split, rerank, and score singles plus the ensemble."""
     with _stage("data"):
-        if dataset is None or store is None:
-            dataset, store = load_data(cfg)
+        if not cfg.models:
+            raise ParameterError("the model roster is empty")
+        dataset, store = load_data(cfg)
         # Fail before any training on an empty split or a missing feature.
         first_id = _records(dataset, "train")[0].id
         _records(dataset, cfg.eval_split)
@@ -541,8 +534,6 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None,
         vocab.save(out / "vocab.tsv")
         dump_pools(pools, out / "pools.jsonl")
         save_chosen(chosen, out / "chosen.json")
-        with open(out / "results.txt", "w", encoding="utf-8") as f:
-            f.write(table)
-        with open(out / "results.json", "w", encoding="utf-8") as f:
-            f.write(result.to_json() + "\n")
+        (out / "results.txt").write_text(table, encoding="utf-8")
+        (out / "results.json").write_text(result.to_json() + "\n", encoding="utf-8")
     return result

@@ -19,6 +19,8 @@ Params = dict[str, np.ndarray]
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator (PCG64). Same seed gives the same stream
     on every platform."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -3,15 +3,16 @@
 `ref_forward` runs one time step at a time through the whole residual stack,
 with one input projection, one output projection and one softmax per step;
 `ref_backward` walks the steps in reverse and adds every weight gradient one
-step at a time. Each step draws its own dropout masks: one per layer input
-(layer 1 first), then, at steps t >= 1, one for the top output. They serve
-as oracles for `vidcap.decoder`, in the same spirit as `reference_evaluator.py`
-for the evaluator.
+step at a time. The dropout masks are drawn up front as `vidcap.decoder`
+draws them, one (L, B, .) tensor per layer input (layer 1 first), then one
+(L - 1, B, H) tensor for the top output, and step t reads row t of each. They
+serve as oracles for `vidcap.decoder`, in the same spirit as
+`reference_evaluator.py` for the evaluator.
 """
 
 import numpy as np
 
-from vidcap.decoder import make_batch, zero_states
+from vidcap.decoder import make_batch
 from vidcap.numerics import dropout_mask, log_softmax, sigmoid
 from vidcap.text import PAD
 
@@ -48,19 +49,22 @@ def ref_forward(params, cfg, batch, rng):
     n_pred = pred_mask.sum()
     rate = cfg.dropout_rate if rng is not None else 0.0
     rows = np.arange(B)
-    states = zero_states(cfg, B)
+    states = [(np.zeros((B, cfg.hidden)), np.zeros((B, cfg.hidden))) for _ in range(cfg.depth)]
     x_init = batch.init @ params["init_W"].T + params["init_b"]
+    if rate > 0.0:
+        layer_masks = [dropout_mask((L, B, cfg.layer_input_dim(layer)), rate, rng)
+                       for layer in range(1, cfg.depth + 1)]
+        top_masks = dropout_mask((L - 1, B, cfg.hidden), rate, rng)
     steps = []
     logprobs = np.zeros((B, L))
     for t in range(L):
         x_emb = x_init if t == 0 else params["embed"][batch.targets[:, t - 1]]
         u = np.concatenate([x_emb, batch.persist], axis=1)
-        masks = [dropout_mask((B, cfg.layer_input_dim(layer)), rate, rng)
-                 for layer in range(1, cfg.depth + 1)] if rate > 0.0 else None
+        masks = [mask[t] for mask in layer_masks] if rate > 0.0 else None
         top, states, layer_caches = _stack_step_cached(u, states, params, cfg, masks)
         step = {"layers": layer_caches, "masks": masks}
         if t >= 1:
-            top_mask = dropout_mask((B, cfg.hidden), rate, rng) if rate > 0.0 else None
+            top_mask = top_masks[t - 1] if rate > 0.0 else None
             top_used = top if top_mask is None else top * top_mask
             logits = top_used @ params["out_W"].T + params["out_b"]
             lp = log_softmax(logits, axis=1)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from vidcap import decoder, harness
 from vidcap.binio import write_feature_file
 from vidcap.cli import main
 from vidcap.decoder import LMConfig, init_lm_params, save_lm
@@ -328,3 +329,101 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_run", boom)
         assert cli.main(["run"]) == 3
 
+
+
+def _descriptors(path, n_videos=4, rows=12):
+    rng = make_rng(0)
+    doc = {"videos": {f"v{i}": {ch: rng.normal(size=(rows, 5)).tolist()
+                                for ch in DESCRIPTOR_CHANNELS} for i in range(n_videos)}}
+    path.write_text(json.dumps(doc))
+    return doc
+
+
+class TestConfigValues:
+    """Values that would train nothing or crash are usage errors, checked where
+    they are used, so `run`, the stage commands and direct callers agree; zero
+    epochs is a valid no-op that leaves the initial parameters."""
+
+    @pytest.mark.parametrize("command, flags, overrides, code", [
+        ("run", [], {"batch_size": -3}, 1),
+        ("run", [], {"batch_size": 0}, 1),
+        ("run", [], {"seed": -1}, 1),
+        ("run", ["--seed", "-5"], {}, 1),
+        ("run", [], {"models": []}, 1),
+        ("train-lm", ["--model", "m-a"], {"lm_epochs": 0}, 0),
+        ("train-lm", ["--model", "m-a"], {"lm_epochs": -1}, 1),
+        ("train-eval", [], {"eval_epochs": 0}, 0),
+        ("train-eval", [], {"eval_epochs": -1}, 1),
+        ("codebook", ["--seed", "-1"], None, 1),
+    ])
+    def test_exit_code_without_traceback(self, workspace, tmp_path, capsys, monkeypatch,
+                                         command, flags, overrides, code):
+        root, cfg_path = workspace
+        trained = []
+        real_step, real_train_evaluator = decoder.train_step, harness.train_evaluator
+        monkeypatch.setattr(decoder, "train_step",
+                            lambda *a: trained.append("lm") or real_step(*a))
+        monkeypatch.setattr(harness, "train_evaluator",
+                            lambda *a, **k: trained.append("eval") or real_train_evaluator(*a, **k))
+        if command == "codebook":
+            _descriptors(tmp_path / "desc.json")
+            args = ["--descriptors", str(tmp_path / "desc.json"), "--channel", "HOG",
+                    "--k", "2", "--out", str(tmp_path / "b.vcbk")]
+        else:
+            cfg = {**json.loads(cfg_path.read_text()), **overrides}
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            args = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+            if command != "run":
+                args += _stage_inputs(root)
+        assert main([command, *args, *flags]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code:
+            assert "usage error" in captured.err
+            assert command != "run" or trained == []  # rejected before any training
+        else:
+            assert "final" in captured.out and "loss none" in captured.out
+
+
+class TestFlagPaths:
+    def test_seed_flag_overrides_config_seed(self, tmp_path):
+        cfg = {"lm_epochs": 1, "eval_epochs": 1, "hidden": 8, "embed_dim": 8, "joint_dim": 8,
+               "filters_per_width": 4, "min_count": 1, "synth": {"n_videos": 16},
+               "models": [{"tag": "m", "init_feature": "categ", "persist_feature": "feat-a",
+                           "depth": 1}]}
+        for seed in (2, 5):
+            (tmp_path / f"cfg{seed}.json").write_text(json.dumps({**cfg, "seed": seed}))
+        assert main(["run", "--config", str(tmp_path / "cfg2.json"), "--seed", "5",
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert main(["run", "--config", str(tmp_path / "cfg5.json"),
+                     "--out", str(tmp_path / "config")]) == 0
+        written = sorted(p.name for p in (tmp_path / "config").iterdir())
+        assert len(written) == 9
+        assert sorted(p.name for p in (tmp_path / "flag").iterdir()) == written
+        for name in written:
+            assert (tmp_path / "flag" / name).read_bytes() == \
+                (tmp_path / "config" / name).read_bytes(), name
+
+    def test_model_without_path_is_1(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        assert main(["generate", *_stage_inputs(root), "--model", "m-a", "--config",
+                     str(cfg_path), "--out", str(tmp_path / "pool.jsonl")]) == 1
+        assert "tag=path" in capsys.readouterr().err
+
+    def test_codebook_max_samples_subsamples(self, tmp_path):
+        from vidcap.features import Codebook, kmeans
+        doc = _descriptors(tmp_path / "desc.json")
+        out = tmp_path / "hog.vcbk"
+        assert main(["codebook", "--descriptors", str(tmp_path / "desc.json"), "--channel",
+                     "HOG", "--k", "3", "--max-samples", "10", "--seed", "4",
+                     "--out", str(out)]) == 0
+        samples = np.concatenate([doc["videos"][vid]["HOG"] for vid in sorted(doc["videos"])])
+        rng = make_rng(4)
+        picked = samples[np.sort(rng.choice(len(samples), size=10, replace=False))]
+        centroids, _, _ = kmeans(picked, 3, rng)
+        assert np.array_equal(Codebook.load(out).centroids, centroids.astype(np.float32))
+
+    def test_bof_without_descriptors_is_1(self, tmp_path, capsys):
+        assert main(["encode", "--kind", "bof", "--name", "x",
+                     "--out", str(tmp_path / "x.vfea")]) == 1
+        assert "--descriptors" in capsys.readouterr().err

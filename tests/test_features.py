@@ -14,7 +14,6 @@ from vidcap.features import (
     kmeans,
     mean_pool,
     pyramid_pool,
-    train_codebook,
 )
 from vidcap.harness import FeatureStore
 from vidcap.numerics import make_rng
@@ -130,6 +129,23 @@ class TestKmeans:
     def test_too_few_samples(self):
         with pytest.raises(ParameterError):
             kmeans(np.zeros((3, 2)), 4, make_rng(0))
+
+    @pytest.mark.parametrize("n_distinct, k", [(1, 3), (3, 5), (4, 7)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fewer_distinct_points_than_k(self, n_distinct, k, seed):
+        """k-means++ runs out of mass (every remaining point is a chosen
+        duplicate), and the duplicate centroids start empty and are reseeded.
+        The objective starts at 0; the mean of equal points can round an ulp
+        off them, so it may rise by rounding, never by more."""
+        rng = make_rng(seed)
+        distinct = rng.normal(size=(n_distinct, 3))
+        pts = distinct[rng.permutation(np.arange(3 * k) % n_distinct)]
+        centroids, assignments, history = kmeans(pts, k, make_rng(seed + 10))
+        assert history[0] == 0.0
+        assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
+        assert np.isfinite(centroids).all()
+        assert assignments.shape == (len(pts),)
+        assert ((0 <= assignments) & (assignments < k)).all()
 
 
 def _books(k=5, d=3):
@@ -249,7 +265,8 @@ class TestConcatFeatures:
 class TestCodebookFile:
     def test_round_trip(self, tmp_path):
         rng = make_rng(12)
-        book = train_codebook(rng.normal(size=(40, 6)), 5, rng, channel="HOG")
+        centroids, _, _ = kmeans(rng.normal(size=(40, 6)), 5, rng)
+        book = Codebook("HOG", centroids)
         path = tmp_path / "hog.vcbk"
         book.save(path)
         loaded = Codebook.load(path)

@@ -9,13 +9,23 @@ ExperimentConfig JSON given by --config (the defaults without one; --seed
 overrides its seed). Their other flags name input and output files. Exit
 codes: 0 success, 1 usage error, 2 data error (a malformed artifact, config
 or JSON input, named in the message), 3 numeric error.
+
+BLAS runs one thread per process unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+or MKL_NUM_THREADS is set: the matrices here are small, and `run` trains in a
+second process beside the first one instead (harness.run_experiment).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# Before numpy loads: BLAS reads these when it starts its thread pool.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
 
 import numpy as np
 

@@ -149,8 +149,10 @@ def kmeans(
 
     Returns (centroids, assignments, objective history). The history holds the
     total squared quantization error after each assignment step and is
-    non-increasing. Empty clusters are reseeded with the point farthest from
-    its assigned centroid. Stops at an assignment fixpoint or max_iters.
+    non-increasing up to rounding. Empty clusters are reseeded with the point
+    farthest from its assigned centroid. Stops when the assignments repeat,
+    when the objective does not fall below the previous one (fewer distinct
+    points than k can otherwise flip tied assignments forever), or at max_iters.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
@@ -167,9 +169,11 @@ def kmeans(
         d2 = _sq_dists(samples, centroids)
         new_assign = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), new_assign].sum()))
-        if assignments is not None and np.array_equal(new_assign, assignments):
-            break
+        stalled = len(history) > 1 and (history[-1] >= history[-2]
+                                        or np.array_equal(new_assign, assignments))
         assignments = new_assign
+        if stalled:
+            break
         point_err = d2[np.arange(n), assignments]
         for j in range(k):
             members = assignments == j

@@ -4,7 +4,8 @@ train -> generate -> rerank -> score experiment driver."""
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -353,6 +354,14 @@ def _format_table(model_rows: list[dict], ensemble_row: dict) -> str:
 # memory, and each stagewise CLI subcommand loads a stage's inputs from files,
 # calls it and saves its output. A stage draws from its own stream of the
 # config seed, so it gives the same result whichever way it is run.
+#
+# The training stages are independent, so run_experiment overlaps them when a
+# second process can run beside the calling one (_can_fork): a forked worker
+# trains roster models 2..k while the calling process trains model 1 and then
+# the evaluator. One stage of each kind stays in the calling process, so
+# tracers and profilers there still see every layer. No result depends on the
+# split: each stage draws only from its own stream, the worker's models come
+# back bit-exact, and errors are raised in the order a sequential run meets them.
 
 def stage_rng(cfg: ExperimentConfig, k: int) -> np.random.Generator:
     """Stream k of cfg.seed: 0 for the data, i + 1 for roster model i and
@@ -480,12 +489,88 @@ def save_chosen(chosen: dict[str, str], path) -> None:
         json.dump(chosen, f, sort_keys=True, indent=1)
 
 
+def _can_fork() -> bool:
+    """Whether a forked worker can run beside this process: it may use two or
+    more CPUs and runs a single thread. Another thread would not exist in the
+    child, and a BLAS thread pool would compete with the child for the CPUs:
+    with OpenBLAS's default pool on a 2-CPU machine, a default run_experiment
+    took 9-19 s with the worker against 4.6-6.6 s without it. The `vidcap`
+    command pins BLAS to one thread, so its `run` passes. Where the thread
+    count cannot be read (no /proc), the answer is no."""
+    try:
+        return len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
+    except (AttributeError, OSError):
+        return False
+
+
+@contextmanager
+def _worker(fn, stage: str):
+    """Run fn() in a forked child process while the with-block runs; the block
+    gets a `join` that returns fn's result or raises the exception it raised.
+    The child always leaves through os._exit, and the parent kills and reaps
+    it on every way out of the block. `stage` names the work in the error
+    raised when the child dies without a result."""
+    import pickle  # not at module level: every module-level import adds to a cold start
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, fn())
+            except Exception as e:
+                outcome = (False, e)
+            with os.fdopen(write_fd, "wb") as f:
+                pickle.dump(outcome, f, protocol=pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    reader = os.fdopen(read_fd, "rb")
+    alive = True
+
+    def join():
+        nonlocal alive
+        data = reader.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        alive = False
+        if code != 0:
+            how = f"signal {-code}" if code < 0 else f"exit code {code}"
+            raise ChildProcessError(f"[{stage}] the worker process ended by {how} "
+                                    "without a result")
+        ok, value = pickle.loads(data)  # bytes our own child wrote
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield join
+    finally:
+        reader.close()
+        if alive:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
     """Train every roster model and the evaluator, generate candidate pools on
-    the eval split, rerank, and score singles plus the ensemble."""
+    the eval split, rerank, and score singles plus the ensemble.
+
+    When _can_fork() allows, a forked worker process trains roster models
+    2..k while this process trains model 1 and then the evaluator; one stage
+    of each kind stays here so that tracers and profilers still see every
+    layer. No result depends on the split, and an error is raised as a
+    sequential run would raise it: the first failing model in roster order,
+    then the evaluator. No worker process outlives the call."""
     with _stage("data"):
         if not cfg.models:
             raise ParameterError("the model roster is empty")
+        for name in ("lm_epochs", "eval_epochs"):
+            if getattr(cfg, name) < 0:
+                raise ParameterError(f"{name} must be >= 0, got {getattr(cfg, name)}")
         dataset, store = load_data(cfg)
         # Fail before any training on an empty split or a missing feature.
         first_id = _records(dataset, "train")[0].id
@@ -496,19 +581,34 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         store.get(first_id, cfg.evaluator_feature)
         vocab = make_vocab(cfg, dataset)
 
-    models: list[GeneratorModel] = []
-    model_rows: list[dict] = []
-    for spec in cfg.models:
+    def train(spec: ModelSpec) -> GeneratorModel:
         with _stage(f"train-lm:{spec.tag}"):
-            model, _ = fit_generator(cfg, spec.tag, dataset, store, vocab)
-            models.append(model)
-            model_rows.append({"tag": spec.tag, "init": spec.init_feature,
-                               "persist": spec.persist_feature, "depth": spec.depth,
-                               "perplexity": generator_perplexity(cfg, model, dataset,
-                                                                  store, vocab)})
+            return fit_generator(cfg, spec.tag, dataset, store, vocab)[0]
 
-    with _stage("train-eval"):
-        eval_cfg, eval_params, _ = fit_evaluator(cfg, dataset, store, vocab)
+    def model_row(spec: ModelSpec, model: GeneratorModel) -> dict:
+        with _stage(f"train-lm:{spec.tag}"):
+            return {"tag": spec.tag, "init": spec.init_feature,
+                    "persist": spec.persist_feature, "depth": spec.depth,
+                    "perplexity": generator_perplexity(cfg, model, dataset, store, vocab)}
+
+    first, rest = cfg.models[0], cfg.models[1:]
+
+    def train_rest() -> list[GeneratorModel]:
+        return [train(spec) for spec in rest]
+
+    eval_error = None
+    with (_worker(train_rest, "train-lm:" + ",".join(spec.tag for spec in rest))
+          if rest and _can_fork() else nullcontext(train_rest)) as join:
+        models = [train(first)]
+        try:
+            with _stage("train-eval"):
+                eval_cfg, eval_params, _ = fit_evaluator(cfg, dataset, store, vocab)
+        except Exception as e:  # raised after the worker's models, as in roster order
+            eval_error = e
+        models += join()
+    model_rows = [model_row(spec, model) for spec, model in zip(cfg.models, models)]
+    if eval_error is not None:
+        raise eval_error
 
     with _stage("generate-rerank"):
         pools = generate_pools(cfg, models, dataset, store, vocab)

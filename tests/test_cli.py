@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vidcap import decoder, harness
+from vidcap import cli, decoder, harness
 from vidcap.binio import write_feature_file
 from vidcap.cli import main
 from vidcap.decoder import LMConfig, init_lm_params, save_lm
@@ -341,8 +345,9 @@ def _descriptors(path, n_videos=4, rows=12):
 
 class TestConfigValues:
     """Values that would train nothing or crash are usage errors, checked where
-    they are used, so `run`, the stage commands and direct callers agree; zero
-    epochs is a valid no-op that leaves the initial parameters."""
+    they are used, so `run`, the stage commands and direct callers agree, and
+    `run` checks the epoch counts before it trains anything; zero epochs is a
+    valid no-op that leaves the initial parameters."""
 
     @pytest.mark.parametrize("command, flags, overrides, code", [
         ("run", [], {"batch_size": -3}, 1),
@@ -355,6 +360,8 @@ class TestConfigValues:
         ("train-eval", [], {"eval_epochs": 0}, 0),
         ("train-eval", [], {"eval_epochs": -1}, 1),
         ("codebook", ["--seed", "-1"], None, 1),
+        ("run", [], {"lm_epochs": -1}, 1),
+        ("run", [], {"eval_epochs": -1}, 1),
     ])
     def test_exit_code_without_traceback(self, workspace, tmp_path, capsys, monkeypatch,
                                          command, flags, overrides, code):
@@ -427,3 +434,21 @@ class TestFlagPaths:
         assert main(["encode", "--kind", "bof", "--name", "x",
                      "--out", str(tmp_path / "x.vfea")]) == 1
         assert "--descriptors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, pinned", [({}, "1"), ({"OMP_NUM_THREADS": "2"}, None)],
+                         ids=["unset", "caller-set"])
+def test_cli_pins_blas_unless_the_caller_did(preset, pinned):
+    """Importing the CLI in a fresh interpreter pins BLAS to one thread before
+    numpy loads, so `run` trains in a worker beside the calling process on two
+    or more CPUs; a thread count the caller set is left alone."""
+    probe = "import os, vidcap.cli as c; " \
+            "print(repr(os.environ.get('OPENBLAS_NUM_THREADS')), c.harness._can_fork())"
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREADS}
+    env.update(preset, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    value, can_fork = out.stdout.split()
+    assert value == repr(pinned)
+    if pinned:
+        assert can_fork == str(len(os.sched_getaffinity(0)) > 1)

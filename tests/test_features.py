@@ -147,6 +147,15 @@ class TestKmeans:
         assert assignments.shape == (len(pts),)
         assert ((0 <= assignments) & (assignments < k)).all()
 
+    def test_stops_once_the_objective_stops_falling(self):
+        """Nine copies of one point: the mean of the copies rounds an ulp off
+        them, so tied assignments would flip between that centroid and an
+        exact reseeded one for all max_iters iterations."""
+        pts = np.tile(make_rng(1).normal(size=3), (9, 1))
+        centroids, assignments, history = kmeans(pts, 3, make_rng(1))
+        assert history == [0.0, 0.0]
+        assert np.allclose(centroids[assignments], pts, rtol=0.0, atol=1e-15)
+
 
 def _books(k=5, d=3):
     rng = make_rng(11)

@@ -1,13 +1,17 @@
 import json
 import math
+import os
+import signal
+import threading
 from collections import Counter
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from vidcap import binio, harness
-from vidcap.errors import DataError, FormatError, ParameterError
+from vidcap import binio, cli, harness
+from vidcap.errors import DataError, FormatError, NumericError, ParameterError
 from vidcap.harness import (
     Dataset,
     ExperimentConfig,
@@ -284,3 +288,154 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         for caption in result.chosen.values():
             assert "<" not in caption and ">" not in caption
+
+
+def _two_specialists() -> ExperimentConfig:
+    """A small two-model roster whose models tell apart by depth in fit_lm."""
+    cfg = ExperimentConfig(seed=4, lm_epochs=2, eval_epochs=1, n_negatives=5,
+                           hidden=16, embed_dim=16, joint_dim=16, filters_per_width=4,
+                           min_count=1, synth=SynthConfig(n_videos=30))
+    cfg.models = [ModelSpec("m-a", "categ", "feat-a", depth=1),
+                  ModelSpec("m-b", "categ", "feat-b", depth=2)]
+    return cfg
+
+
+def _fail_model(monkeypatch, depth: int, fail) -> None:
+    """Make fit_lm call fail() for the roster model of the given depth; a
+    forked worker inherits the patch."""
+    real_fit_lm = harness.fit_lm
+
+    def fit_lm(params, lm_cfg, *args, **kwargs):
+        if lm_cfg.depth == depth:
+            fail()
+        return real_fit_lm(params, lm_cfg, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_lm", fit_lm)
+
+
+def _raise(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+def _count_forks(monkeypatch) -> list:
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture(params=[False, True], ids=["in-process", "forked"])
+def split(request, monkeypatch):
+    """Force run_experiment's training split to one path, and count its forks."""
+    monkeypatch.setattr(harness, "_can_fork", lambda: request.param)
+    yield SimpleNamespace(forked=request.param, forks=_count_forks(monkeypatch))
+    assert _no_child_left()
+
+
+class TestTrainingWorker:
+    """Roster models 2..k train in a forked worker when _can_fork() allows;
+    the results, the errors and the processes left over do not depend on it."""
+
+    def test_can_fork_needs_two_cpus_and_one_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "listdir", lambda path: ["1"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not harness._can_fork()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert harness._can_fork()
+        monkeypatch.undo()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert not harness._can_fork()
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_can_fork_without_proc_says_no(self, monkeypatch):
+        def no_proc(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "listdir", no_proc)
+        assert not harness._can_fork()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert not harness._can_fork()
+
+    def test_artifacts_identical_on_both_paths(self, monkeypatch, tmp_path):
+        outputs = {}
+        for fork in (False, True):
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "_can_fork", lambda: fork)
+                forks = _count_forks(patch)
+                out = tmp_path / str(fork)
+                run_experiment(_two_specialists(), out_dir=out)
+            assert len(forks) == fork
+            outputs[fork] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(outputs[True]) == 9
+        assert outputs[True] == outputs[False]
+        assert _no_child_left()
+
+    def test_worker_error_keeps_its_stage_and_exit_code(self, split, monkeypatch, tmp_path,
+                                                       capsys):
+        _fail_model(monkeypatch, 2, _raise(NumericError("loss went non-finite")))
+        (tmp_path / "cfg.json").write_text(json.dumps(asdict(_two_specialists())))
+        assert cli.main(["run", "--config", str(tmp_path / "cfg.json")]) == 3
+        err = capsys.readouterr().err
+        assert "[train-lm:m-b] loss went non-finite" in err and "Traceback" not in err
+        assert len(split.forks) == split.forked
+
+    def test_roster_order_wins_over_the_evaluator(self, split, monkeypatch):
+        _fail_model(monkeypatch, 2, _raise(NumericError("m-b diverged")))
+        monkeypatch.setattr(harness, "train_evaluator",
+                            lambda *a, **k: _raise(DataError("evaluator failed"))())
+        with pytest.raises(NumericError, match=r"^\[train-lm:m-b\] m-b diverged$"):
+            run_experiment(_two_specialists())
+
+    def test_evaluator_error_raised_after_the_worker_joins(self, split, monkeypatch):
+        monkeypatch.setattr(harness, "train_evaluator",
+                            lambda *a, **k: _raise(DataError("evaluator failed"))())
+        with pytest.raises(DataError, match=r"^\[train-eval\] evaluator failed$"):
+            run_experiment(_two_specialists())
+        assert len(split.forks) == split.forked
+
+    @pytest.mark.parametrize("exc", [NumericError("m-a diverged"), KeyboardInterrupt()],
+                             ids=["numeric", "interrupt"])
+    def test_first_model_error_stops_the_worker(self, split, monkeypatch, exc):
+        _fail_model(monkeypatch, 1, _raise(exc))
+        with pytest.raises(type(exc)):
+            run_experiment(_two_specialists())
+        assert len(split.forks) == split.forked
+
+    def test_killed_worker_is_a_child_process_error(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(harness, "_can_fork", lambda: True)
+        parent = os.getpid()
+
+        def die():
+            assert os.getpid() != parent, "m-b must train in the worker"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        _fail_model(monkeypatch, 2, die)
+        (tmp_path / "cfg.json").write_text(json.dumps(asdict(_two_specialists())))
+        assert cli.main(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert "[train-lm:m-b] the worker process ended by signal 9" in err
+        assert "Traceback" not in err
+        assert _no_child_left()
+
+    def test_single_model_roster_does_not_fork(self, split):
+        cfg = _two_specialists()
+        cfg.models = cfg.models[:1]
+        run_experiment(cfg)
+        assert split.forks == []

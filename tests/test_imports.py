@@ -2,6 +2,9 @@
 its line is marked `# noqa: F401` (an import kept for another module to find)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,14 @@ def test_scan_finds_an_unread_import():
     source = "import os\nfrom json import dumps, loads\nfrom re import sub  # noqa: F401\n" \
              "print(loads)\n"
     assert unread_imports(source) == ["line 1: os", "line 2: dumps"]
+
+
+def test_harness_import_loads_no_process_pool():
+    """A cold `import vidcap.harness` is the benchmark's set-up time; the
+    training worker's fork needs neither of these packages."""
+    probe = "import sys, vidcap.harness; " \
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

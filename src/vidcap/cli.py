@@ -96,7 +96,7 @@ def _load_generator(item: str) -> GeneratorModel:
 
 def cmd_synth(args) -> int:
     cfg = _experiment_config(args)
-    dataset, store = harness.synth_generate(cfg.synth, harness.stage_rng(cfg, 0))
+    dataset, store = harness.synth_generate(cfg.synth, make_rng(cfg.seed, 0))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.write_data(dataset, store, out)

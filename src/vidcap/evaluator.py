@@ -21,7 +21,7 @@ import numpy as np
 
 from . import binio
 from .errors import DataError, DimensionError, NumericError, ParameterError
-from .numerics import OptState, Params, rmsprop_decay, rmsprop_update
+from .numerics import OptState, Params, check_fits_in_memory, rmsprop_decay, rmsprop_update
 from .text import PAD, EOS, Vocabulary, encode, tokenize
 
 
@@ -49,6 +49,7 @@ class EvaluatorConfig:
             raise ParameterError(f"margin must be > 0, got {self.margin}")
         if self.n_negatives < 1:
             raise ParameterError(f"n_negatives must be >= 1, got {self.n_negatives}")
+        check_fits_in_memory(evaluator_param_shapes(self), "the evaluator's")
 
 
 def evaluator_param_shapes(cfg: EvaluatorConfig) -> dict[str, tuple[int, ...]]:

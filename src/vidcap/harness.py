@@ -18,7 +18,7 @@ from .errors import DataError, FormatError, ParameterError, VidcapError
 from .evaluator import EvaluatorConfig, train_evaluator
 from .generation import GenerationConfig
 from .metrics import MetricReport, score_captions
-from .numerics import OptState, Params
+from .numerics import OptState, Params, make_rng
 from .text import Vocabulary, build_vocab, encode, tokenize
 
 N_CATEGORIES = 20
@@ -353,24 +353,17 @@ def _format_table(model_rows: list[dict], ensemble_row: dict) -> str:
 # Each stage has one implementation: run_experiment chains the stages in
 # memory, and each stagewise CLI subcommand loads a stage's inputs from files,
 # calls it and saves its output. A stage draws from its own stream of the
-# config seed, so it gives the same result whichever way it is run.
+# config seed, make_rng(cfg.seed, k) with k = 0 for the data, i + 1 for roster
+# model i and len(cfg.models) + 1 for the evaluator, so it gives the same
+# result whichever way it is run.
 #
 # The training stages are independent, so run_experiment overlaps them when a
 # second process can run beside the calling one (_can_fork): a forked worker
 # trains roster models 2..k while the calling process trains model 1 and then
 # the evaluator. One stage of each kind stays in the calling process, so
 # tracers and profilers there still see every layer. No result depends on the
-# split: each stage draws only from its own stream, the worker's models come
-# back bit-exact, and errors are raised in the order a sequential run meets them.
-
-def stage_rng(cfg: ExperimentConfig, k: int) -> np.random.Generator:
-    """Stream k of cfg.seed: 0 for the data, i + 1 for roster model i and
-    len(cfg.models) + 1 for the evaluator. It equals stream k of
-    SeedSequence(cfg.seed).spawn(n) for every n > k."""
-    if cfg.seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {cfg.seed}")
-    seq = np.random.SeedSequence(cfg.seed, spawn_key=(k,))
-    return np.random.Generator(np.random.PCG64(seq))
+# split: each stage draws only from its own stream, and the worker's models
+# come back bit-exact.
 
 
 def _records(dataset: Dataset, split: str) -> list[VideoRecord]:
@@ -388,7 +381,7 @@ def load_data(cfg: ExperimentConfig) -> tuple[Dataset, FeatureStore]:
     """The files cfg.data_path and cfg.feature_paths, or the synthetic
     benchmark drawn from stream 0 when data_path is unset."""
     if not cfg.data_path:
-        return synth_generate(cfg.synth, stage_rng(cfg, 0))
+        return synth_generate(cfg.synth, make_rng(cfg.seed, 0))
     return load_dataset(cfg.data_path), load_features(*cfg.feature_paths)
 
 
@@ -405,6 +398,27 @@ def make_vocab(cfg: ExperimentConfig, dataset: Dataset) -> Vocabulary:
                        cfg.min_count)
 
 
+def lm_config(cfg: ExperimentConfig, spec: ModelSpec, store: FeatureStore,
+              vocab: Vocabulary) -> LMConfig:
+    return LMConfig(vocab_size=len(vocab), init_dim=store.dim(spec.init_feature),
+                    persist_dim=store.dim(spec.persist_feature), depth=spec.depth,
+                    hidden=cfg.hidden, embed_dim=cfg.embed_dim, dropout_rate=cfg.dropout_rate)
+
+
+def evaluator_config(cfg: ExperimentConfig, store: FeatureStore,
+                     vocab: Vocabulary) -> EvaluatorConfig:
+    return EvaluatorConfig(
+        vocab_size=len(vocab), video_dim=store.dim(cfg.evaluator_feature),
+        embed_dim=cfg.eval_embed_dim, filter_widths=cfg.filter_widths,
+        filters_per_width=cfg.filters_per_width, joint_dim=cfg.joint_dim,
+        margin=cfg.margin, n_negatives=cfg.n_negatives,
+        feature_name=cfg.evaluator_feature)
+
+
+def generation_config(cfg: ExperimentConfig) -> GenerationConfig:
+    return GenerationConfig(beam_size=cfg.beam_size, max_len=cfg.max_len)
+
+
 def fit_generator(cfg: ExperimentConfig, tag: str, dataset: Dataset, store: FeatureStore,
                   vocab: Vocabulary) -> tuple[GeneratorModel, list[float]]:
     """Train the roster model `tag` on the train split; returns the model and
@@ -416,13 +430,8 @@ def fit_generator(cfg: ExperimentConfig, tag: str, dataset: Dataset, store: Feat
         raise ParameterError(f"no model {tag!r} in the roster; its tags are {tags}")
     i = tags.index(tag)
     spec = cfg.models[i]
-    rng = stage_rng(cfg, i + 1)
-    lm_cfg = LMConfig(
-        vocab_size=len(vocab),
-        init_dim=store.dim(spec.init_feature),
-        persist_dim=store.dim(spec.persist_feature),
-        depth=spec.depth, hidden=cfg.hidden, embed_dim=cfg.embed_dim,
-        dropout_rate=cfg.dropout_rate)
+    rng = make_rng(cfg.seed, i + 1)
+    lm_cfg = lm_config(cfg, spec, store, vocab)
     params = init_lm_params(lm_cfg, rng)
     examples = lm_examples(_records(dataset, "train"), store, vocab, spec.init_feature,
                            spec.persist_feature)
@@ -446,22 +455,17 @@ def fit_evaluator(cfg: ExperimentConfig, dataset: Dataset, store: FeatureStore,
                   vocab: Vocabulary) -> tuple[EvaluatorConfig, Params, list[float]]:
     """Train the caption-video evaluator on the train split; returns its
     config, its parameters and its mean loss per epoch."""
-    eval_cfg = EvaluatorConfig(
-        vocab_size=len(vocab), video_dim=store.dim(cfg.evaluator_feature),
-        embed_dim=cfg.eval_embed_dim, filter_widths=cfg.filter_widths,
-        filters_per_width=cfg.filters_per_width, joint_dim=cfg.joint_dim,
-        margin=cfg.margin, n_negatives=cfg.n_negatives,
-        feature_name=cfg.evaluator_feature)
+    eval_cfg = evaluator_config(cfg, store, vocab)
     params, history = train_evaluator(
         _records(dataset, "train"), lambda vid: store.get(vid, cfg.evaluator_feature), vocab,
-        eval_cfg, stage_rng(cfg, len(cfg.models) + 1), opt=_opt(cfg), epochs=cfg.eval_epochs)
+        eval_cfg, make_rng(cfg.seed, len(cfg.models) + 1), opt=_opt(cfg), epochs=cfg.eval_epochs)
     return eval_cfg, params, history
 
 
 def generate_pools(cfg: ExperimentConfig, models: list[GeneratorModel], dataset: Dataset,
                    store: FeatureStore, vocab: Vocabulary) -> list[CandidatePool]:
     """One beam-search candidate per model for each eval-split video, in id order."""
-    gen_cfg = GenerationConfig(beam_size=cfg.beam_size, max_len=cfg.max_len)
+    gen_cfg = generation_config(cfg)
     records = sorted(_records(dataset, cfg.eval_split), key=lambda r: r.id)
     return [generate_pool(models, r.id, store.get, gen_cfg, vocab) for r in records]
 
@@ -510,8 +514,8 @@ def _worker(fn, stage: str):
     The child always leaves through os._exit, and the parent kills and reaps
     it on every way out of the block. `stage` names the work in the error
     raised when the child dies without a result."""
-    import pickle  # not at module level: every module-level import adds to a cold start
-    import signal
+    import pickle  # numpy has loaded it already; imported here, beside its one use
+    import signal  # not at module level: no cold import of this module loads it (~0.8 ms)
 
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -559,12 +563,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     """Train every roster model and the evaluator, generate candidate pools on
     the eval split, rerank, and score singles plus the ensemble.
 
-    When _can_fork() allows, a forked worker process trains roster models
-    2..k while this process trains model 1 and then the evaluator; one stage
-    of each kind stays here so that tracers and profilers still see every
-    layer. No result depends on the split, and an error is raised as a
-    sequential run would raise it: the first failing model in roster order,
-    then the evaluator. No worker process outlives the call."""
+    The data stage builds every config and reads every feature, so bad input
+    fails before training. When _can_fork() allows, a forked worker trains
+    roster models 2..k while this process trains model 1 and then the
+    evaluator. No result depends on it; the first error raised is the first in
+    run order (model 1, the evaluator, models 2..k, the perplexities), and no
+    worker process outlives the call."""
     with _stage("data"):
         if not cfg.models:
             raise ParameterError("the model roster is empty")
@@ -572,14 +576,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
             if getattr(cfg, name) < 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(cfg, name)}")
         dataset, store = load_data(cfg)
-        # Fail before any training on an empty split or a missing feature.
-        first_id = _records(dataset, "train")[0].id
-        _records(dataset, cfg.eval_split)
-        for spec in cfg.models:
-            store.get(first_id, spec.init_feature)
-            store.get(first_id, spec.persist_feature)
-        store.get(first_id, cfg.evaluator_feature)
         vocab = make_vocab(cfg, dataset)
+        names = [cfg.evaluator_feature]
+        for spec in cfg.models:
+            lm_config(cfg, spec, store, vocab)
+            names += [spec.init_feature, spec.persist_feature]
+        _opt(cfg), evaluator_config(cfg, store, vocab), generation_config(cfg)
+        for r in _records(dataset, "train") + _records(dataset, cfg.eval_split):
+            for name in names:
+                store.get(r.id, name)
+        if out_dir is not None:
+            try:
+                Path(out_dir).mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                raise DataError(f"cannot create the output directory {out_dir}: "
+                                f"{e.strerror or e}") from None
 
     def train(spec: ModelSpec) -> GeneratorModel:
         with _stage(f"train-lm:{spec.tag}"):
@@ -596,19 +607,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     def train_rest() -> list[GeneratorModel]:
         return [train(spec) for spec in rest]
 
-    eval_error = None
     with (_worker(train_rest, "train-lm:" + ",".join(spec.tag for spec in rest))
           if rest and _can_fork() else nullcontext(train_rest)) as join:
         models = [train(first)]
-        try:
-            with _stage("train-eval"):
-                eval_cfg, eval_params, _ = fit_evaluator(cfg, dataset, store, vocab)
-        except Exception as e:  # raised after the worker's models, as in roster order
-            eval_error = e
+        with _stage("train-eval"):
+            eval_cfg, eval_params, _ = fit_evaluator(cfg, dataset, store, vocab)
         models += join()
     model_rows = [model_row(spec, model) for spec, model in zip(cfg.models, models)]
-    if eval_error is not None:
-        raise eval_error
 
     with _stage("generate-rerank"):
         pools = generate_pools(cfg, models, dataset, store, vocab)
@@ -629,7 +634,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
                        table_text=table, chosen=chosen)
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_data(dataset, store, out)
         vocab.save(out / "vocab.tsv")
         dump_pools(pools, out / "pools.jsonl")

@@ -16,12 +16,29 @@ from .errors import DimensionError, NumericError, ParameterError
 Params = dict[str, np.ndarray]
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator (PCG64). Same seed gives the same stream
-    on every platform."""
+def make_rng(seed: int, *key: int) -> np.random.Generator:
+    """PCG64 stream `key` of `seed`, the same on every platform: make_rng(s) is
+    Generator(PCG64(s)), make_rng(s, k) stream k of SeedSequence(s).spawn(n > k)."""
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def check_fits_in_memory(shapes: dict[str, tuple[int, ...]], what: str) -> None:
+    """ParameterError when float64 tensors of these shapes need more bytes than
+    the machine's physical memory, so that an impossible model fails before it
+    allocates anything. Where os.sysconf cannot tell, there is no bound."""
+    import math
+    import os
+
+    need = 8 * sum(math.prod(shape) for shape in shapes.values())
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    if page > 0 and pages > 0 and need > page * pages:
+        raise ParameterError(f"{what} parameters need {need} bytes, more than the "
+                             f"{page * pages} bytes of physical memory")
 
 
 def check_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:

@@ -1,6 +1,6 @@
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import pytest
@@ -179,6 +179,21 @@ def _tiny_artifacts(tmp_path):
     evaluator.save_evaluator(ev, ev_cfg, evaluator.init_evaluator_params(ev_cfg, rng))
     return [(feat, binio.read_feature_file), (book, Codebook.load),
             (lm, decoder.load_lm), (ev, evaluator.load_evaluator)]
+
+
+@pytest.mark.parametrize("magic, load, header", [
+    (binio.LM_MAGIC, decoder.load_lm, asdict(decoder.LMConfig(
+        vocab_size=4, init_dim=1, persist_dim=1)) | {"hidden": 2_000_000_000}),
+    (binio.EVAL_MAGIC, evaluator.load_evaluator, asdict(evaluator.EvaluatorConfig(
+        vocab_size=4, video_dim=1)) | {"filter_widths": [2, 100_000_000]}),
+], ids=["lm", "evaluator"])
+def test_header_larger_than_memory_is_a_format_error(tmp_path, magic, load, header):
+    """A checkpoint header whose parameters would not fit in physical memory is
+    rejected, naming the file, before any tensor is read."""
+    path = tmp_path / "big.ckpt"
+    binio.write_checkpoint(path, magic, header, {})
+    with pytest.raises(FormatError, match=r"big\.ckpt: .* bytes of physical memory"):
+        load(path)
 
 
 def _variants(raw: bytes):

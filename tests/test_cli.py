@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -343,11 +344,23 @@ def _descriptors(path, n_videos=4, rows=12):
     return doc
 
 
+@pytest.fixture
+def trained(monkeypatch) -> list:
+    """The LM training steps and evaluator trainings run from here on."""
+    calls = []
+    real_step, real_train_evaluator = decoder.train_step, harness.train_evaluator
+    monkeypatch.setattr(decoder, "train_step", lambda *a: calls.append("lm") or real_step(*a))
+    monkeypatch.setattr(harness, "train_evaluator",
+                        lambda *a, **k: calls.append("eval") or real_train_evaluator(*a, **k))
+    return calls
+
+
 class TestConfigValues:
     """Values that would train nothing or crash are usage errors, checked where
     they are used, so `run`, the stage commands and direct callers agree, and
-    `run` checks the epoch counts before it trains anything; zero epochs is a
-    valid no-op that leaves the initial parameters."""
+    `run` checks the epoch counts and builds every stage's config before it
+    trains anything; zero epochs is a valid no-op that leaves the initial
+    parameters."""
 
     @pytest.mark.parametrize("command, flags, overrides, code", [
         ("run", [], {"batch_size": -3}, 1),
@@ -362,16 +375,16 @@ class TestConfigValues:
         ("codebook", ["--seed", "-1"], None, 1),
         ("run", [], {"lm_epochs": -1}, 1),
         ("run", [], {"eval_epochs": -1}, 1),
+        ("run", [], {"beam_size": 0}, 1),
+        ("run", [], {"max_len": 0}, 1),
+        ("run", [], {"margin": 0}, 1),
+        ("run", [], {"n_negatives": 0}, 1),
+        ("run", [], {"filter_widths": []}, 1),
+        ("run", [], {"hidden": 0}, 1),
     ])
-    def test_exit_code_without_traceback(self, workspace, tmp_path, capsys, monkeypatch,
+    def test_exit_code_without_traceback(self, workspace, tmp_path, capsys, trained,
                                          command, flags, overrides, code):
         root, cfg_path = workspace
-        trained = []
-        real_step, real_train_evaluator = decoder.train_step, harness.train_evaluator
-        monkeypatch.setattr(decoder, "train_step",
-                            lambda *a: trained.append("lm") or real_step(*a))
-        monkeypatch.setattr(harness, "train_evaluator",
-                            lambda *a, **k: trained.append("eval") or real_train_evaluator(*a, **k))
         if command == "codebook":
             _descriptors(tmp_path / "desc.json")
             args = ["--descriptors", str(tmp_path / "desc.json"), "--channel", "HOG",
@@ -390,6 +403,36 @@ class TestConfigValues:
             assert command != "run" or trained == []  # rejected before any training
         else:
             assert "final" in captured.out and "loss none" in captured.out
+
+    @pytest.mark.parametrize("where", ["file", "under-a-file"])
+    def test_run_out_not_a_directory_is_2(self, workspace, tmp_path, capsys, trained, where):
+        _, cfg_path = workspace
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" if where == "file" else tmp_path / "file" / "sub"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[data]" in err and str(out) in err and "Traceback" not in err
+        assert trained == []
+
+
+@pytest.mark.parametrize("override", [
+    {"hidden": 2_000_000_000}, {"filter_widths": [2, 100_000_000]},
+    {"embed_dim": 100_000_000_000}], ids=["hidden", "filter_widths", "embed_dim"])
+def test_model_larger_than_memory_is_1(tmp_path, override):
+    """A model whose parameters would not fit in physical memory is a usage
+    error of the data stage, never a MemoryError. The child's address space is
+    capped at 4 GiB, so that a missing bound fails fast instead of paging."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    (tmp_path / "cfg.json").write_text(json.dumps({**override, "synth": {"n_videos": 20}}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-m", "vidcap.cli", "run", "--config",
+                          str(tmp_path / "cfg.json")], env=env, preexec_fn=cap,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1, out.stderr
+    assert "usage error: [data]" in out.stderr and "bytes of physical memory" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 class TestFlagPaths:

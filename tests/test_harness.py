@@ -396,18 +396,27 @@ class TestTrainingWorker:
         assert "[train-lm:m-b] loss went non-finite" in err and "Traceback" not in err
         assert len(split.forks) == split.forked
 
-    def test_roster_order_wins_over_the_evaluator(self, split, monkeypatch):
-        _fail_model(monkeypatch, 2, _raise(NumericError("m-b diverged")))
-        monkeypatch.setattr(harness, "train_evaluator",
-                            lambda *a, **k: _raise(DataError("evaluator failed"))())
-        with pytest.raises(NumericError, match=r"^\[train-lm:m-b\] m-b diverged$"):
-            run_experiment(_two_specialists())
-
     def test_evaluator_error_raised_after_the_worker_joins(self, split, monkeypatch):
+        """The evaluator's error reaches the caller with its tag once the
+        worker, still training model 2, has been reaped."""
         monkeypatch.setattr(harness, "train_evaluator",
                             lambda *a, **k: _raise(DataError("evaluator failed"))())
         with pytest.raises(DataError, match=r"^\[train-eval\] evaluator failed$"):
             run_experiment(_two_specialists())
+        assert len(split.forks) == split.forked
+
+    def test_evaluator_error_wins_over_a_later_model(self, split, monkeypatch):
+        """Errors surface in run order, model 1, the evaluator, models 2..k, and
+        no model trains in this process after the evaluator failed."""
+        _fail_model(monkeypatch, 2, _raise(NumericError("m-b diverged")))
+        depths, fit_lm = [], harness.fit_lm
+        monkeypatch.setattr(harness, "fit_lm", lambda params, lm_cfg, *a, **k:
+                            depths.append(lm_cfg.depth) or fit_lm(params, lm_cfg, *a, **k))
+        monkeypatch.setattr(harness, "train_evaluator",
+                            lambda *a, **k: _raise(DataError("evaluator failed"))())
+        with pytest.raises(DataError, match=r"^\[train-eval\] evaluator failed$"):
+            run_experiment(_two_specialists())
+        assert depths == [1]
         assert len(split.forks) == split.forked
 
     @pytest.mark.parametrize("exc", [NumericError("m-a diverged"), KeyboardInterrupt()],

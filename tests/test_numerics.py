@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from gradcheck import grad_check
 from vidcap.errors import DimensionError, NumericError, ParameterError
 from vidcap.numerics import (
     OptState,
+    check_fits_in_memory,
     dropout_mask,
     log_softmax,
     make_rng,
@@ -202,3 +205,52 @@ class TestGradCheck:
         a = rng.random(1000)
         b = make_rng(10).random(1000)
         assert np.array_equal(a, b)
+
+
+class TestMakeRng:
+    @pytest.mark.parametrize("seed", [0, 3, 99])
+    def test_unkeyed_stream_is_pcg64_of_the_seed(self, seed):
+        expected = np.random.Generator(np.random.PCG64(seed)).random(100)
+        assert np.array_equal(make_rng(seed).random(100), expected)
+
+    @pytest.mark.parametrize("seed", [0, 3, 99])
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_keyed_stream_is_a_spawned_child(self, seed, k):
+        """make_rng(s, k) is stream k of SeedSequence(s).spawn(n), whatever n > k."""
+        drawn = make_rng(seed, k).random(100)
+        for n in (k + 1, k + 3):
+            child = np.random.SeedSequence(seed).spawn(n)[k]
+            assert np.array_equal(drawn, np.random.Generator(np.random.PCG64(child)).random(100))
+
+    @pytest.mark.parametrize("key", [(), (2,)])
+    def test_negative_seed_rejected(self, key):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            make_rng(-1, *key)
+
+
+class TestMemoryBound:
+    @staticmethod
+    def _memory(monkeypatch, page, pages):
+        values = {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": pages}
+        monkeypatch.setattr(os, "sysconf", lambda name: values[name])
+
+    def test_bound_is_physical_memory(self, monkeypatch):
+        self._memory(monkeypatch, 4096, 2)
+        check_fits_in_memory({"W": (32, 32)}, "the model's")  # 8192 bytes: all of it
+        with pytest.raises(ParameterError, match=r"^the model's parameters need 8200 bytes, "
+                                                 r"more than the 8192 bytes"):
+            check_fits_in_memory({"W": (32, 32), "b": (1,)}, "the model's")
+
+    def test_no_overflow_on_huge_extents(self, monkeypatch):
+        self._memory(monkeypatch, 4096, 2)
+        with pytest.raises(ParameterError, match=f"need {8 * 10**30} bytes"):
+            check_fits_in_memory({"W": (10**15, 10**15)}, "the model's")
+
+    @pytest.mark.parametrize("page, pages", [(-1, 2), (4096, -1), (None, None)],
+                             ids=["no-page-size", "no-page-count", "no-sysconf"])
+    def test_no_bound_where_sysconf_cannot_tell(self, monkeypatch, page, pages):
+        if page is None:
+            monkeypatch.delattr(os, "sysconf")
+        else:
+            self._memory(monkeypatch, page, pages)
+        check_fits_in_memory({"W": (10**9, 10**9)}, "the model's")

@@ -62,7 +62,7 @@ class LMConfig:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ParameterError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
-        check_fits_in_memory(lm_param_shapes(self), "the language model's")
+        check_fits_in_memory(lm_param_shapes(self), "the language model's parameters")
 
     def layer_input_dim(self, layer: int) -> int:
         return self.embed_dim + self.persist_dim if layer == 1 else self.hidden

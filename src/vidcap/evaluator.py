@@ -49,7 +49,7 @@ class EvaluatorConfig:
             raise ParameterError(f"margin must be > 0, got {self.margin}")
         if self.n_negatives < 1:
             raise ParameterError(f"n_negatives must be >= 1, got {self.n_negatives}")
-        check_fits_in_memory(evaluator_param_shapes(self), "the evaluator's")
+        check_fits_in_memory(evaluator_param_shapes(self), "the evaluator's parameters")
 
 
 def evaluator_param_shapes(cfg: EvaluatorConfig) -> dict[str, tuple[int, ...]]:

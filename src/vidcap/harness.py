@@ -16,10 +16,10 @@ from .decoder import LMConfig, init_lm_params, fit_lm, perplexity
 from .ensemble import CandidatePool, GeneratorModel, dump_pools, generate_pool, rerank
 from .errors import DataError, FormatError, ParameterError, VidcapError
 from .evaluator import EvaluatorConfig, train_evaluator
-from .generation import GenerationConfig
+from .generation import GenerationConfig, check_beam_fits
 from .metrics import MetricReport, score_captions
 from .numerics import OptState, Params, make_rng
-from .text import Vocabulary, build_vocab, encode, tokenize
+from .text import RESERVED, Vocabulary, build_vocab, encode, tokenize
 
 N_CATEGORIES = 20
 SPLITS = ("train", "val", "test")
@@ -392,10 +392,25 @@ def write_data(dataset: Dataset, store: FeatureStore, out: Path) -> None:
         save_features(store, name, out / f"{name}.vfea")
 
 
+def check_roster(cfg: ExperimentConfig) -> list[str]:
+    """The roster's model tags; ParameterError when it is empty or repeats a tag."""
+    tags = [m.tag for m in cfg.models]
+    if not tags:
+        raise ParameterError("the model roster is empty")
+    if len(set(tags)) != len(tags):
+        raise ParameterError(f"model tags must be unique, got {tags}")
+    return tags
+
+
 def make_vocab(cfg: ExperimentConfig, dataset: Dataset) -> Vocabulary:
-    """The vocabulary of the train split's captions."""
-    return build_vocab([c for r in _records(dataset, "train") for c in r.captions],
-                       cfg.min_count)
+    """The vocabulary of the train split's captions; DataError when no word
+    occurs min_count times, since every caption would then be empty."""
+    vocab = build_vocab([c for r in _records(dataset, "train") for c in r.captions],
+                        cfg.min_count)
+    if len(vocab) == len(RESERVED):
+        raise DataError(f"no word of the train captions occurs min_count={cfg.min_count} "
+                        "times or more, so the vocabulary is empty")
+    return vocab
 
 
 def lm_config(cfg: ExperimentConfig, spec: ModelSpec, store: FeatureStore,
@@ -423,9 +438,7 @@ def fit_generator(cfg: ExperimentConfig, tag: str, dataset: Dataset, store: Feat
                   vocab: Vocabulary) -> tuple[GeneratorModel, list[float]]:
     """Train the roster model `tag` on the train split; returns the model and
     its mean training loss per epoch."""
-    tags = [m.tag for m in cfg.models]
-    if len(set(tags)) != len(tags):
-        raise ParameterError(f"model tags must be unique, got {tags}")
+    tags = check_roster(cfg)
     if tag not in tags:
         raise ParameterError(f"no model {tag!r} in the roster; its tags are {tags}")
     i = tags.index(tag)
@@ -466,6 +479,8 @@ def generate_pools(cfg: ExperimentConfig, models: list[GeneratorModel], dataset:
                    store: FeatureStore, vocab: Vocabulary) -> list[CandidatePool]:
     """One beam-search candidate per model for each eval-split video, in id order."""
     gen_cfg = generation_config(cfg)
+    for model in models:
+        check_beam_fits(gen_cfg, model.cfg, model.tag)
     records = sorted(_records(dataset, cfg.eval_split), key=lambda r: r.id)
     return [generate_pool(models, r.id, store.get, gen_cfg, vocab) for r in records]
 
@@ -570,18 +585,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     run order (model 1, the evaluator, models 2..k, the perplexities), and no
     worker process outlives the call."""
     with _stage("data"):
-        if not cfg.models:
-            raise ParameterError("the model roster is empty")
+        check_roster(cfg)
         for name in ("lm_epochs", "eval_epochs"):
             if getattr(cfg, name) < 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(cfg, name)}")
         dataset, store = load_data(cfg)
         vocab = make_vocab(cfg, dataset)
         names = [cfg.evaluator_feature]
+        gen_cfg = generation_config(cfg)
         for spec in cfg.models:
-            lm_config(cfg, spec, store, vocab)
+            check_beam_fits(gen_cfg, lm_config(cfg, spec, store, vocab), spec.tag)
             names += [spec.init_feature, spec.persist_feature]
-        _opt(cfg), evaluator_config(cfg, store, vocab), generation_config(cfg)
+        _opt(cfg), evaluator_config(cfg, store, vocab)
         for r in _records(dataset, "train") + _records(dataset, cfg.eval_split):
             for name in names:
                 store.get(r.id, name)

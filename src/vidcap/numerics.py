@@ -26,8 +26,9 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
 
 def check_fits_in_memory(shapes: dict[str, tuple[int, ...]], what: str) -> None:
     """ParameterError when float64 tensors of these shapes need more bytes than
-    the machine's physical memory, so that an impossible model fails before it
-    allocates anything. Where os.sysconf cannot tell, there is no bound."""
+    the machine's physical memory, so that an impossible model or transient
+    fails before it allocates anything; `what` names the tensors, as in "the
+    model's parameters". Where os.sysconf cannot tell, there is no bound."""
     import math
     import os
 
@@ -37,7 +38,7 @@ def check_fits_in_memory(shapes: dict[str, tuple[int, ...]], what: str) -> None:
     except (AttributeError, OSError, ValueError):
         return
     if page > 0 and pages > 0 and need > page * pages:
-        raise ParameterError(f"{what} parameters need {need} bytes, more than the "
+        raise ParameterError(f"{what} need {need} bytes, more than the "
                              f"{page * pages} bytes of physical memory")
 
 

@@ -381,6 +381,8 @@ class TestConfigValues:
         ("run", [], {"n_negatives": 0}, 1),
         ("run", [], {"filter_widths": []}, 1),
         ("run", [], {"hidden": 0}, 1),
+        ("run", [], {"models": [{"tag": "m", "init_feature": "categ", "persist_feature": f}
+                                for f in ("feat-a", "feat-b")]}, 1),
     ])
     def test_exit_code_without_traceback(self, workspace, tmp_path, capsys, trained,
                                          command, flags, overrides, code):
@@ -404,6 +406,15 @@ class TestConfigValues:
         else:
             assert "final" in captured.out and "loss none" in captured.out
 
+    def test_run_empty_vocabulary_is_2(self, workspace, tmp_path, capsys, trained):
+        _, cfg_path = workspace
+        cfg = {**json.loads(cfg_path.read_text()), "min_count": 1000}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert "[data]" in err and "vocabulary is empty" in err and "Traceback" not in err
+        assert trained == []
+
     @pytest.mark.parametrize("where", ["file", "under-a-file"])
     def test_run_out_not_a_directory_is_2(self, workspace, tmp_path, capsys, trained, where):
         _, cfg_path = workspace
@@ -417,11 +428,13 @@ class TestConfigValues:
 
 @pytest.mark.parametrize("override", [
     {"hidden": 2_000_000_000}, {"filter_widths": [2, 100_000_000]},
-    {"embed_dim": 100_000_000_000}], ids=["hidden", "filter_widths", "embed_dim"])
+    {"embed_dim": 100_000_000_000}, {"beam_size": 100_000_000}],
+    ids=["hidden", "filter_widths", "embed_dim", "beam_size"])
 def test_model_larger_than_memory_is_1(tmp_path, override):
-    """A model whose parameters would not fit in physical memory is a usage
-    error of the data stage, never a MemoryError. The child's address space is
-    capped at 4 GiB, so that a missing bound fails fast instead of paging."""
+    """A model whose parameters, or whose beam's scores and states, would not
+    fit in physical memory is a usage error of the data stage, never a
+    MemoryError. The child's address space is capped at 4 GiB, so that a
+    missing bound fails fast instead of paging."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 

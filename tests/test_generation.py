@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reference_beam import greedy_ids, ref_beam_search_ids
-from vidcap.decoder import LMConfig, forward_logprob, init_lm_params
+from vidcap import generation
+from vidcap.decoder import LMConfig, fit_lm, forward_logprob, init_lm_params, lm_param_shapes
 from vidcap.errors import ParameterError
 from vidcap.generation import GenerationConfig, beam_search, beam_search_ids
+from vidcap.numerics import OptState
 from vidcap.text import BOS, EOS, build_vocab
 
 # vocab_size 8 = 4 reserved ids + 4 emittable words
@@ -117,6 +119,65 @@ class TestBeamBehavior:
             assert word in ("w", "x", "y", "z")
 
 
+class TestBeamStop:
+    """The search ends once its answer is fixed, and only then; counted in
+    stack_step calls, one for the init feature and one per step."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch) -> list:
+        calls = []
+        real = generation.stack_step
+
+        def counted(*args):
+            calls.append(1)
+            assert len(calls) <= 1000, "the search did not stop"
+            return real(*args)
+
+        monkeypatch.setattr(generation, "stack_step", counted)
+        return calls
+
+    def test_completed_beams_stop_long_before_max_len(self, steps):
+        params, init_vec, persist_vec = tiny_model(7)
+        fit_lm(params, TINY, [(init_vec, persist_vec, [BOS, 4, 5, 6, 7, EOS])],
+               OptState(learning_rate=0.05), np.random.default_rng(0), epochs=60, batch_size=1)
+        steps.clear()
+        result = beam_search_ids(params, TINY, init_vec, persist_vec,
+                                 GenerationConfig(beam_size=5, max_len=10**6))
+        assert result[0] == [4, 5, 6, 7, EOS] and result[2]
+        assert len(steps) <= 1 + 5 + 2  # the init step, the caption's 5 and a little slack
+        assert result == ref_beam_search_ids(params, TINY, init_vec, persist_vec,
+                                             GenerationConfig(beam_size=5, max_len=30))
+
+    def test_live_tie_with_the_best_completed_keeps_searching(self):
+        """A transition model: one LSTM unit per previous token, and an output
+        layer that makes the next token certain (log-prob exactly 0) or ties
+        two. BOS -> 4 or 5 (each -log 2), 5 -> EOS, 4 -> 6 -> EOS. [5, EOS]
+        completes one step before [4, 6, EOS] with the same score; the later
+        one wins on its smaller token tuple, so a stop on a tie would be wrong."""
+        cfg = LMConfig(vocab_size=8, init_dim=1, persist_dim=1, depth=1, hidden=8, embed_dim=8)
+        params = {name: np.zeros(shape) for name, shape in lm_param_shapes(cfg).items()}
+        params["embed"][:] = 10.0 * np.eye(8)
+        params["l1_Wx"][24:32, :8] = 10.0 * np.eye(8)  # g = tanh(100) = 1 for the last token
+        params["l1_b"][:24] = np.repeat([50.0, -50.0, 50.0], 8)  # i = o = 1, f ~ 0
+        params["out_W"][:] = -1e4
+        for prev, nxt in [(BOS, 4), (BOS, 5), (5, EOS), (4, 6), (6, EOS)]:
+            params["out_W"][nxt, prev] = 0.0
+        gen_cfg = GenerationConfig(beam_size=2, max_len=10)
+        result = beam_search_ids(params, cfg, np.zeros(1), np.zeros(1), gen_cfg)
+        assert result == ([4, 6, EOS], -np.log(2.0), True)
+        assert result == ref_beam_search_ids(params, cfg, np.zeros(1), np.zeros(1), gen_cfg)
+
+    def test_beam_without_eos_runs_every_step(self, steps):
+        params, init_vec, persist_vec = tiny_model(8)
+        params["out_b"][EOS] = -np.inf  # EOS is never emitted
+        cfg = GenerationConfig(beam_size=3, max_len=40)
+        tokens, logprob, completed = beam_search_ids(params, TINY, init_vec, persist_vec, cfg)
+        assert len(steps) == 1 + 40
+        assert not completed and len(tokens) == 40 and EOS not in tokens
+        assert (tokens, logprob, completed) == ref_beam_search_ids(
+            params, TINY, init_vec, persist_vec, cfg)
+
+
 @st.composite
 def beam_cases(draw):
     """A random tiny model and decoding config, optionally with forced ties."""
@@ -139,9 +200,14 @@ def beam_cases(draw):
         params["out_W"][:] = 0.0
     if output == "zero":
         params["out_b"][:] = 0.0
-    # beam sizes past 40 exceed live x V at the first steps, so every expansion survives
-    gen_cfg = GenerationConfig(beam_size=draw(st.one_of(st.integers(1, 8), st.integers(9, 600))),
-                               max_len=draw(st.integers(1, 6)))
+    # A peaked EOS logit completes beams early, so the search stops before max_len.
+    params["out_b"][EOS] += draw(st.sampled_from([0.0, 2.0, 6.0]))
+    # beam sizes past 40 exceed live x V at the first steps, so every expansion
+    # survives; the reference loop is slow there, so those searches stay short
+    max_len = draw(st.integers(1, 30))
+    wide = st.integers(9, 600) if max_len <= 6 else st.integers(9, 40)
+    gen_cfg = GenerationConfig(beam_size=draw(st.one_of(st.integers(1, 8), wide)),
+                               max_len=max_len)
     return params, cfg, rng.normal(size=3), rng.normal(size=2), gen_cfg
 
 

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from vidcap import binio, cli, harness
+from vidcap.decoder import init_lm_params
+from vidcap.ensemble import GeneratorModel
 from vidcap.errors import DataError, FormatError, NumericError, ParameterError
 from vidcap.harness import (
     Dataset,
@@ -237,7 +239,7 @@ class TestExperimentConfig:
         cfg.models = [ModelSpec("m", "categ", "feat-a"), ModelSpec("m", "categ", "feat-b")]
         cfg.synth = SynthConfig(n_videos=20)
         cfg.lm_epochs = cfg.eval_epochs = 1
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^\[data\] model tags must be unique"):
             run_experiment(cfg)
 
 
@@ -265,6 +267,17 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "fit_lm", lambda *a, **k: pytest.fail("train-lm ran"))
         with pytest.raises(DataError, match=r"\[data\].*nope"):
             run_experiment(ExperimentConfig(evaluator_feature="nope"))
+
+    def test_generate_pools_bounds_the_beam(self):
+        cfg = ExperimentConfig(beam_size=10**12, synth=SynthConfig(n_videos=20))
+        dataset, store = harness.load_data(cfg)
+        vocab = harness.make_vocab(cfg, dataset)
+        spec = cfg.models[0]
+        lm_cfg = harness.lm_config(cfg, spec, store, vocab)
+        model = GeneratorModel(spec.tag, lm_cfg, init_lm_params(lm_cfg, make_rng(0)),
+                               spec.init_feature, spec.persist_feature)
+        with pytest.raises(ParameterError, match=r"beam scores and states of model 'm-a' need"):
+            harness.generate_pools(cfg, [model], dataset, store, vocab)
 
     def test_output_files_written(self, tmp_path):
         cfg = ExperimentConfig(seed=3)

@@ -236,10 +236,10 @@ class TestMemoryBound:
 
     def test_bound_is_physical_memory(self, monkeypatch):
         self._memory(monkeypatch, 4096, 2)
-        check_fits_in_memory({"W": (32, 32)}, "the model's")  # 8192 bytes: all of it
+        check_fits_in_memory({"W": (32, 32)}, "the model's parameters")  # 8192 bytes: all of it
         with pytest.raises(ParameterError, match=r"^the model's parameters need 8200 bytes, "
                                                  r"more than the 8192 bytes"):
-            check_fits_in_memory({"W": (32, 32), "b": (1,)}, "the model's")
+            check_fits_in_memory({"W": (32, 32), "b": (1,)}, "the model's parameters")
 
     def test_no_overflow_on_huge_extents(self, monkeypatch):
         self._memory(monkeypatch, 4096, 2)

@@ -123,6 +123,13 @@ def check_shapes(path, tensors: dict[str, np.ndarray], shapes: dict[str, tuple])
             raise FormatError(f"{path}: tensor {name!r} of shape {got} does not fit {want}")
 
 
+def check_finite_tensors(path, tensors: dict[str, np.ndarray]) -> None:
+    """FormatError naming the first tensor, by name, that holds a NaN or an infinity."""
+    for name in sorted(tensors):
+        if not np.isfinite(tensors[name]).all():
+            raise FormatError(f"{path}: tensor {name!r} holds a non-finite value")
+
+
 @dataclasses.dataclass
 class _FeatureHeader:
     name: str

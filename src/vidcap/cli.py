@@ -167,10 +167,9 @@ def cmd_encode(args) -> int:
 def cmd_train_lm(args) -> int:
     cfg = _experiment_config(args)
     dataset, store, vocab = _load_inputs(args)
-    model, history = harness.fit_generator(cfg, args.model, dataset, store, vocab)
+    model, history, ppl = harness.fit_generator(cfg, args.model, dataset, store, vocab)
     decoder.save_lm(args.out, model.cfg, model.params, extra={
         "init_feature": model.init_feature, "persist_feature": model.persist_feature})
-    ppl = harness.generator_perplexity(cfg, model, dataset, store, vocab)
     print(f"{cfg.eval_split} perplexity: {ppl:.4f}")
     print(f"final train loss {_final(history)} -> {args.out}")
     return 0
@@ -309,7 +308,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
-    except (DataError, DimensionError, OSError, KeyError) as e:
+    except (DataError, DimensionError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

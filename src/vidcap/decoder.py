@@ -62,6 +62,10 @@ class LMConfig:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ParameterError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
+        # Layers 2..depth hold depth - 1 times 4H x (2H + 1) weights: count them
+        # before listing every tensor, a list too long to fit at huge depths.
+        check_fits_in_memory({"Wx, Wh, b": (self.depth - 1, 4 * self.hidden, 2 * self.hidden + 1)},
+                             "the language model's layers 2..depth")
         check_fits_in_memory(lm_param_shapes(self), "the language model's parameters")
 
     def layer_input_dim(self, layer: int) -> int:
@@ -354,4 +358,5 @@ def load_lm(path) -> tuple[LMConfig, Params, dict]:
     names = {f.name for f in fields(LMConfig)}
     cfg = binio.config_from_json(LMConfig, {k: v for k, v in header.items() if k in names}, path)
     binio.check_shapes(path, tensors, lm_param_shapes(cfg))
+    binio.check_finite_tensors(path, tensors)
     return cfg, tensors, header

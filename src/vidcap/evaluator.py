@@ -229,6 +229,18 @@ def triple_loss_and_grads(params: Params, cfg: EvaluatorConfig, video_values,
     return loss, grads
 
 
+def check_triple_fits(cfg: EvaluatorConfig, rows: int, cols: int) -> None:
+    """ParameterError when a training triple of `rows` id rows padded to `cols`
+    >= max(filter_widths) tokens could not fit in memory: the embedded rows and
+    each filter width's windows and pre-activations, and the gradient of each,
+    which the backward pass builds while the forward pass's cache is held."""
+    shapes = {"embedded rows": (2, rows, cols, cfg.embed_dim)}
+    for w in cfg.filter_widths:
+        shapes[f"windows {w}"] = (2, rows, cols - w + 1, w * cfg.embed_dim)
+        shapes[f"pre-activations {w}"] = (2, rows, cols - w + 1, cfg.filters_per_width)
+    check_fits_in_memory(shapes, "the evaluator's training triples")
+
+
 def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig,
                     rng: np.random.Generator, opt: OptState | None = None,
                     epochs: int = 10):
@@ -276,4 +288,5 @@ def load_evaluator(path) -> tuple[EvaluatorConfig, Params]:
     header, tensors = binio.read_checkpoint(path, binio.EVAL_MAGIC)
     cfg = binio.config_from_json(EvaluatorConfig, header, path)
     binio.check_shapes(path, tensors, evaluator_param_shapes(cfg))
+    binio.check_finite_tensors(path, tensors)
     return cfg, tensors

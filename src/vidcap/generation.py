@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import LMConfig, zero_states, stack_step
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .numerics import Params, check_fits_in_memory, log_softmax
 from .text import PAD, BOS, EOS, UNK, Vocabulary, decode
 
@@ -113,6 +113,8 @@ def beam_search_ids(params: Params, lm_cfg: LMConfig, init_vec, persist_vec,
         rows = parent[live]
         states = [(h[rows], c[rows]) for h, c in new_states]
 
+    if not (completed or truncated):  # every score was NaN: the model's outputs overflow
+        raise NumericError("beam search found no hypothesis with a finite log-prob")
     tokens, lp = min(completed or truncated, key=lambda hyp: (-hyp[1], tuple(hyp[0])))
     return tokens, lp, bool(completed)
 

@@ -15,7 +15,7 @@ from . import binio
 from .decoder import LMConfig, init_lm_params, fit_lm, perplexity
 from .ensemble import CandidatePool, GeneratorModel, dump_pools, generate_pool, rerank
 from .errors import DataError, FormatError, ParameterError, VidcapError
-from .evaluator import EvaluatorConfig, train_evaluator
+from .evaluator import EvaluatorConfig, check_triple_fits, train_evaluator
 from .generation import GenerationConfig, check_beam_fits
 from .metrics import MetricReport, score_captions
 from .numerics import OptState, Params, make_rng
@@ -185,6 +185,12 @@ class SynthConfig:
             raise ParameterError(f"n_categories must be in [1,{N_CATEGORIES}]")
         if not 1 <= self.captions_per_video <= 4:
             raise ParameterError("captions_per_video must be in [1,4]")
+        if self.noise_sigma < 0:
+            raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (self.train_frac >= 0 and self.val_frac >= 0
+                and self.train_frac + self.val_frac <= 1):
+            raise ParameterError("train_frac and val_frac must be >= 0 with a sum <= 1, "
+                                 f"got {self.train_frac} and {self.val_frac}")
         max_videos = 2 * len(SYNTH_COLORS) * len(SYNTH_OBJECTS)
         if self.n_videos > max_videos:
             raise ParameterError(
@@ -359,11 +365,11 @@ def _format_table(model_rows: list[dict], ensemble_row: dict) -> str:
 #
 # The training stages are independent, so run_experiment overlaps them when a
 # second process can run beside the calling one (_can_fork): a forked worker
-# trains roster models 2..k while the calling process trains model 1 and then
-# the evaluator. One stage of each kind stays in the calling process, so
-# tracers and profilers there still see every layer. No result depends on the
-# split: each stage draws only from its own stream, and the worker's models
-# come back bit-exact.
+# trains and scores roster models 2..k while the calling process trains and
+# scores model 1 and then trains the evaluator. One stage of each kind stays
+# in the calling process, so tracers and profilers there still see every
+# layer. No result depends on the split: each stage draws only from its own
+# stream, and the worker's models and perplexities come back bit-exact.
 
 
 def _records(dataset: Dataset, split: str) -> list[VideoRecord]:
@@ -430,14 +436,26 @@ def evaluator_config(cfg: ExperimentConfig, store: FeatureStore,
         feature_name=cfg.evaluator_feature)
 
 
+def check_evaluator_fits(cfg: ExperimentConfig, eval_cfg: EvaluatorConfig, dataset: Dataset,
+                         vocab: Vocabulary) -> None:
+    """ParameterError when a training triple of the evaluator could not fit in
+    memory: one positive and n_negatives of the other train caption rows,
+    padded to the longest train caption or the widest filter."""
+    lengths = [len(encode(tokenize(c), vocab)) for r in _records(dataset, "train")
+               for c in r.captions]
+    check_triple_fits(eval_cfg, 1 + min(cfg.n_negatives, len(lengths) - 1),
+                      max(max(lengths), max(eval_cfg.filter_widths)))
+
+
 def generation_config(cfg: ExperimentConfig) -> GenerationConfig:
     return GenerationConfig(beam_size=cfg.beam_size, max_len=cfg.max_len)
 
 
 def fit_generator(cfg: ExperimentConfig, tag: str, dataset: Dataset, store: FeatureStore,
-                  vocab: Vocabulary) -> tuple[GeneratorModel, list[float]]:
-    """Train the roster model `tag` on the train split; returns the model and
-    its mean training loss per epoch."""
+                  vocab: Vocabulary) -> tuple[GeneratorModel, list[float], float]:
+    """Train the roster model `tag` on the train split and score it on the eval
+    split; returns the model, its mean training loss per epoch and its
+    eval-split perplexity."""
     tags = check_roster(cfg)
     if tag not in tags:
         raise ParameterError(f"no model {tag!r} in the roster; its tags are {tags}")
@@ -453,15 +471,9 @@ def fit_generator(cfg: ExperimentConfig, tag: str, dataset: Dataset, store: Feat
     model = GeneratorModel(tag=tag, cfg=lm_cfg, params=params,
                            init_feature=spec.init_feature,
                            persist_feature=spec.persist_feature)
-    return model, history
-
-
-def generator_perplexity(cfg: ExperimentConfig, model: GeneratorModel, dataset: Dataset,
-                         store: FeatureStore, vocab: Vocabulary) -> float:
-    """Perplexity of a trained generator on the eval split."""
-    examples = lm_examples(_records(dataset, cfg.eval_split), store, vocab,
-                           model.init_feature, model.persist_feature)
-    return perplexity(examples, model.params, model.cfg)
+    held_out = lm_examples(_records(dataset, cfg.eval_split), store, vocab,
+                           spec.init_feature, spec.persist_feature)
+    return model, history, perplexity(held_out, params, lm_cfg)
 
 
 def fit_evaluator(cfg: ExperimentConfig, dataset: Dataset, store: FeatureStore,
@@ -469,6 +481,7 @@ def fit_evaluator(cfg: ExperimentConfig, dataset: Dataset, store: FeatureStore,
     """Train the caption-video evaluator on the train split; returns its
     config, its parameters and its mean loss per epoch."""
     eval_cfg = evaluator_config(cfg, store, vocab)
+    check_evaluator_fits(cfg, eval_cfg, dataset, vocab)
     params, history = train_evaluator(
         _records(dataset, "train"), lambda vid: store.get(vid, cfg.evaluator_feature), vocab,
         eval_cfg, make_rng(cfg.seed, len(cfg.models) + 1), opt=_opt(cfg), epochs=cfg.eval_epochs)
@@ -579,16 +592,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     the eval split, rerank, and score singles plus the ensemble.
 
     The data stage builds every config and reads every feature, so bad input
-    fails before training. When _can_fork() allows, a forked worker trains
-    roster models 2..k while this process trains model 1 and then the
-    evaluator. No result depends on it; the first error raised is the first in
-    run order (model 1, the evaluator, models 2..k, the perplexities), and no
-    worker process outlives the call."""
+    fails before training. When _can_fork() allows, a forked worker trains and
+    scores models 2..k while this process trains and scores model 1, then
+    trains the evaluator. No result depends on it; the first error raised is
+    the first in run order (model 1 and its eval-split perplexity, the
+    evaluator, models 2..k and theirs), and no worker process outlives it."""
     with _stage("data"):
         check_roster(cfg)
-        for name in ("lm_epochs", "eval_epochs"):
-            if getattr(cfg, name) < 0:
-                raise ParameterError(f"{name} must be >= 0, got {getattr(cfg, name)}")
+        for name, least in (("lm_epochs", 0), ("eval_epochs", 0), ("batch_size", 1)):
+            if getattr(cfg, name) < least:
+                raise ParameterError(f"{name} must be >= {least}, got {getattr(cfg, name)}")
         dataset, store = load_data(cfg)
         vocab = make_vocab(cfg, dataset)
         names = [cfg.evaluator_feature]
@@ -596,7 +609,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         for spec in cfg.models:
             check_beam_fits(gen_cfg, lm_config(cfg, spec, store, vocab), spec.tag)
             names += [spec.init_feature, spec.persist_feature]
-        _opt(cfg), evaluator_config(cfg, store, vocab)
+        _opt(cfg)
+        check_evaluator_fits(cfg, evaluator_config(cfg, store, vocab), dataset, vocab)
         for r in _records(dataset, "train") + _records(dataset, cfg.eval_split):
             for name in names:
                 store.get(r.id, name)
@@ -607,42 +621,38 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
                 raise DataError(f"cannot create the output directory {out_dir}: "
                                 f"{e.strerror or e}") from None
 
-    def train(spec: ModelSpec) -> GeneratorModel:
+    def train(spec: ModelSpec) -> tuple[GeneratorModel, float]:
         with _stage(f"train-lm:{spec.tag}"):
-            return fit_generator(cfg, spec.tag, dataset, store, vocab)[0]
-
-    def model_row(spec: ModelSpec, model: GeneratorModel) -> dict:
-        with _stage(f"train-lm:{spec.tag}"):
-            return {"tag": spec.tag, "init": spec.init_feature,
-                    "persist": spec.persist_feature, "depth": spec.depth,
-                    "perplexity": generator_perplexity(cfg, model, dataset, store, vocab)}
+            model, _, ppl = fit_generator(cfg, spec.tag, dataset, store, vocab)
+            return model, ppl
 
     first, rest = cfg.models[0], cfg.models[1:]
 
-    def train_rest() -> list[GeneratorModel]:
+    def train_rest() -> list[tuple[GeneratorModel, float]]:
         return [train(spec) for spec in rest]
 
     with (_worker(train_rest, "train-lm:" + ",".join(spec.tag for spec in rest))
           if rest and _can_fork() else nullcontext(train_rest)) as join:
-        models = [train(first)]
+        trained = [train(first)]
         with _stage("train-eval"):
             eval_cfg, eval_params, _ = fit_evaluator(cfg, dataset, store, vocab)
-        models += join()
-    model_rows = [model_row(spec, model) for spec, model in zip(cfg.models, models)]
+        trained += join()
+    models = [model for model, _ in trained]
 
     with _stage("generate-rerank"):
         pools = generate_pools(cfg, models, dataset, store, vocab)
         chosen = rerank_pools(pools, store, eval_cfg, eval_params, vocab)
 
-    with _stage("score"):
-        for row in model_rows:
-            hyps = {p.video_id: next(c.caption for c in p.entries if c.model == row["tag"])
-                    for p in pools}
-            report = score_split(cfg, hyps, dataset)
-            row.update(bleu4=report.bleu4, cider=report.cider, rouge_l=report.rouge_l)
-        ens_report = score_split(cfg, chosen, dataset)
-        ensemble_row = {"bleu4": ens_report.bleu4, "cider": ens_report.cider,
-                        "rouge_l": ens_report.rouge_l}
+    def scores(hypotheses: dict[str, str]) -> dict:
+        report = score_split(cfg, hypotheses, dataset)
+        return {"bleu4": report.bleu4, "cider": report.cider, "rouge_l": report.rouge_l}
+
+    with _stage("score"):  # model i's caption is entry i of every pool: roster order
+        model_rows = [{"tag": spec.tag, "init": spec.init_feature, "persist": spec.persist_feature,
+                       "depth": spec.depth, "perplexity": ppl,
+                       **scores({p.video_id: p.entries[i].caption for p in pools})}
+                      for i, (spec, (_, ppl)) in enumerate(zip(cfg.models, trained))]
+        ensemble_row = scores(chosen)
 
     table = _format_table(model_rows, ensemble_row)
     result = RunResult(model_rows=model_rows, ensemble_row=ensemble_row,

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from vidcap.decoder import LMConfig, init_lm_params, save_lm
 from vidcap.evaluator import EvaluatorConfig, init_evaluator_params, save_evaluator
 from vidcap.features import DESCRIPTOR_CHANNELS
 from vidcap.numerics import make_rng
+from vidcap.text import Vocabulary
 
 
 @pytest.fixture(scope="module")
@@ -47,14 +50,17 @@ def _stage_inputs(root):
 
 
 def test_stagewise_pipeline(workspace, tmp_path, capsys):
-    """The stagewise chain over one config writes the files `vidcap run` writes."""
+    """The stagewise chain over one config writes the files `vidcap run` writes,
+    and `train-lm` prints each model's perplexity as `run` records it."""
     root, cfg_path = workspace
     cfg = ["--config", str(cfg_path)]
     inputs = _stage_inputs(root)
     tags = ("m-a", "m-b")  # the default roster
+    printed = {}
     for tag in tags:
         assert main(["train-lm", *inputs, "--model", tag, *cfg,
                      "--out", str(root / f"{tag}.vlmp")]) == 0
+        printed[tag] = capsys.readouterr().out.splitlines()[0]
     assert main(["train-eval", *inputs, *cfg, "--out", str(root / "e.vevp")]) == 0
     models = [arg for tag in tags for arg in ("--model", f"{tag}={root / tag}.vlmp")]
     assert main(["generate", *inputs, *models, *cfg, "--out", str(root / "pool.jsonl")]) == 0
@@ -75,9 +81,11 @@ def test_stagewise_pipeline(workspace, tmp_path, capsys):
                  "pools.jsonl", "chosen.json"):
         assert (root / name).read_bytes() == (run_dir / name).read_bytes(), name
     report = json.loads((root / "report" / "report.json").read_text())
-    ensemble = json.loads((run_dir / "results.json").read_text())["ensemble"]
+    results = json.loads((run_dir / "results.json").read_text())
     for key in ("bleu4", "cider", "rouge_l"):
-        assert report[key] == ensemble[key], key
+        assert report[key] == results["ensemble"][key], key
+    assert printed == {row["tag"]: f"val perplexity: {row['perplexity']:.4f}"
+                       for row in results["models"]}
 
     # A run over the files `synth` wrote (data_path, feature_paths) writes the
     # bytes of the run that drew the synthetic benchmark itself.
@@ -215,6 +223,44 @@ class TestExitCodes:
                      *_stage_inputs(root)[2:], "--out", str(tmp_path / "c.json")]) == 2
         assert str(ev) in capsys.readouterr().err
 
+    def test_non_finite_checkpoints_are_2(self, workspace, tmp_path, capsys):
+        """A checkpoint that fits the workspace but holds a NaN weight is a data
+        error naming the file and the tensor, raised before any output is
+        written: beam search over NaN scores keeps no hypothesis, and a NaN
+        evaluator score is not JSON that load_pools reads back."""
+        root, cfg_path = workspace
+        store = harness.load_features(*_stage_inputs(root)[3:6])
+        vocab = Vocabulary.load(root / "vocab.tsv")
+        lm_cfg = LMConfig(vocab_size=len(vocab), init_dim=store.dim("categ"),
+                          persist_dim=store.dim("feat-a"), depth=1, hidden=4, embed_dim=4)
+        params = init_lm_params(lm_cfg, make_rng(0))
+        params["out_W"][0, 0] = np.nan
+        ckpt = tmp_path / "m.vlmp"
+        save_lm(ckpt, lm_cfg, params, extra={"init_feature": "categ", "persist_feature": "feat-a"})
+        out = tmp_path / "p.jsonl"
+        assert main(["generate", *_stage_inputs(root), "--model", f"m={ckpt}",
+                     "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: tensor 'out_W' holds a non-finite value" in err
+        assert "Traceback" not in err and not out.exists()
+
+        ev_cfg = EvaluatorConfig(vocab_size=len(vocab), video_dim=store.dim("feat-a"),
+                                 feature_name="feat-a")
+        ev_params = init_evaluator_params(ev_cfg, make_rng(0))
+        ev_params["sent_W"][:] = np.inf
+        ev = tmp_path / "e.vevp"
+        save_evaluator(ev, ev_cfg, ev_params)
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text(json.dumps({"video_id": "video0020", "model": "m",
+                                    "caption": "a red cat", "logprob": -1.0}) + "\n")
+        chosen, scored = tmp_path / "c.json", tmp_path / "scored.jsonl"
+        assert main(["rerank", "--pool", str(pool), "--evaluator", str(ev),
+                     *_stage_inputs(root)[2:], "--scored-pool", str(scored),
+                     "--out", str(chosen)]) == 2
+        err = capsys.readouterr().err
+        assert f"{ev}: tensor 'sent_W' holds a non-finite value" in err
+        assert "Traceback" not in err and not chosen.exists() and not scored.exists()
+
     def test_run_missing_evaluator_feature_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"evaluator_feature": "nope"}))
@@ -334,6 +380,19 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_run", boom)
         assert cli.main(["run"]) == 3
 
+    def test_key_error_is_not_a_data_error(self, workspace, tmp_path, monkeypatch):
+        """Every lookup on outside input raises a VidcapError, so a KeyError is a
+        bug: it propagates as a traceback instead of exiting 2."""
+        root, _ = workspace
+        captions = tmp_path / "caps.json"
+        captions.write_text(json.dumps({"video0020": "a red cat"}))
+
+        def lookup_bug(*args):
+            raise KeyError("x")
+
+        monkeypatch.setattr(harness, "score_split", lookup_bug)
+        with pytest.raises(KeyError):
+            main(["score", "--data", str(root / "dataset.json"), "--captions", str(captions)])
 
 
 def _descriptors(path, n_videos=4, rows=12):
@@ -428,13 +487,22 @@ class TestConfigValues:
 
 @pytest.mark.parametrize("override", [
     {"hidden": 2_000_000_000}, {"filter_widths": [2, 100_000_000]},
-    {"embed_dim": 100_000_000_000}, {"beam_size": 100_000_000}],
-    ids=["hidden", "filter_widths", "embed_dim", "beam_size"])
+    {"embed_dim": 100_000_000_000}, {"beam_size": 100_000_000},
+    {"filter_widths": [2, 100_000]},
+    {"models": [{"tag": "m-a", "init_feature": "categ", "persist_feature": "feat-a",
+                 "depth": 100_000_000},
+                {"tag": "m-b", "init_feature": "categ", "persist_feature": "feat-b"}]}],
+    ids=["hidden", "filter_widths", "embed_dim", "beam_size", "filter_width_transient",
+         "depth"])
 def test_model_larger_than_memory_is_1(tmp_path, override):
-    """A model whose parameters, or whose beam's scores and states, would not
-    fit in physical memory is a usage error of the data stage, never a
-    MemoryError. The child's address space is capped at 4 GiB, so that a
-    missing bound fails fast instead of paging."""
+    """A model whose parameters, whose beam's scores and states, or whose
+    evaluator training triple would not fit in physical memory is a usage
+    error of the data stage, never a MemoryError. The child's address space
+    is capped at 4 GiB, so that a missing bound fails fast instead of paging.
+    The evaluator's filter of width 100000 has parameters that fit (0.8 GB),
+    but a triple of 42 rows padded to 100000 tokens needs 10.8 GB, so that row
+    expects less physical memory than that, as the beam_size row expects less
+    than 40 GB."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
@@ -446,6 +514,85 @@ def test_model_larger_than_memory_is_1(tmp_path, override):
     assert out.returncode == 1, out.stderr
     assert "usage error: [data]" in out.stderr and "bytes of physical memory" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+# Runs `vidcap run --config` in-process over the (label, config) pairs read
+# from stdin; prints, per case, the exit code (None for an escaped exception),
+# standard error and whether any LM step or evaluator training ran.
+_SWEEP = """
+import contextlib, io, json, sys, traceback
+from vidcap import cli, decoder, harness
+
+trained, step, train_evaluator = [], decoder.train_step, harness.train_evaluator
+decoder.train_step = lambda *a: trained.append(1) or step(*a)
+harness.train_evaluator = lambda *a, **k: trained.append(1) or train_evaluator(*a, **k)
+results = []
+for label, cfg in json.load(sys.stdin):
+    with open(sys.argv[1], "w") as f:
+        json.dump(cfg, f)
+    trained.clear()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["run", "--config", sys.argv[1]])
+        except BaseException:
+            code = None
+            traceback.print_exc(file=err)
+    results.append([label, code, err.getvalue(), bool(trained)])
+print(json.dumps(results))
+"""
+
+# Values that ask for work the run must do: that many epochs, or max_len beam
+# steps for a model whose beams never complete (TestBeamStop covers an absurd
+# max_len on a model whose beams do).
+_SWEEP_WORK = {"lm_epochs", "eval_epochs", "max_len"}
+
+
+def test_config_sweep(workspace, tmp_path):
+    """Every int and float field of the config, its synth settings and its
+    first model, at 0, -1 and an absurd value (10**9 or 1e300; for the fields
+    in _SWEEP_WORK only 0 and -1), through `vidcap run --config` in one child
+    process whose address space is capped at 4 GiB. Each run exits 0, 1, 2 or
+    3 without a traceback or a MemoryError. A 1 or 2 trains nothing and names
+    the data stage, or, for a value the config file's decoding rejects (the
+    synth settings check themselves), the config file. A 3 names its stage."""
+    _, cfg_path = workspace
+    base = {**json.loads(cfg_path.read_text()),
+            "models": [{"tag": "m-a", "init_feature": "categ", "persist_feature": "feat-a"},
+                       {"tag": "m-b", "init_feature": "categ", "persist_feature": "feat-b"}]}
+    cases = []
+    for where, cls in (((), harness.ExperimentConfig), (("synth",), harness.SynthConfig),
+                       (("models", 0), harness.ModelSpec)):
+        for name, tp in typing.get_type_hints(cls).items():
+            if tp not in (int, float):
+                continue
+            for value in (0, -1) if name in _SWEEP_WORK else (0, -1, 10**9 if tp is int else 1e300):
+                cfg = json.loads(json.dumps(base))
+                target = cfg
+                for key in where:
+                    target = target[key]
+                target[name] = tp(value)
+                cases.append([".".join(map(str, (*where, name))) + f"={value}", cfg])
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    path = tmp_path / "cfg.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", _SWEEP, str(path)], input=json.dumps(cases),
+                         env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    bad = []
+    for label, code, err, trained in json.loads(out.stdout.splitlines()[-1]):
+        ok = code in (0, 1, 2, 3) and "Traceback" not in err and "MemoryError" not in err
+        if code in (1, 2):
+            ok &= not trained and ("[data]" in err or (code == 2 and str(path) in err))
+        if code == 3:
+            ok &= re.search(r"^numeric error: \[(train-lm:|train-eval|generate-rerank|score)",
+                            err, re.M) is not None
+        if not ok:
+            bad.append(f"{label}: exit {code}, trained {trained}: {err[-300:]}")
+    assert bad == []
 
 
 class TestFlagPaths:

@@ -17,6 +17,7 @@ from vidcap.errors import DataError, DimensionError, FormatError, ParameterError
 from vidcap.evaluator import (
     EvaluatorConfig,
     _cosine,
+    check_triple_fits,
     encode_sentence,
     encode_sentences,
     init_evaluator_params,
@@ -422,6 +423,15 @@ class TestTraining:
                 total += 1
                 wins += own > other
         assert wins / total >= 0.9
+
+    def test_triple_bound_counts_forward_and_backward(self):
+        """Embedded rows (10 x 3), windows and pre-activations of widths 2 (9 x
+        (6 + 5)) and 4 (7 x (12 + 5)): 248 floats a row, twice, 8 bytes each."""
+        cfg = tiny_cfg(embed_dim=3, filter_widths=(2, 4), filters_per_width=5)
+        check_triple_fits(cfg, 51, 10)
+        with pytest.raises(ParameterError, match=r"^the evaluator's training triples need "
+                                                 r"3968000000000000 bytes, more than"):
+            check_triple_fits(cfg, 10**12, 10)
 
 
 class TestCheckpoint:

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from reference_beam import greedy_ids, ref_beam_search_ids
 from vidcap import generation
 from vidcap.decoder import LMConfig, fit_lm, forward_logprob, init_lm_params, lm_param_shapes
-from vidcap.errors import ParameterError
+from vidcap.errors import NumericError, ParameterError
 from vidcap.generation import GenerationConfig, beam_search, beam_search_ids
 from vidcap.numerics import OptState
 from vidcap.text import BOS, EOS, build_vocab
@@ -147,6 +147,17 @@ class TestBeamStop:
         assert len(steps) <= 1 + 5 + 2  # the init step, the caption's 5 and a little slack
         assert result == ref_beam_search_ids(params, TINY, init_vec, persist_vec,
                                              GenerationConfig(beam_size=5, max_len=30))
+
+    def test_overflowing_outputs_are_a_numeric_error(self, steps):
+        """Finite weights whose activations overflow (3 x 1e308) give NaN
+        log-probs: no expansion survives the first step, so nothing retires and
+        there is no answer."""
+        params, _, persist_vec = tiny_model(3)
+        params["init_W"][:] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="no hypothesis with a finite log-prob"):
+            beam_search_ids(params, TINY, np.ones(3), persist_vec, GenerationConfig())
+        assert len(steps) == 2
 
     def test_live_tie_with_the_best_completed_keeps_searching(self):
         """A transition model: one LSTM unit per previous token, and an output

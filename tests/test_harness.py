@@ -223,6 +223,11 @@ class TestSynth:
             SynthConfig(n_videos=0)
         with pytest.raises(ParameterError):
             SynthConfig(n_videos=10_000)
+        for bad in ({"noise_sigma": -0.1}, {"train_frac": -0.1}, {"val_frac": -0.1},
+                    {"train_frac": 0.9, "val_frac": 0.2}, {"val_frac": 1e300}):
+            with pytest.raises(ParameterError, match="noise_sigma|train_frac and val_frac"):
+                SynthConfig(**bad)
+        SynthConfig(noise_sigma=0.0, train_frac=0.9, val_frac=0.1)  # the bounds are inclusive
 
 
 class TestExperimentConfig:
@@ -244,6 +249,45 @@ class TestExperimentConfig:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("n_negatives, rows", [(5, 6), (10**9, 42)])
+    def test_evaluator_triple_bounded_before_training(self, monkeypatch, n_negatives, rows):
+        """fit_evaluator, which `vidcap train-eval` calls, sizes the bound for
+        1 + n_negatives rows, at most the 14 x 3 train captions, padded to the
+        widest filter or the longest train caption: BOS, six words such as "a
+        red cat is posing today", EOS."""
+        calls = []
+        monkeypatch.setattr(harness, "check_triple_fits",
+                            lambda cfg, r, cols: calls.append((r, cols)))
+        monkeypatch.setattr(harness, "train_evaluator",
+                            lambda *a, **k: calls.append("trained") or ({}, []))
+        for widths, cols in (((2, 3), 8), ((2, 40), 40)):
+            calls.clear()
+            cfg = ExperimentConfig(n_negatives=n_negatives, filter_widths=widths,
+                                   synth=SynthConfig(n_videos=20))
+            dataset, store = harness.load_data(cfg)
+            harness.fit_evaluator(cfg, dataset, store, harness.make_vocab(cfg, dataset))
+            assert calls == [(rows, cols), "trained"]
+
+    def test_model_rows_score_each_models_own_captions(self, monkeypatch):
+        """Row i scores entry i of every pool, which generate_pool fills in
+        roster order: here m-a's captions are one unseen word and m-b's the
+        first reference."""
+        real = harness.generate_pools
+
+        def known_captions(cfg, models, dataset, store, vocab):
+            pools = real(cfg, models, dataset, store, vocab)
+            references = dataset.references(cfg.eval_split)
+            for pool in pools:
+                pool.entries[0].caption = "nothing"
+                pool.entries[1].caption = references[pool.video_id][0]
+            return pools
+
+        monkeypatch.setattr(harness, "generate_pools", known_captions)
+        cfg = ExperimentConfig(lm_epochs=1, eval_epochs=1, synth=SynthConfig(n_videos=20))
+        rows = run_experiment(cfg).model_rows
+        assert [row["tag"] for row in rows] == ["m-a", "m-b"]
+        assert rows[0]["bleu4"] == rows[0]["cider"] == 0.0 < rows[1]["cider"]
+
     def test_single_model_roster_ensemble_equals_model(self):
         cfg = ExperimentConfig(seed=5)
         cfg.models = [ModelSpec("solo", "categ", "feat-a+feat-b", depth=1)]

@@ -318,7 +318,8 @@ def train_step(batch: Batch, params: Params, cfg: LMConfig, opt: OptState,
 
 
 def perplexity(examples: list[Example], params: Params, cfg: LMConfig) -> float:
-    """exp of the mean per-token negative log-likelihood, without dropout."""
+    """exp of the mean per-token negative log-likelihood, without dropout;
+    NumericError where that is not a finite float (a mean NLL past about 709)."""
     if not examples:
         raise DataError("empty dataset")
     total, count = 0.0, 0
@@ -326,7 +327,11 @@ def perplexity(examples: list[Example], params: Params, cfg: LMConfig) -> float:
         loss, fwd = _forward(params, cfg, make_batch(examples[s : s + 64]), None)
         total += loss * fwd["n_pred"]
         count += int(fwd["n_pred"])
-    return float(np.exp(total / count))
+    with np.errstate(over="ignore"):
+        ppl = float(np.exp(total / count))
+    if not np.isfinite(ppl):
+        raise NumericError(f"perplexity is not finite: mean NLL per token {total / count:.6g}")
+    return ppl
 
 
 def fit_lm(params: Params, cfg: LMConfig, examples: list[Example], opt: OptState,

@@ -9,8 +9,13 @@ max-pools each filter over time with the positions past max(L - w, 0) masked
 zero-padded window), applies tanh, floors the pool at zero and projects it
 into the joint space. Videos reach the same space through one affine map.
 Training maximizes the cosine of matched pairs over sampled negatives with a
-per-negative hinge; its backward pass runs over the matched caption and the
-negatives whose hinge is active.
+per-negative hinge. Each update takes ANCHORS videos and one uniform draw of
+caption rows that all of them share as negatives (Kiros et al. 2014, arXiv
+1411.2539; Faghri et al. 2017, arXiv 1707.05612); a drawn caption of an
+anchor's own video is masked out of that anchor's hinge. The loss is the mean
+over anchors of each anchor's mean hinge over its unmasked negatives, so one
+encoder pass covers the B positives and the shared negatives, and one backward
+pass covers the positives and the negatives active for any anchor.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from . import binio
 from .errors import DataError, DimensionError, NumericError, ParameterError
 from .numerics import OptState, Params, check_fits_in_memory, rmsprop_decay, rmsprop_update
 from .text import PAD, EOS, Vocabulary, encode, tokenize
+
+ANCHORS = 4  # anchor videos per training update, sharing one draw of negatives
 
 
 @dataclass
@@ -129,11 +136,14 @@ def _encode_rows_backward(dsent: np.ndarray, rows: np.ndarray, cache, params: Pa
         dpre = np.zeros_like(pre)
         np.put_along_axis(dpre, arg, dpooled[:, None, i * F : (i + 1) * F]
                           * (pool > 0.0) * (1.0 - pool * pool), axis=1)
-        grads[f"conv{w}_W"] += dpre.reshape(-1, F).T @ _windows(emb, w).reshape(-1, w * E)
         grads[f"conv{w}_b"] += dpre.sum(axis=(0, 1))
-        dwin = dpre @ params[f"conv{w}_W"]  # (B', P, w*E)
+        # slot by slot, so that no (B', P, w*E) window matrix or its gradient
+        # sets the update's peak memory: slot k holds tokens k..k+P-1
+        P, flat, W = dpre.shape[1], dpre.reshape(-1, F), params[f"conv{w}_W"]
         for k in range(w):
-            demb[:, k : k + dwin.shape[1]] += dwin[:, :, k * E : (k + 1) * E]
+            cols = slice(k * E, (k + 1) * E)
+            grads[f"conv{w}_W"][:, cols] += flat.T @ emb[:, k : k + P].reshape(-1, E)
+            demb[:, k : k + P] += dpre @ W[:, cols]
     np.add.at(grads["embed"], ids, demb)
     grads["embed"][PAD] = 0.0  # PAD embedding stays pinned at zero
 
@@ -161,18 +171,6 @@ def _cosines(S: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cosine of each row of S with v; 0 where either embedding is zero."""
     norms = np.linalg.norm(S, axis=1) * np.linalg.norm(v)
     return np.divide(S @ v, norms, out=np.zeros(len(S)), where=norms != 0.0)
-
-
-def _cosines_backward(S: np.ndarray, v: np.ndarray, cos: np.ndarray, dcos: np.ndarray):
-    """Gradients of sum_i dcos[i] * cos(S[i], v): per row of S, and summed for v.
-    A zero embedding passes no gradient."""
-    ns, nv = np.linalg.norm(S, axis=1)[:, None], np.linalg.norm(v)
-    if nv == 0.0:
-        return np.zeros_like(S), np.zeros_like(v)
-    dc, c = np.where(ns > 0.0, dcos[:, None], 0.0), cos[:, None]
-    ns = np.where(ns > 0.0, ns, 1.0)
-    return (dc * (v / (ns * nv) - c * S / (ns * ns)),
-            (dc * (S / (ns * nv) - c * v / (nv * nv))).sum(axis=0))
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -203,37 +201,61 @@ def sample_negatives(video_id: str, records, n_neg: int,
     return [captions[j] for j in negative_rows(0, len(own), len(captions), n_neg, rng)]
 
 
-def triple_loss_and_grads(params: Params, cfg: EvaluatorConfig, video_values,
-                          ids: np.ndarray, lengths: np.ndarray):
-    """Hinge loss and gradients for one (video, positive, negatives) triple
-    given as padded id rows (see `pad_ids`): row 0 is the positive caption and
-    the others its negatives; only row 0 and active negatives backpropagate."""
-    video_values = np.asarray(video_values, dtype=np.float64)
-    vid_emb = project_video(video_values, params)
+def triple_loss_and_grads(params: Params, cfg: EvaluatorConfig, videos,
+                          ids: np.ndarray, lengths: np.ndarray, valid: np.ndarray):
+    """Hinge loss and gradients for B anchor videos that share one draw of
+    negatives. videos is (B, video_dim); ids and lengths are padded id rows
+    (see `pad_ids`), the B anchors' positive captions first and then the n
+    shared negatives; valid (B, n) is False where a negative is a caption of
+    that anchor's own video. The loss is the mean over anchors of each
+    anchor's mean hinge over its valid negatives (an anchor with none adds 0).
+    Only the positives and the negatives active for some anchor backpropagate."""
+    videos = np.asarray(videos, dtype=np.float64)
+    if videos.ndim != 2 or videos.shape[1] != params["vid_W"].shape[1]:
+        raise DimensionError(
+            f"video matrix {videos.shape} != (anchors, {params['vid_W'].shape[1]})")
+    B = len(videos)
+    vid_emb = videos @ params["vid_W"].T + params["vid_b"]  # (B, joint_dim)
     sents, cache = _encode_rows(ids, lengths, params, cfg)
-    cos = _cosines(sents, vid_emb)
-    hinges = cfg.margin - cos[0] + cos[1:]
-    loss = float(np.maximum(hinges, 0.0).mean())
+    ns, nv = np.linalg.norm(sents, axis=1), np.linalg.norm(vid_emb, axis=1)
+    norms = np.outer(ns, nv)
+    # cosine of every row with every anchor's video; 0 where either embedding is zero
+    cos = np.divide(sents @ vid_emb.T, norms, out=np.zeros(norms.shape), where=norms != 0.0)
+    hinges = cfg.margin - cos[np.arange(B), np.arange(B)][:, None] + cos[B:].T  # (B, n)
+    active = valid & (hinges > 0.0)
+    n_valid = valid.sum(axis=1)
+    per_anchor = np.divide(np.where(active, hinges, 0.0).sum(axis=1), n_valid,
+                           out=np.zeros(B), where=n_valid > 0)
+    loss = float(per_anchor.mean())
     if not np.isfinite(loss):
         raise NumericError("non-finite evaluator loss")
 
     grads: Params = {k: np.zeros_like(v) for k, v in params.items()}
-    rows = np.flatnonzero(np.concatenate(([True], hinges > 0.0)))
-    if len(rows) > 1:
-        dcos = np.full(len(rows), 1.0 / len(hinges))
-        dcos[0] = -(len(rows) - 1) / len(hinges)
-        dsent, dvid = _cosines_backward(sents[rows], vid_emb, cos[rows], dcos)
-        _encode_rows_backward(dsent, rows, cache, params, cfg, grads)
-        grads["vid_W"] += np.outer(dvid, video_values)
-        grads["vid_b"] += dvid
+    if not active.any():
+        return loss, grads
+    weight = np.where(active, 1.0 / (B * np.maximum(n_valid, 1))[:, None], 0.0)
+    dcos = np.zeros_like(cos)
+    dcos[B:] = weight.T
+    dcos[np.arange(B), np.arange(B)] = -weight.sum(axis=1)
+    dcos[norms == 0.0] = 0.0  # a zero embedding passes no gradient
+    ns[ns == 0.0], nv[nv == 0.0] = 1.0, 1.0  # their rows and columns of dcos are zero
+    rows = np.flatnonzero(np.concatenate((active.any(axis=1), active.any(axis=0))))
+    dc, S, n = dcos[rows], sents[rows], ns[rows, None]
+    scaled = dc / (n * nv)
+    dsent = scaled @ vid_emb - (dc * cos[rows]).sum(axis=1)[:, None] * S / (n * n)
+    dvid = scaled.T @ S - (dc * cos[rows]).sum(axis=0)[:, None] * vid_emb / (nv * nv)[:, None]
+    _encode_rows_backward(dsent, rows, cache, params, cfg, grads)
+    grads["vid_W"] += dvid.T @ videos
+    grads["vid_b"] += dvid.sum(axis=0)
     return loss, grads
 
 
 def check_triple_fits(cfg: EvaluatorConfig, rows: int, cols: int) -> None:
-    """ParameterError when a training triple of `rows` id rows padded to `cols`
-    >= max(filter_widths) tokens could not fit in memory: the embedded rows and
-    each filter width's windows and pre-activations, and the gradient of each,
-    which the backward pass builds while the forward pass's cache is held."""
+    """ParameterError when a training update of `rows` id rows (its anchors'
+    positives and the shared negatives) padded to `cols` >= max(filter_widths)
+    tokens could not fit in memory: the embedded rows and each filter width's
+    windows and pre-activations, counted twice, which bounds what the backward
+    pass builds while the forward pass's cache is held."""
     shapes = {"embedded rows": (2, rows, cols, cfg.embed_dim)}
     for w in cfg.filter_widths:
         shapes[f"windows {w}"] = (2, rows, cols - w + 1, w * cfg.embed_dim)
@@ -244,18 +266,23 @@ def check_triple_fits(cfg: EvaluatorConfig, rows: int, cols: int) -> None:
 def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig,
                     rng: np.random.Generator, opt: OptState | None = None,
                     epochs: int = 10):
-    """Discriminative training over (video, caption, negatives) triples.
+    """Discriminative training over (videos, captions, shared negatives) updates.
 
     records: VideoRecord-like objects with .id and .captions; feature_of maps
     a video id to its (frozen) feature vector. Returns (params, loss history).
-    Every caption is encoded once into one padded id matrix, video by video;
-    negatives are resampled for every triple as rows of it.
+    Every caption is encoded once into one padded id matrix, video by video.
+    Each update takes the next ANCHORS videos of the epoch's permutation, one
+    random caption of each as its positive, and one uniform draw (without
+    replacement) of n_negatives caption rows of any video, which all its
+    anchors share; a drawn caption of an anchor's own video is masked out of
+    that anchor's hinge. The update's loss is the mean over anchors of each
+    anchor's mean hinge over its unmasked negatives.
     """
     if epochs < 0:
         raise ParameterError(f"epochs must be >= 0, got {epochs}")
     records = sorted(records, key=lambda r: r.id)
-    if len(records) < 2:
-        raise DataError("evaluator training needs at least two videos")
+    if len(records) < 2 or not all(r.captions for r in records):
+        raise DataError("evaluator training needs at least two videos, each with a caption")
     params = init_evaluator_params(cfg, rng)
     opt = opt or OptState()
     ids, lengths = pad_ids([encode(tokenize(c), vocab) for r in records for c in r.captions], cfg)
@@ -263,14 +290,17 @@ def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig
     history = []
     for _ in range(epochs):
         losses = []
-        for i in rng.permutation(len(records)):
-            rec, start = records[i], int(starts[i])
-            rows = np.concatenate((
-                [start + rng.integers(len(rec.captions))],
-                negative_rows(start, len(rec.captions), len(ids), cfg.n_negatives, rng)))
+        order = rng.permutation(len(records))
+        for s in range(0, len(order), ANCHORS):
+            anchors = order[s : s + ANCHORS]
+            pos = [starts[a] + rng.integers(len(records[a].captions)) for a in anchors]
+            neg = rng.choice(len(ids), size=min(cfg.n_negatives, len(ids)), replace=False)
+            valid = (neg < starts[anchors, None]) | (neg >= starts[anchors + 1, None])
+            rows = np.concatenate((pos, neg))
             cols = max(lengths[rows].max(), max(cfg.filter_widths))
-            loss, grads = triple_loss_and_grads(params, cfg, feature_of(rec.id),
-                                                ids[rows, :cols], lengths[rows])
+            videos = np.stack([feature_of(records[a].id) for a in anchors])
+            loss, grads = triple_loss_and_grads(params, cfg, videos, ids[rows, :cols],
+                                                lengths[rows], valid)
             if loss == 0.0:  # no active hinge: every gradient is exactly zero
                 rmsprop_decay(opt)
             else:

@@ -15,7 +15,7 @@ from . import binio
 from .decoder import LMConfig, init_lm_params, fit_lm, perplexity
 from .ensemble import CandidatePool, GeneratorModel, dump_pools, generate_pool, rerank
 from .errors import DataError, FormatError, ParameterError, VidcapError
-from .evaluator import EvaluatorConfig, check_triple_fits, train_evaluator
+from .evaluator import ANCHORS, EvaluatorConfig, check_triple_fits, train_evaluator
 from .generation import GenerationConfig, check_beam_fits
 from .metrics import MetricReport, score_captions
 from .numerics import OptState, Params, make_rng
@@ -438,12 +438,12 @@ def evaluator_config(cfg: ExperimentConfig, store: FeatureStore,
 
 def check_evaluator_fits(cfg: ExperimentConfig, eval_cfg: EvaluatorConfig, dataset: Dataset,
                          vocab: Vocabulary) -> None:
-    """ParameterError when a training triple of the evaluator could not fit in
-    memory: one positive and n_negatives of the other train caption rows,
+    """ParameterError when a training update of the evaluator could not fit in
+    memory: ANCHORS positives and n_negatives of the train caption rows,
     padded to the longest train caption or the widest filter."""
     lengths = [len(encode(tokenize(c), vocab)) for r in _records(dataset, "train")
                for c in r.captions]
-    check_triple_fits(eval_cfg, 1 + min(cfg.n_negatives, len(lengths) - 1),
+    check_triple_fits(eval_cfg, ANCHORS + min(cfg.n_negatives, len(lengths)),
                       max(max(lengths), max(eval_cfg.filter_widths)))
 
 

@@ -13,6 +13,7 @@ x 20 references from 172 MB to 260 MB. Sums run in the textbook order.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from collections import Counter
@@ -176,11 +177,21 @@ class MetricReport:
 
 def score_captions(hypotheses: dict[str, str],
                    references: dict[str, list[str]]) -> MetricReport:
-    b, r_per, df = _first_pass(hypotheses, references)
-    ids = list(r_per)
-    if len(ids) < 2:
-        raise DataError("cider_d needs a corpus of at least two videos")
-    c_per = _cider_pass(hypotheses, references, ids, df)
+    """Corpus BLEU-4, ROUGE-L and CIDEr-D, and ROUGE-L and CIDEr-D per video.
+    Everything the passes allocate is acyclic, so the cyclic garbage collector
+    is paused while they run (its full collections would only rescan the
+    n-gram counters), and left as the caller had it."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        b, r_per, df = _first_pass(hypotheses, references)
+        ids = list(r_per)
+        if len(ids) < 2:
+            raise DataError("cider_d needs a corpus of at least two videos")
+        c_per = _cider_pass(hypotheses, references, ids, df)
+    finally:
+        if was_enabled:
+            gc.enable()
     per_video = {vid: {"rouge_l": r_per[vid], "cider": c_per[vid]} for vid in ids}
     return MetricReport(bleu4=b, rouge_l=sum(r_per.values()) / len(ids),
                         cider=sum(c_per.values()) / len(ids), per_video=per_video)

@@ -4,14 +4,15 @@
 convolution window with its own `np.stack`; `ref_triple_loss_and_grads` runs
 it once per caption of a (video, positive, negatives) triple and backpropagates
 sentence by sentence. `ref_sample_negatives` rebuilds the other videos'
-caption list on every call. `ref_train_evaluator` is the training loop over
-these pieces. They serve as oracles for `vidcap.evaluator`, in the same spirit
-as `reference_beam.py` for beam search.
+caption list on every call. `ref_train_evaluator` is the shared-negative
+training loop over these pieces, one anchor at a time. They serve as oracles
+for `vidcap.evaluator`, in the same spirit as `reference_beam.py` for beam
+search.
 """
 
 import numpy as np
 
-from vidcap.evaluator import init_evaluator_params, project_video
+from vidcap.evaluator import ANCHORS, init_evaluator_params, project_video
 from vidcap.numerics import OptState, rmsprop_update
 from vidcap.text import EOS, PAD, encode, tokenize
 
@@ -140,22 +141,34 @@ def ref_sample_negatives(video_id, records, n_neg, rng):
 
 
 def ref_train_evaluator(records, feature_of, vocab, cfg, rng, opt=None, epochs=10):
-    """Training with every caption re-encoded per triple and negatives drawn
-    by `ref_sample_negatives`."""
+    """Training with every caption re-encoded per update. ANCHORS videos of the
+    permutation share one draw of negatives from all captions; each anchor's
+    loss and gradients are `ref_triple_loss_and_grads` over its drawn negatives
+    of other videos (none: it adds nothing), and the update averages them."""
     records = sorted(records, key=lambda r: r.id)
     params = init_evaluator_params(cfg, rng)
     opt = opt or OptState()
+    captions = [(r.id, c) for r in records for c in r.captions]
     history = []
     for _ in range(epochs):
         losses = []
-        for i in rng.permutation(len(records)):
-            rec = records[i]
-            pos = encode(tokenize(rec.captions[rng.integers(len(rec.captions))]), vocab)
-            negs = [encode(tokenize(c), vocab)
-                    for c in ref_sample_negatives(rec.id, records, cfg.n_negatives, rng)]
-            loss, grads = ref_triple_loss_and_grads(params, cfg, feature_of(rec.id), pos, negs)
-            rmsprop_update(params, grads, opt)
+        order = rng.permutation(len(records))
+        for s in range(0, len(order), ANCHORS):
+            anchors = [records[i] for i in order[s : s + ANCHORS]]
+            positives = [rec.captions[rng.integers(len(rec.captions))] for rec in anchors]
+            drawn = [captions[j] for j in rng.choice(
+                len(captions), size=min(cfg.n_negatives, len(captions)), replace=False)]
+            loss, grads = 0.0, {k: np.zeros_like(v) for k, v in params.items()}
+            for rec, pos in zip(anchors, positives):
+                negs = [encode(tokenize(c), vocab) for vid, c in drawn if vid != rec.id]
+                if negs:
+                    anchor_loss, anchor_grads = ref_triple_loss_and_grads(
+                        params, cfg, feature_of(rec.id), encode(tokenize(pos), vocab), negs)
+                    loss += anchor_loss
+                    for k in grads:
+                        grads[k] += anchor_grads[k]
+            rmsprop_update(params, {k: g / len(anchors) for k, g in grads.items()}, opt)
             params["embed"][PAD] = 0.0
-            losses.append(loss)
+            losses.append(loss / len(anchors))
         history.append(float(np.mean(losses)))
     return params, history

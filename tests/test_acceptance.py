@@ -66,9 +66,10 @@ def test_acceptance_1_gradient_correctness():
         negs = [[BOS] + list(rng.integers(4, 20, size=int(rng.integers(1, 7)))) + [EOS]
                 for _ in range(4)]
 
-        def ev_loss(p):
-            return evaluator.triple_loss_and_grads(p, ecfg, video,
-                                                   *evaluator.pad_ids([pos, *negs], ecfg))
+        def ev_loss(p):  # one anchor, every negative valid
+            return evaluator.triple_loss_and_grads(p, ecfg, video[None],
+                                                   *evaluator.pad_ids([pos, *negs], ecfg),
+                                                   np.ones((1, 4), dtype=bool))
 
         err = grad_check(ev_loss, eparams, make_rng(seed + 40), h=1e-5,
                          samples_per_param=5)

@@ -474,6 +474,23 @@ class TestConfigValues:
         assert "[data]" in err and "vocabulary is empty" in err and "Traceback" not in err
         assert trained == []
 
+    def test_overflowing_perplexity_is_3(self, workspace, tmp_path, capsys):
+        """At learning rate 1e300 every weight stays finite, but the eval-split
+        mean NLL passes 709, where exp overflows: a perplexity of inf would be
+        written into results.json as `Infinity`, which is not JSON."""
+        root, cfg_path = workspace
+        cfg = {**json.loads(cfg_path.read_text()), "learning_rate": 1e300}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        args = ["--config", str(tmp_path / "cfg.json")]
+        assert main(["run", *args, "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"^numeric error: \[train-lm:m-a\] perplexity is not finite: "
+                         r"mean NLL per token \S+", err), err
+        assert not (tmp_path / "run" / "results.json").exists()
+        assert main(["train-lm", *_stage_inputs(root), "--model", "m-a", *args,
+                     "--out", str(tmp_path / "m-a.vlmp")]) == 3
+        assert "mean NLL per token" in capsys.readouterr().err
+
     @pytest.mark.parametrize("where", ["file", "under-a-file"])
     def test_run_out_not_a_directory_is_2(self, workspace, tmp_path, capsys, trained, where):
         _, cfg_path = workspace
@@ -496,11 +513,12 @@ class TestConfigValues:
          "depth"])
 def test_model_larger_than_memory_is_1(tmp_path, override):
     """A model whose parameters, whose beam's scores and states, or whose
-    evaluator training triple would not fit in physical memory is a usage
+    evaluator training update would not fit in physical memory is a usage
     error of the data stage, never a MemoryError. The child's address space
     is capped at 4 GiB, so that a missing bound fails fast instead of paging.
     The evaluator's filter of width 100000 has parameters that fit (0.8 GB),
-    but a triple of 42 rows padded to 100000 tokens needs 10.8 GB, so that row
+    but an update of 46 rows (4 anchors' positives and all 42 train captions
+    as shared negatives) padded to 100000 tokens needs 11.8 GB, so that row
     expects less physical memory than that, as the beam_size row expects less
     than 40 GB."""
     def cap():

@@ -47,6 +47,26 @@ def seq(rng, cfg, n):
     return [BOS] + list(rng.integers(4, cfg.vocab_size, size=n)) + [EOS]
 
 
+def one_triple(params, cfg, video, pos, negs):
+    """triple_loss_and_grads for one anchor whose negatives are all valid."""
+    return triple_loss_and_grads(params, cfg, np.asarray(video)[None], *pad_ids([pos, *negs], cfg),
+                                 np.ones((1, len(negs)), dtype=bool))
+
+
+def anchor_mean(params, cfg, videos, positives, negs, valid):
+    """The per-anchor mean of ref_triple_loss_and_grads over each anchor's
+    valid negatives; an anchor with none adds 0 loss and no gradient."""
+    loss, grads = 0.0, {k: np.zeros_like(v) for k, v in params.items()}
+    for video, pos, mask in zip(videos, positives, valid):
+        if mask.any():
+            anchor_loss, anchor_grads = ref_triple_loss_and_grads(
+                params, cfg, video, pos, [n for n, keep in zip(negs, mask) if keep])
+            loss += anchor_loss
+            for k in grads:
+                grads[k] += anchor_grads[k]
+    return loss / len(videos), {k: g / len(videos) for k, g in grads.items()}
+
+
 class TestEncodeSentence:
     def test_fixed_output_dim_across_lengths(self):
         cfg = tiny_cfg()
@@ -113,20 +133,91 @@ def triples(draw):
     return cfg, params, video, pos, negs
 
 
+@st.composite
+def anchor_batches(draw):
+    """(cfg, params, videos, positives, negs, valid): B = 1..4 anchors over one
+    triple's draws, each with its own video and positive, sharing the negatives
+    under a random mask. Anchor 0's mask is all False in a third of the draws:
+    every negative drawn is a caption of its own video."""
+    cfg, params, video, pos, negs = draw(triples())
+    B = draw(st.integers(1, 4))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    videos = np.vstack([video, rng.normal(size=(B - 1, cfg.video_dim))])
+    positives = [pos] + [draw(SEQS) for _ in range(B - 1)]
+    valid = rng.random((B, len(negs))) < draw(st.sampled_from([0.5, 0.9, 1.0]))
+    if draw(st.integers(0, 2)) == 0:
+        valid[0] = False
+    return cfg, params, videos, positives, negs, valid
+
+
+def oracle_tolerance(params, cfg, seqs, videos):
+    """A cosine's gradient grows as 1 / |embedding| of either side, and with it
+    the rounding in every sum it enters (norms reach 1e-4 here)."""
+    norms = [np.linalg.norm(ref_encode_sentence(ids, params, cfg)) for ids in seqs]
+    norms += [np.linalg.norm(project_video(v, params)) for v in videos]
+    return 1e-12 * max([1.0] + [1.0 / n for n in norms if n > 0.0])
+
+
 class TestBatchedEncoder:
     @given(triples())
     def test_triple_matches_per_sentence_oracle(self, triple):
+        """One anchor with every negative valid is the per-triple hinge."""
         cfg, params, video, pos, negs = triple
         want_loss, want = ref_triple_loss_and_grads(params, cfg, video, pos, negs)
-        loss, grads = triple_loss_and_grads(params, cfg, video, *pad_ids([pos, *negs], cfg))
+        loss, grads = one_triple(params, cfg, video, pos, negs)
         assert abs(loss - want_loss) <= 1e-12
         assert grads.keys() == want.keys()
-        # A cosine's gradient grows as 1 / |sentence embedding|, and with it the
-        # rounding in every sum it enters (norms reach 1e-4 here).
-        norms = [np.linalg.norm(ref_encode_sentence(ids, params, cfg)) for ids in [pos, *negs]]
-        tol = 1e-12 * max([1.0] + [1.0 / n for n in norms if n > 0.0])
+        tol = oracle_tolerance(params, cfg, [pos, *negs], [video])
         for k in want:
             np.testing.assert_allclose(grads[k], want[k], rtol=0, atol=tol, err_msg=k)
+
+    @given(anchor_batches())
+    def test_batch_matches_per_anchor_oracle(self, batch):
+        """B anchors on one shared, masked draw give the mean over anchors of
+        each anchor's per-sentence triple; no 0 / 0 on an all-masked anchor."""
+        cfg, params, videos, positives, negs, valid = batch
+        want_loss, want = anchor_mean(params, cfg, videos, positives, negs, valid)
+        with np.errstate(all="raise"):
+            loss, grads = triple_loss_and_grads(params, cfg, videos,
+                                                *pad_ids([*positives, *negs], cfg), valid)
+        assert abs(loss - want_loss) <= 1e-12
+        assert grads.keys() == want.keys()
+        tol = oracle_tolerance(params, cfg, [*positives, *negs], videos)
+        for k in want:
+            np.testing.assert_allclose(grads[k], want[k], rtol=0, atol=tol, err_msg=k)
+
+    def test_all_masked_anchor_adds_nothing(self):
+        """An anchor whose drawn negatives are all its own captions adds 0 to
+        the loss sum and no gradient: its video and positive do not matter."""
+        cfg = tiny_cfg()
+        rng = make_rng(12)
+        params = init_evaluator_params(cfg, rng, scale=0.5)
+        negs = [seq(rng, cfg, 3) for _ in range(4)]
+        pos = seq(rng, cfg, 4)
+        video = rng.normal(size=cfg.video_dim)
+        want_loss, want = ref_triple_loss_and_grads(params, cfg, video, pos, negs)
+        for other in (seq(rng, cfg, 2), seq(rng, cfg, 5)):
+            videos = np.stack([video, rng.normal(size=cfg.video_dim)])
+            with np.errstate(all="raise"):
+                loss, grads = triple_loss_and_grads(
+                    params, cfg, videos, *pad_ids([pos, other, *negs], cfg),
+                    np.array([[True] * 4, [False] * 4]))
+            assert loss == pytest.approx(want_loss / 2, abs=1e-15)
+            for k in want:
+                np.testing.assert_allclose(grads[k], want[k] / 2, rtol=0, atol=1e-12, err_msg=k)
+        with np.errstate(all="raise"):
+            loss, grads = triple_loss_and_grads(params, cfg, video[None],
+                                                *pad_ids([pos, *negs], cfg),
+                                                np.zeros((1, 4), dtype=bool))
+        assert loss == 0.0 and all(not g.any() for g in grads.values())
+
+    def test_video_matrix_shape_checked(self):
+        cfg = tiny_cfg()
+        params = init_evaluator_params(cfg, make_rng(0))
+        ids, lengths = pad_ids([[BOS, 4, EOS], [BOS, 5, EOS]], cfg)
+        for videos in (np.zeros(cfg.video_dim), np.zeros((1, cfg.video_dim + 1))):
+            with pytest.raises(DimensionError):
+                triple_loss_and_grads(params, cfg, videos, ids, lengths, np.ones((1, 1), bool))
 
     @given(triples())
     def test_encodings_match_per_sentence_oracle(self, triple):
@@ -142,10 +233,10 @@ class TestBatchedEncoder:
         params["vid_W"], params["vid_b"] = np.eye(6), np.zeros(6)
         pos, neg = [BOS, 5, 6, 7, EOS], [BOS, 9, EOS, 4]
         video = ref_encode_sentence(pos, params, cfg)
-        loss, grads = triple_loss_and_grads(params, cfg, video, *pad_ids([pos, neg], cfg))
+        loss, grads = one_triple(params, cfg, video, pos, [neg])
         assert loss == 0.0 and all(not g.any() for g in grads.values())
         params["sent_W"][:], params["sent_b"][:] = 0.0, 0.0
-        loss, grads = triple_loss_and_grads(params, cfg, video, *pad_ids([pos, neg], cfg))
+        loss, grads = one_triple(params, cfg, video, pos, [neg])
         assert loss == cfg.margin and all(not g.any() for g in grads.values())
 
     def test_pad_ids_width_and_cut(self):
@@ -278,9 +369,26 @@ class TestTraining:
         negs = [seq(rng, cfg, int(rng.integers(1, 6))) for _ in range(3)]
 
         def loss_fn(p):
-            return triple_loss_and_grads(p, cfg, video, *pad_ids([pos, *negs], cfg))
+            return one_triple(p, cfg, video, pos, negs)
 
         assert grad_check(loss_fn, params, make_rng(11), samples_per_param=6) < 1e-4
+
+    def test_batch_gradients_match_finite_differences(self):
+        """Three anchors on one shared draw, one negative masked for anchor 1."""
+        cfg = tiny_cfg()
+        rng = make_rng(13)
+        params = init_evaluator_params(cfg, rng, scale=0.5)
+        videos = rng.normal(size=(3, cfg.video_dim))
+        positives = [seq(rng, cfg, int(rng.integers(1, 6))) for _ in range(3)]
+        negs = [seq(rng, cfg, int(rng.integers(1, 6))) for _ in range(4)]
+        valid = np.ones((3, 4), dtype=bool)
+        valid[1, 2] = False
+        rows = pad_ids([*positives, *negs], cfg)
+
+        def loss_fn(p):
+            return triple_loss_and_grads(p, cfg, videos, *rows, valid)
+
+        assert grad_check(loss_fn, params, make_rng(14), samples_per_param=6) < 1e-4
 
     def test_gradient_exactly_zero_outside_margin(self):
         # align the video embedding with the positive sentence so the positive
@@ -297,14 +405,15 @@ class TestTraining:
         video = s_pos.copy()
         c_neg = _cosine(encode_sentence(neg, params, cfg), video)
         assert c_neg < 1.0 - cfg.margin  # constructed to sit outside the margin
-        loss, grads = triple_loss_and_grads(params, cfg, video, *pad_ids([pos, neg], cfg))
+        loss, grads = one_triple(params, cfg, video, pos, [neg])
         assert loss == 0.0
         for k, g in grads.items():
             assert np.array_equal(g, np.zeros_like(g)), k
 
     def test_matches_per_sentence_training(self):
-        """Encoding once and drawing rows trains the same weights as
-        re-encoding every caption and rebuilding the caption list per triple."""
+        """Encoding once and training B anchors per update on one masked
+        draw trains the same weights as re-encoding every caption and running
+        each anchor's triple on its own."""
         corpus = ["red cat posing", "blue dog running fast", "a green bird", "black horse",
                   "the red cat", "a dog", "green bird eating seeds today", "horse jumping"]
         vocab = build_vocab(corpus, min_count=1)
@@ -322,15 +431,16 @@ class TestTraining:
             np.testing.assert_allclose(got[k], want[k], rtol=0, atol=1e-12, err_msg=k)
 
     def test_inactive_triples_only_decay(self, monkeypatch):
-        """A triple with no active hinge has all-zero gradients, so decaying
-        the accumulators leaves the same bits as a full RMSProp update."""
+        """An update with no active hinge for any anchor has all-zero
+        gradients, so decaying the accumulators leaves the same bits as a full
+        RMSProp update. Five videos make updates of four anchors and of one."""
         corpus = ["red cat posing", "blue dog running fast", "a green bird", "black horse",
                   "the red cat", "a dog", "green bird eating seeds today", "horse jumping"]
         vocab = build_vocab(corpus, min_count=1)
-        cfg = tiny_cfg(vocab_size=len(vocab), video_dim=4)
+        cfg = tiny_cfg(vocab_size=len(vocab), video_dim=5)
         records = [VideoRecord(id=f"v{i}", category=0, split="train",
-                               captions=[corpus[i], corpus[i + 4]]) for i in range(4)]
-        feats = {f"v{i}": np.eye(4)[i] for i in range(4)}
+                               captions=[corpus[i % 8], corpus[(i + 4) % 8]]) for i in range(5)]
+        feats = {f"v{i}": np.eye(5)[i] for i in range(5)}
 
         def run():
             opt = OptState(learning_rate=2e-2)
@@ -361,18 +471,24 @@ class TestTraining:
             assert got[k].tobytes() == want[k].tobytes(), k
             assert got_acc[k].tobytes() == want_acc[k].tobytes(), k
 
-    def test_one_triple_call_per_video_and_epoch(self, monkeypatch):
+    @pytest.mark.parametrize("n_negatives", [2, 50])
+    def test_one_triple_call_per_anchor_group_and_epoch(self, monkeypatch, n_negatives):
+        """ceil(videos / ANCHORS) calls per epoch, each with its anchors'
+        positives and min(n_negatives, caption rows) shared negatives."""
         calls = []
         real = evaluator.triple_loss_and_grads
         monkeypatch.setattr(evaluator, "triple_loss_and_grads",
-                            lambda *a: calls.append(a[3].shape[0]) or real(*a))
-        corpus = ["red cat posing", "blue dog posing", "green bird posing"]
+                            lambda *a: calls.append((len(a[2]), a[3].shape[0])) or real(*a))
+        corpus = ["red cat posing", "blue dog posing", "green bird posing", "a cat",
+                  "a dog", "a bird"]
         vocab = build_vocab(corpus, min_count=1)
-        cfg = tiny_cfg(vocab_size=len(vocab), video_dim=3, n_negatives=2)
+        cfg = tiny_cfg(vocab_size=len(vocab), video_dim=3, n_negatives=n_negatives)
         records = [VideoRecord(id=f"v{i}", category=0, split="train", captions=[corpus[i]])
-                   for i in range(3)]
+                   for i in range(6)]
         train_evaluator(records, lambda v: np.ones(3), vocab, cfg, make_rng(0), epochs=2)
-        assert calls == [3] * 6  # the positive and n_negatives rows per triple
+        drawn = min(n_negatives, len(corpus))
+        assert evaluator.ANCHORS == 4
+        assert calls == [(4, 4 + drawn), (2, 2 + drawn)] * 2
 
     def test_zero_epochs_returns_init(self):
         cfg = tiny_cfg()
@@ -423,6 +539,15 @@ class TestTraining:
                 total += 1
                 wins += own > other
         assert wins / total >= 0.9
+
+    def test_training_needs_two_captioned_videos(self):
+        vocab = build_vocab(["a cat"], min_count=1)
+        cfg = tiny_cfg(vocab_size=len(vocab), video_dim=3)
+        for captions in ([["a cat"]], [["a cat"], []]):  # test videos may have none
+            records = [VideoRecord(id=f"v{i}", category=0, split="test", captions=c)
+                       for i, c in enumerate(captions)]
+            with pytest.raises(DataError, match="at least two videos"):
+                train_evaluator(records, lambda v: np.ones(3), vocab, cfg, make_rng(0))
 
     def test_triple_bound_counts_forward_and_backward(self):
         """Embedded rows (10 x 3), windows and pre-activations of widths 2 (9 x

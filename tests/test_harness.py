@@ -249,12 +249,12 @@ class TestExperimentConfig:
 
 
 class TestRunExperiment:
-    @pytest.mark.parametrize("n_negatives, rows", [(5, 6), (10**9, 42)])
+    @pytest.mark.parametrize("n_negatives, rows", [(5, 9), (10**9, 46)])
     def test_evaluator_triple_bounded_before_training(self, monkeypatch, n_negatives, rows):
         """fit_evaluator, which `vidcap train-eval` calls, sizes the bound for
-        1 + n_negatives rows, at most the 14 x 3 train captions, padded to the
-        widest filter or the longest train caption: BOS, six words such as "a
-        red cat is posing today", EOS."""
+        the 4 anchors' positives and n_negatives shared rows, at most the 14 x
+        3 train captions, padded to the widest filter or the longest train
+        caption: BOS, six words such as "a red cat is posing today", EOS."""
         calls = []
         monkeypatch.setattr(harness, "check_triple_fits",
                             lambda cfg, r, cols: calls.append((r, cols)))
@@ -267,6 +267,35 @@ class TestRunExperiment:
             dataset, store = harness.load_data(cfg)
             harness.fit_evaluator(cfg, dataset, store, harness.make_vocab(cfg, dataset))
             assert calls == [(rows, cols), "trained"]
+
+    def test_evaluator_update_bound_fails_under_data(self, monkeypatch):
+        """With physical memory one float short of an update of 4 positives and
+        42 shared negatives (all 14 x 3 train captions) padded to the width-600
+        filter, `run` stops under [data] before training; the 1 + 41 rows of
+        one anchor's triple would have fit. Exactly that much memory passes."""
+        E, F, W = 32, 32, 600
+        def need(rows):  # embedded rows, windows and pre-activations, twice
+            return 8 * 2 * rows * (W * E + (W - 1) * (2 * E + F) + W * E + F)
+
+        real = os.sysconf
+        def memory(n_bytes):
+            monkeypatch.setattr(os, "sysconf", lambda name: {
+                "SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": n_bytes // 8}.get(name) or real(name))
+
+        trained = []
+        monkeypatch.setattr(harness, "train_evaluator", lambda *a, **k: trained.append(1))
+        monkeypatch.setattr(harness, "fit_lm", lambda *a, **k: trained.append(1))
+        cfg = ExperimentConfig(filter_widths=(2, W), synth=SynthConfig(n_videos=20))
+        memory(need(46) - 8)
+        with pytest.raises(ParameterError, match=rf"^\[data\] the evaluator's training "
+                                                 rf"triples need {need(46)} bytes"):
+            run_experiment(cfg)
+        assert trained == []
+        dataset, store = harness.load_data(cfg)
+        vocab = harness.make_vocab(cfg, dataset)
+        memory(need(46))
+        harness.check_evaluator_fits(cfg, harness.evaluator_config(cfg, store, vocab),
+                                     dataset, vocab)
 
     def test_model_rows_score_each_models_own_captions(self, monkeypatch):
         """Row i scores entry i of every pool, which generate_pool fills in

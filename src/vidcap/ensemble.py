@@ -11,7 +11,7 @@ import numpy as np
 from . import binio
 from .decoder import LMConfig
 from .errors import DataError
-from .evaluator import EvaluatorConfig, _cosines, encode_sentences, project_video
+from .evaluator import EvaluatorConfig, cosines, encode_sentences, project_videos
 from .evaluator import encode_sentence  # noqa: F401  (bench/layers.py traces this name)
 from .generation import GenerationConfig, beam_search
 from .numerics import Params
@@ -69,10 +69,10 @@ def rerank(pool: CandidatePool, video_values: np.ndarray, eval_params: Params,
     """
     if not pool.entries:
         raise DataError(f"empty candidate pool for video {pool.video_id!r}")
-    vid_emb = project_video(np.asarray(video_values, dtype=np.float64), eval_params)
+    vid_emb = project_videos(np.asarray(video_values)[None], eval_params)
     captions = list(dict.fromkeys(c.caption for c in pool.entries))
     sents = encode_sentences([encode(tokenize(c), vocab) for c in captions], eval_params, eval_cfg)
-    score_of = dict(zip(captions, _cosines(sents, vid_emb).tolist()))
+    score_of = dict(zip(captions, cosines(sents, vid_emb)[0][:, 0].tolist()))
     for cand in pool.entries:
         cand.score = score_of[cand.caption]
     return min(pool.entries, key=lambda c: (-c.score, -c.logprob, c.caption))

@@ -7,7 +7,12 @@ them (PAD embedding pinned to zero), convolves every window of several widths,
 max-pools each filter over time with the positions past max(L - w, 0) masked
 (so windows never extend past EOS, and a sequence shorter than w keeps one
 zero-padded window), applies tanh, floors the pool at zero and projects it
-into the joint space. Videos reach the same space through one affine map.
+into the joint space. Videos reach the same space through one affine map,
+`project_videos`, and `cosines` scores every sentence row against every video
+row. Training, `similarity` and the reranker (`ensemble.rerank`) all score
+through these two functions, so a pool is ranked by the cosine the evaluator
+was trained on.
+
 Training maximizes the cosine of matched pairs over sampled negatives with a
 per-negative hinge. Each update takes ANCHORS videos and one uniform draw of
 caption rows that all of them share as negatives (Kiros et al. 2014, arXiv
@@ -15,7 +20,9 @@ caption rows that all of them share as negatives (Kiros et al. 2014, arXiv
 anchor's own video is masked out of that anchor's hinge. The loss is the mean
 over anchors of each anchor's mean hinge over its unmasked negatives, so one
 encoder pass covers the B positives and the shared negatives, and one backward
-pass covers the positives and the negatives active for any anchor.
+pass covers the positives and the negatives active for any anchor. Every
+update, one with no active hinge included, is one RMSProp step;
+`check_training_fits` bounds what training holds before it starts.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 
 from . import binio
 from .errors import DataError, DimensionError, NumericError, ParameterError
-from .numerics import OptState, Params, check_fits_in_memory, rmsprop_decay, rmsprop_update
+from .numerics import OptState, Params, check_fits_in_memory, rmsprop_update
 from .text import PAD, EOS, Vocabulary, encode, tokenize
 
 ANCHORS = 4  # anchor videos per training update, sharing one draw of negatives
@@ -158,47 +165,38 @@ def encode_sentence(ids: list[int], params: Params, cfg: EvaluatorConfig) -> np.
     return encode_sentences([ids], params, cfg)[0]
 
 
-def project_video(values: np.ndarray, params: Params) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or values.shape[0] != params["vid_W"].shape[1]:
+def project_videos(V, params: Params) -> np.ndarray:
+    """(B, joint_dim) embeddings of a (B, video_dim) matrix of video features."""
+    V = np.asarray(V, dtype=np.float64)
+    if V.ndim != 2 or V.shape[1] != params["vid_W"].shape[1]:
         raise DimensionError(
-            f"video feature dim {values.shape} != projection columns {params['vid_W'].shape[1]}"
-        )
-    return params["vid_W"] @ values + params["vid_b"]
+            f"video matrix {V.shape} != (videos, {params['vid_W'].shape[1]})")
+    return V @ params["vid_W"].T + params["vid_b"]
 
 
-def _cosines(S: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cosine of each row of S with v; 0 where either embedding is zero."""
-    norms = np.linalg.norm(S, axis=1) * np.linalg.norm(v)
-    return np.divide(S @ v, norms, out=np.zeros(len(S)), where=norms != 0.0)
-
-
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    return float(_cosines(u[None], v)[0])
+def cosines(S: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, B) cosines of every row of S with every row of V, 0 where either
+    embedding is zero, and the (R,) and (B,) row norms of S and V."""
+    ns, nv = np.linalg.norm(S, axis=1), np.linalg.norm(V, axis=1)
+    norms = np.outer(ns, nv)
+    return np.divide(S @ V.T, norms, out=np.zeros(norms.shape), where=norms != 0.0), ns, nv
 
 
 def similarity(ids: list[int], video_values: np.ndarray, params: Params,
                cfg: EvaluatorConfig) -> float:
     """Cosine between the sentence and video embeddings, in [-1, 1]."""
-    return _cosine(encode_sentence(ids, params, cfg), project_video(video_values, params))
-
-
-def negative_rows(start: int, n_own: int, n_rows: int, n_neg: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample (no replacement) of up to n_neg of n_rows caption rows,
-    skipping the anchor video's own block start..start+n_own-1."""
-    if n_rows == n_own:
-        raise DataError("negative sampling needs captions of at least two videos")
-    idx = rng.choice(n_rows - n_own, size=min(n_neg, n_rows - n_own), replace=False)
-    return idx + n_own * (idx >= start)
+    video = project_videos(np.asarray(video_values)[None], params)
+    return float(cosines(encode_sentence(ids, params, cfg)[None], video)[0][0, 0])
 
 
 def sample_negatives(video_id: str, records, n_neg: int,
                      rng: np.random.Generator) -> list[str]:
     """Uniform sample (no replacement) from the other videos' captions."""
-    own = [c for r in records if r.id == video_id for c in r.captions]
-    captions = own + [c for r in records if r.id != video_id for c in r.captions]
-    return [captions[j] for j in negative_rows(0, len(own), len(captions), n_neg, rng)]
+    others = [c for r in records if r.id != video_id for c in r.captions]
+    if not others:
+        raise DataError("negative sampling needs captions of at least two videos")
+    return [others[j] for j in rng.choice(len(others), size=min(n_neg, len(others)),
+                                          replace=False)]
 
 
 def triple_loss_and_grads(params: Params, cfg: EvaluatorConfig, videos,
@@ -210,17 +208,10 @@ def triple_loss_and_grads(params: Params, cfg: EvaluatorConfig, videos,
     that anchor's own video. The loss is the mean over anchors of each
     anchor's mean hinge over its valid negatives (an anchor with none adds 0).
     Only the positives and the negatives active for some anchor backpropagate."""
-    videos = np.asarray(videos, dtype=np.float64)
-    if videos.ndim != 2 or videos.shape[1] != params["vid_W"].shape[1]:
-        raise DimensionError(
-            f"video matrix {videos.shape} != (anchors, {params['vid_W'].shape[1]})")
-    B = len(videos)
-    vid_emb = videos @ params["vid_W"].T + params["vid_b"]  # (B, joint_dim)
+    vid_emb = project_videos(videos, params)  # (B, joint_dim)
+    B = len(vid_emb)
     sents, cache = _encode_rows(ids, lengths, params, cfg)
-    ns, nv = np.linalg.norm(sents, axis=1), np.linalg.norm(vid_emb, axis=1)
-    norms = np.outer(ns, nv)
-    # cosine of every row with every anchor's video; 0 where either embedding is zero
-    cos = np.divide(sents @ vid_emb.T, norms, out=np.zeros(norms.shape), where=norms != 0.0)
+    cos, ns, nv = cosines(sents, vid_emb)  # every row against every anchor's video
     hinges = cfg.margin - cos[np.arange(B), np.arange(B)][:, None] + cos[B:].T  # (B, n)
     active = valid & (hinges > 0.0)
     n_valid = valid.sum(axis=1)
@@ -237,7 +228,7 @@ def triple_loss_and_grads(params: Params, cfg: EvaluatorConfig, videos,
     dcos = np.zeros_like(cos)
     dcos[B:] = weight.T
     dcos[np.arange(B), np.arange(B)] = -weight.sum(axis=1)
-    dcos[norms == 0.0] = 0.0  # a zero embedding passes no gradient
+    dcos[np.outer(ns, nv) == 0.0] = 0.0  # a zero embedding passes no gradient
     ns[ns == 0.0], nv[nv == 0.0] = 1.0, 1.0  # their rows and columns of dcos are zero
     rows = np.flatnonzero(np.concatenate((active.any(axis=1), active.any(axis=0))))
     dc, S, n = dcos[rows], sents[rows], ns[rows, None]
@@ -250,17 +241,23 @@ def triple_loss_and_grads(params: Params, cfg: EvaluatorConfig, videos,
     return loss, grads
 
 
-def check_triple_fits(cfg: EvaluatorConfig, rows: int, cols: int) -> None:
-    """ParameterError when a training update of `rows` id rows (its anchors'
-    positives and the shared negatives) padded to `cols` >= max(filter_widths)
-    tokens could not fit in memory: the embedded rows and each filter width's
-    windows and pre-activations, counted twice, which bounds what the backward
-    pass builds while the forward pass's cache is held."""
-    shapes = {"embedded rows": (2, rows, cols, cfg.embed_dim)}
+def check_training_fits(records, vocab: Vocabulary, cfg: EvaluatorConfig) -> None:
+    """ParameterError when training on the records' captions could not fit in
+    memory: the parameters, their gradients and RMSProp accumulators, and one
+    update of ANCHORS positives and n_negatives caption rows, padded to the
+    longest caption or the widest filter as `pad_ids` pads them. The update's
+    embedded rows and each filter width's windows and pre-activations count
+    twice, which bounds what the backward pass builds while the forward pass's
+    cache is held."""
+    lengths = [len(encode(tokenize(c), vocab)) for r in records for c in r.captions]
+    rows, cols = ANCHORS + min(cfg.n_negatives, len(lengths)), max(lengths + [*cfg.filter_widths])
+    shapes = {name: (3, *shape) for name, shape in evaluator_param_shapes(cfg).items()}
+    shapes["embedded rows"] = (2, rows, cols, cfg.embed_dim)
     for w in cfg.filter_widths:
         shapes[f"windows {w}"] = (2, rows, cols - w + 1, w * cfg.embed_dim)
         shapes[f"pre-activations {w}"] = (2, rows, cols - w + 1, cfg.filters_per_width)
-    check_fits_in_memory(shapes, "the evaluator's training triples")
+    check_fits_in_memory(shapes, "the evaluator's parameters, gradients, RMSProp "
+                                 "accumulators and training update")
 
 
 def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig,
@@ -301,10 +298,7 @@ def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig
             videos = np.stack([feature_of(records[a].id) for a in anchors])
             loss, grads = triple_loss_and_grads(params, cfg, videos, ids[rows, :cols],
                                                 lengths[rows], valid)
-            if loss == 0.0:  # no active hinge: every gradient is exactly zero
-                rmsprop_decay(opt)
-            else:
-                rmsprop_update(params, grads, opt)
+            rmsprop_update(params, grads, opt)
             losses.append(loss)
         history.append(float(np.mean(losses)))
     return params, history

@@ -12,13 +12,13 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .decoder import LMConfig, init_lm_params, fit_lm, perplexity
+from .decoder import LMConfig, init_lm_params, fit_lm, lm_param_shapes, perplexity
 from .ensemble import CandidatePool, GeneratorModel, dump_pools, generate_pool, rerank
 from .errors import DataError, FormatError, ParameterError, VidcapError
-from .evaluator import ANCHORS, EvaluatorConfig, check_triple_fits, train_evaluator
+from .evaluator import EvaluatorConfig, check_training_fits, train_evaluator
 from .generation import GenerationConfig, check_beam_fits
 from .metrics import MetricReport, score_captions
-from .numerics import OptState, Params, make_rng
+from .numerics import OptState, Params, check_fits_in_memory, make_rng
 from .text import RESERVED, Vocabulary, build_vocab, encode, tokenize
 
 N_CATEGORIES = 20
@@ -421,9 +421,15 @@ def make_vocab(cfg: ExperimentConfig, dataset: Dataset) -> Vocabulary:
 
 def lm_config(cfg: ExperimentConfig, spec: ModelSpec, store: FeatureStore,
               vocab: Vocabulary) -> LMConfig:
-    return LMConfig(vocab_size=len(vocab), init_dim=store.dim(spec.init_feature),
-                    persist_dim=store.dim(spec.persist_feature), depth=spec.depth,
-                    hidden=cfg.hidden, embed_dim=cfg.embed_dim, dropout_rate=cfg.dropout_rate)
+    """The roster model's LMConfig; ParameterError when training it could not
+    fit in memory: its parameters, their gradients and RMSProp accumulators."""
+    lm_cfg = LMConfig(vocab_size=len(vocab), init_dim=store.dim(spec.init_feature),
+                      persist_dim=store.dim(spec.persist_feature), depth=spec.depth,
+                      hidden=cfg.hidden, embed_dim=cfg.embed_dim, dropout_rate=cfg.dropout_rate)
+    check_fits_in_memory({name: (3, *shape) for name, shape in lm_param_shapes(lm_cfg).items()},
+                         "the parameters, gradients and RMSProp accumulators "
+                         f"of model {spec.tag!r}")
+    return lm_cfg
 
 
 def evaluator_config(cfg: ExperimentConfig, store: FeatureStore,
@@ -434,17 +440,6 @@ def evaluator_config(cfg: ExperimentConfig, store: FeatureStore,
         filters_per_width=cfg.filters_per_width, joint_dim=cfg.joint_dim,
         margin=cfg.margin, n_negatives=cfg.n_negatives,
         feature_name=cfg.evaluator_feature)
-
-
-def check_evaluator_fits(cfg: ExperimentConfig, eval_cfg: EvaluatorConfig, dataset: Dataset,
-                         vocab: Vocabulary) -> None:
-    """ParameterError when a training update of the evaluator could not fit in
-    memory: ANCHORS positives and n_negatives of the train caption rows,
-    padded to the longest train caption or the widest filter."""
-    lengths = [len(encode(tokenize(c), vocab)) for r in _records(dataset, "train")
-               for c in r.captions]
-    check_triple_fits(eval_cfg, ANCHORS + min(cfg.n_negatives, len(lengths)),
-                      max(max(lengths), max(eval_cfg.filter_widths)))
 
 
 def generation_config(cfg: ExperimentConfig) -> GenerationConfig:
@@ -481,10 +476,11 @@ def fit_evaluator(cfg: ExperimentConfig, dataset: Dataset, store: FeatureStore,
     """Train the caption-video evaluator on the train split; returns its
     config, its parameters and its mean loss per epoch."""
     eval_cfg = evaluator_config(cfg, store, vocab)
-    check_evaluator_fits(cfg, eval_cfg, dataset, vocab)
+    records = _records(dataset, "train")
+    check_training_fits(records, vocab, eval_cfg)
     params, history = train_evaluator(
-        _records(dataset, "train"), lambda vid: store.get(vid, cfg.evaluator_feature), vocab,
-        eval_cfg, make_rng(cfg.seed, len(cfg.models) + 1), opt=_opt(cfg), epochs=cfg.eval_epochs)
+        records, lambda vid: store.get(vid, cfg.evaluator_feature), vocab, eval_cfg,
+        make_rng(cfg.seed, len(cfg.models) + 1), opt=_opt(cfg), epochs=cfg.eval_epochs)
     return eval_cfg, params, history
 
 
@@ -610,7 +606,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
             check_beam_fits(gen_cfg, lm_config(cfg, spec, store, vocab), spec.tag)
             names += [spec.init_feature, spec.persist_feature]
         _opt(cfg)
-        check_evaluator_fits(cfg, evaluator_config(cfg, store, vocab), dataset, vocab)
+        check_training_fits(_records(dataset, "train"), vocab, evaluator_config(cfg, store, vocab))
         for r in _records(dataset, "train") + _records(dataset, cfg.eval_split):
             for name in names:
                 store.get(r.id, name)

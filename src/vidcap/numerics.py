@@ -108,13 +108,6 @@ def rmsprop_update(params: Params, grads: Params, state: OptState) -> None:
         rmsprop_step(params[name], grads[name], state, name=name)
 
 
-def rmsprop_decay(state: OptState) -> None:
-    """rmsprop_update for all-zero gradients, bit for bit: no parameter moves
-    and each accumulator only decays (one not yet made stays zero)."""
-    for acc in state.acc.values():
-        acc *= state.decay
-
-
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: 0 with probability `rate`, else 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:

@@ -2,22 +2,28 @@
 
 `ref_encode_sentence` encodes one token sequence at a time, building each
 convolution window with its own `np.stack`; `ref_triple_loss_and_grads` runs
-it once per caption of a (video, positive, negatives) triple and backpropagates
-sentence by sentence. `ref_sample_negatives` rebuilds the other videos'
-caption list on every call. `ref_train_evaluator` is the shared-negative
-training loop over these pieces, one anchor at a time. They serve as oracles
-for `vidcap.evaluator`, in the same spirit as `reference_beam.py` for beam
-search.
+it once per caption of one anchor's (video, positive, negatives), takes each
+cosine with its own `ref_cosine` against the `ref_project_video` embedding and
+backpropagates sentence by sentence. `ref_sample_negatives` rebuilds the other
+videos' caption list on every call. `ref_train_evaluator` is the
+shared-negative training loop over these pieces, one anchor at a time. They
+serve as oracles for `vidcap.evaluator`, in the same spirit as
+`reference_beam.py` for beam search.
 """
 
 import numpy as np
 
-from vidcap.evaluator import ANCHORS, init_evaluator_params, project_video
+from vidcap.evaluator import ANCHORS, init_evaluator_params
 from vidcap.numerics import OptState, rmsprop_update
 from vidcap.text import EOS, PAD, encode, tokenize
 
 
-def _cosine(u, v):
+def ref_project_video(video_values, params):
+    """The video's joint-space embedding: one affine map."""
+    return params["vid_W"] @ np.asarray(video_values, dtype=np.float64) + params["vid_b"]
+
+
+def ref_cosine(u, v):
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.0
@@ -97,17 +103,17 @@ def ref_encode_sentence_backward(dsent, cache, params, cfg, grads):
 
 
 def ref_triple_loss_and_grads(params, cfg, video_values, pos_ids, neg_ids_list):
-    """Hinge loss and gradients for one triple, one sentence at a time."""
+    """Hinge loss and gradients for one anchor, one sentence at a time."""
     video_values = np.asarray(video_values, dtype=np.float64)
-    vid_emb = project_video(video_values, params)
+    vid_emb = ref_project_video(video_values, params)
     s_pos, cache_pos = ref_encode_sentence_cached(pos_ids, params, cfg)
-    c_pos = _cosine(s_pos, vid_emb)
+    c_pos = ref_cosine(s_pos, vid_emb)
 
     neg_caches, c_negs = [], []
     for ids in neg_ids_list:
         s, cache = ref_encode_sentence_cached(ids, params, cfg)
         neg_caches.append((s, cache))
-        c_negs.append(_cosine(s, vid_emb))
+        c_negs.append(ref_cosine(s, vid_emb))
 
     n = len(c_negs)
     hinges = [cfg.margin - c_pos + c for c in c_negs]

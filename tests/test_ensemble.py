@@ -14,16 +14,14 @@ from vidcap.ensemble import (
 from vidcap.errors import DataError
 from vidcap.evaluator import (
     EvaluatorConfig,
-    _cosine,
     encode_sentence,
     init_evaluator_params,
-    project_video,
     similarity,
 )
 from vidcap.generation import GenerationConfig
 from vidcap.harness import FeatureStore
 from vidcap.numerics import make_rng
-from reference_evaluator import ref_encode_sentence
+from reference_evaluator import ref_cosine, ref_encode_sentence, ref_project_video
 from vidcap.text import build_vocab, encode, tokenize
 
 VOCAB = build_vocab(["w x y z"], min_count=1)
@@ -99,9 +97,9 @@ class TestRerank:
         ])
         video = rng.normal(size=4)
         best = rerank(pool, video, params, cfg, VOCAB)
-        vid_emb = project_video(video, params)
-        scored = [(_cosine(encode_sentence(encode(tokenize(c.caption), VOCAB), params, cfg),
-                           vid_emb), c.logprob, c.caption) for c in pool.entries]
+        vid_emb = ref_project_video(video, params)
+        scored = [(ref_cosine(encode_sentence(encode(tokenize(c.caption), VOCAB), params, cfg),
+                              vid_emb), c.logprob, c.caption) for c in pool.entries]
         scored.sort(key=lambda t: (-t[0], -t[1], t[2]))
         assert best.caption == scored[0][2]
 
@@ -144,11 +142,12 @@ class TestRerank:
                                 Candidate(captions[2], "dup-same-logprob", -0.5)])
         video = rng.normal(size=4)
         best = rerank(pool, video, params, cfg, VOCAB)
-        vid_emb = project_video(video, params)
+        vid_emb = ref_project_video(video, params)
         for c in pool.entries:
             ids = encode(tokenize(c.caption), VOCAB)
             assert abs(c.score - similarity(ids, video, params, cfg)) <= 1e-12
-            assert abs(c.score - _cosine(ref_encode_sentence(ids, params, cfg), vid_emb)) <= 1e-12
+            want = ref_cosine(ref_encode_sentence(ids, params, cfg), vid_emb)
+            assert abs(c.score - want) <= 1e-12
         dups = [c.score for c in pool.entries if c.caption == captions[2]]
         assert dups[0] == dups[1] == dups[2]
         assert best == min(pool.entries, key=lambda c: (-c.score, -c.logprob, c.caption))

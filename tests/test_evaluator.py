@@ -1,3 +1,4 @@
+import math
 import struct
 import zlib
 
@@ -7,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from gradcheck import grad_check
 from reference_evaluator import (
+    ref_cosine,
     ref_encode_sentence,
+    ref_project_video,
     ref_sample_negatives,
     ref_train_evaluator,
     ref_triple_loss_and_grads,
@@ -16,15 +19,14 @@ from vidcap import evaluator
 from vidcap.errors import DataError, DimensionError, FormatError, ParameterError
 from vidcap.evaluator import (
     EvaluatorConfig,
-    _cosine,
-    check_triple_fits,
+    check_training_fits,
+    cosines,
     encode_sentence,
     encode_sentences,
     init_evaluator_params,
     load_evaluator,
-    negative_rows,
     pad_ids,
-    project_video,
+    project_videos,
     sample_negatives,
     save_evaluator,
     similarity,
@@ -32,7 +34,7 @@ from vidcap.evaluator import (
     triple_loss_and_grads,
 )
 from vidcap.harness import VideoRecord
-from vidcap.numerics import OptState, make_rng, rmsprop_update
+from vidcap.numerics import OptState, make_rng
 from vidcap.text import BOS, EOS, PAD, build_vocab
 
 
@@ -154,7 +156,7 @@ def oracle_tolerance(params, cfg, seqs, videos):
     """A cosine's gradient grows as 1 / |embedding| of either side, and with it
     the rounding in every sum it enters (norms reach 1e-4 here)."""
     norms = [np.linalg.norm(ref_encode_sentence(ids, params, cfg)) for ids in seqs]
-    norms += [np.linalg.norm(project_video(v, params)) for v in videos]
+    norms += [np.linalg.norm(ref_project_video(v, params)) for v in videos]
     return 1e-12 * max([1.0] + [1.0 / n for n in norms if n > 0.0])
 
 
@@ -252,58 +254,89 @@ class TestProjectVideo:
         cfg = tiny_cfg()
         params = init_evaluator_params(cfg, make_rng(3))
         params["vid_b"][:] = 0.0
-        assert np.array_equal(project_video(np.zeros(cfg.video_dim), params),
-                              np.zeros(cfg.joint_dim))
+        assert np.array_equal(project_videos(np.zeros((2, cfg.video_dim)), params),
+                              np.zeros((2, cfg.joint_dim)))
 
     def test_identity_projection_passthrough(self):
         cfg = tiny_cfg(video_dim=6, joint_dim=6)
         params = init_evaluator_params(cfg, make_rng(4))
         params["vid_W"] = np.eye(6)
         params["vid_b"][:] = 0.0
-        v = make_rng(5).normal(size=6)
-        assert np.allclose(project_video(v, params), v)
+        V = make_rng(5).normal(size=(3, 6))
+        assert np.allclose(project_videos(V, params), V)
 
     def test_matches_affine_oracle(self):
+        """Each row is the per-video reference projection."""
         cfg = tiny_cfg()
         rng = make_rng(6)
         params = init_evaluator_params(cfg, rng)
-        v = rng.normal(size=cfg.video_dim)
-        expected = params["vid_W"] @ v + params["vid_b"]
-        assert np.allclose(project_video(v, params), expected, atol=1e-12)
+        V = rng.normal(size=(4, cfg.video_dim))
+        expected = [ref_project_video(v, params) for v in V]
+        np.testing.assert_allclose(project_videos(V, params), expected, rtol=0, atol=1e-12)
 
     def test_dim_mismatch(self):
         cfg = tiny_cfg()
-        with pytest.raises(DimensionError):
-            project_video(np.zeros(cfg.video_dim + 1),
-                          init_evaluator_params(cfg, make_rng(0)))
+        params = init_evaluator_params(cfg, make_rng(0))
+        for V in (np.zeros((1, cfg.video_dim + 1)), np.zeros(cfg.video_dim),
+                  np.zeros((1, 1, cfg.video_dim))):
+            with pytest.raises(DimensionError):
+                project_videos(V, params)
+
+
+def cosine(u, v) -> float:
+    """The one cosine of two vectors, through the (R, B) matrix."""
+    return float(cosines(np.asarray(u)[None], np.asarray(v)[None])[0][0, 0])
 
 
 class TestSimilarity:
     def test_equal_embeddings(self):
         u = np.array([0.3, -0.7, 2.0])
-        assert _cosine(u, u) == pytest.approx(1.0)
+        assert cosine(u, u) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert _cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
+        assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
 
     def test_hand_value(self):
-        assert _cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(0.70711, abs=1e-5)
+        assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.70711, abs=1e-5)
 
     def test_zero_vector_convention(self):
-        assert _cosine(np.zeros(3), np.ones(3)) == 0.0
+        """A zero row of either side scores 0 against everything."""
+        S = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        V = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        with np.errstate(all="raise"):
+            cos, ns, nv = cosines(S, V)
+        assert cos[0].tolist() == [0.0, 0.0] and cos[1, 1] == 0.0 and cos[1, 0] > 0.0
+        assert ns[0] == 0.0 and nv[1] == 0.0
 
     def test_scale_invariance(self):
         rng = make_rng(7)
-        u, v = rng.normal(size=5), rng.normal(size=5)
+        S, V = rng.normal(size=(3, 5)), rng.normal(size=(2, 5))
         for a, b in ((2.0, 3.0), (0.1, 100.0)):
-            assert _cosine(a * u, b * v) == pytest.approx(_cosine(u, v), abs=1e-12)
+            np.testing.assert_allclose(cosines(a * S, b * V)[0], cosines(S, V)[0],
+                                       rtol=0, atol=1e-12)
+
+    def test_shape_norms_and_reference_agreement(self):
+        """(R, B) cosines, entry (r, b) the reference cosine of row r and video
+        b, with the rows' norms beside them."""
+        rng = make_rng(9)
+        S, V = rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
+        S[2] = 0.0
+        cos, ns, nv = cosines(S, V)
+        assert cos.shape == (5, 3) and ns.shape == (5,) and nv.shape == (3,)
+        np.testing.assert_allclose(ns, np.linalg.norm(S, axis=1), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(nv, np.linalg.norm(V, axis=1), rtol=0, atol=1e-15)
+        want = [[ref_cosine(s, v) for v in V] for s in S]
+        np.testing.assert_allclose(cos, want, rtol=0, atol=1e-15)
 
     def test_end_to_end_range(self):
         cfg = tiny_cfg()
         rng = make_rng(8)
         params = init_evaluator_params(cfg, rng)
-        s = similarity(seq(rng, cfg, 4), rng.normal(size=cfg.video_dim), params, cfg)
+        ids, video = seq(rng, cfg, 4), rng.normal(size=cfg.video_dim)
+        s = similarity(ids, video, params, cfg)
         assert -1.0 <= s <= 1.0
+        assert s == pytest.approx(ref_cosine(ref_encode_sentence(ids, params, cfg),
+                                             ref_project_video(video, params)), abs=1e-12)
 
 
 class TestSampleNegatives:
@@ -340,8 +373,8 @@ class TestSampleNegatives:
     @given(st.lists(st.integers(0, 4), min_size=2, max_size=6), st.integers(1, 25),
            st.integers(0, 2**32 - 1), st.data())
     def test_row_draw_matches_reference(self, n_caps, n_neg, seed, data):
-        """The row-index draw of train_evaluator and sample_negatives picks the
-        captions the caption-list rebuild picks, with the same RNG calls."""
+        """sample_negatives picks the captions the caption-list rebuild picks,
+        with the same RNG calls."""
         records = [VideoRecord(id=f"v{i}", category=0, split="test",  # may have no captions
                                captions=[f"caption {i} {j}" for j in range(n)])
                    for i, n in enumerate(n_caps)]
@@ -349,11 +382,9 @@ class TestSampleNegatives:
         a = data.draw(st.integers(0, len(records) - 1))
         if n_caps[a] == len(rows):
             return  # no other captions: rejected, see test_single_video_rejected
-        rngs = [make_rng(seed) for _ in range(3)]
+        rngs = [make_rng(seed) for _ in range(2)]
         want = ref_sample_negatives(f"v{a}", records, n_neg, rngs[0])
-        drawn = negative_rows(sum(n_caps[:a]), n_caps[a], len(rows), n_neg, rngs[1])
-        assert [rows[j] for j in drawn] == want
-        assert sample_negatives(f"v{a}", records, n_neg, rngs[2]) == want
+        assert sample_negatives(f"v{a}", records, n_neg, rngs[1]) == want
         assert len({r.random() for r in rngs}) == 1
 
 
@@ -403,7 +434,7 @@ class TestTraining:
         neg = seq(rng, cfg, 3)
         s_pos = encode_sentence(pos, params, cfg)
         video = s_pos.copy()
-        c_neg = _cosine(encode_sentence(neg, params, cfg), video)
+        c_neg = ref_cosine(encode_sentence(neg, params, cfg), video)
         assert c_neg < 1.0 - cfg.margin  # constructed to sit outside the margin
         loss, grads = one_triple(params, cfg, video, pos, [neg])
         assert loss == 0.0
@@ -429,47 +460,6 @@ class TestTraining:
         np.testing.assert_allclose(got_hist, want_hist, rtol=0, atol=1e-12)
         for k in want:
             np.testing.assert_allclose(got[k], want[k], rtol=0, atol=1e-12, err_msg=k)
-
-    def test_inactive_triples_only_decay(self, monkeypatch):
-        """An update with no active hinge for any anchor has all-zero
-        gradients, so decaying the accumulators leaves the same bits as a full
-        RMSProp update. Five videos make updates of four anchors and of one."""
-        corpus = ["red cat posing", "blue dog running fast", "a green bird", "black horse",
-                  "the red cat", "a dog", "green bird eating seeds today", "horse jumping"]
-        vocab = build_vocab(corpus, min_count=1)
-        cfg = tiny_cfg(vocab_size=len(vocab), video_dim=5)
-        records = [VideoRecord(id=f"v{i}", category=0, split="train",
-                               captions=[corpus[i % 8], corpus[(i + 4) % 8]]) for i in range(5)]
-        feats = {f"v{i}": np.eye(5)[i] for i in range(5)}
-
-        def run():
-            opt = OptState(learning_rate=2e-2)
-            params, _ = train_evaluator(records, feats.__getitem__, vocab, cfg, make_rng(4),
-                                        opt=opt, epochs=15)
-            return params, opt.acc
-
-        got, got_acc = run()
-        last, inactive = {}, []
-        real = evaluator.triple_loss_and_grads
-
-        def recording(params, *args):
-            loss, last["grads"] = real(params, *args)
-            last["params"] = params
-            return loss, last["grads"]
-
-        def full_update(opt):
-            assert not any(g.any() for g in last["grads"].values())
-            inactive.append(1)
-            rmsprop_update(last["params"], last["grads"], opt)
-
-        monkeypatch.setattr(evaluator, "triple_loss_and_grads", recording)
-        monkeypatch.setattr(evaluator, "rmsprop_decay", full_update)
-        want, want_acc = run()
-        assert len(inactive) > 0
-        assert got.keys() == want.keys() == got_acc.keys() == want_acc.keys()
-        for k in want:
-            assert got[k].tobytes() == want[k].tobytes(), k
-            assert got_acc[k].tobytes() == want_acc[k].tobytes(), k
 
     @pytest.mark.parametrize("n_negatives", [2, 50])
     def test_one_triple_call_per_anchor_group_and_epoch(self, monkeypatch, n_negatives):
@@ -549,14 +539,25 @@ class TestTraining:
             with pytest.raises(DataError, match="at least two videos"):
                 train_evaluator(records, lambda v: np.ones(3), vocab, cfg, make_rng(0))
 
-    def test_triple_bound_counts_forward_and_backward(self):
-        """Embedded rows (10 x 3), windows and pre-activations of widths 2 (9 x
-        (6 + 5)) and 4 (7 x (12 + 5)): 248 floats a row, twice, 8 bytes each."""
-        cfg = tiny_cfg(embed_dim=3, filter_widths=(2, 4), filters_per_width=5)
-        check_triple_fits(cfg, 51, 10)
-        with pytest.raises(ParameterError, match=r"^the evaluator's training triples need "
-                                                 r"3968000000000000 bytes, more than"):
-            check_triple_fits(cfg, 10**12, 10)
+    def test_update_bound_counts_three_copies_and_transients(self, monkeypatch):
+        """Three copies of the 3V + 214 parameters (parameters, gradients and
+        RMSProp accumulators), and one update of 4 positives and 3 negatives
+        padded to the longest caption, BOS + 8 words + EOS: embedded rows (10 x
+        3), windows and pre-activations of widths 2 (9 x (6 + 5)) and 4 (7 x
+        (12 + 5)), 248 floats a row, twice; 8 bytes each."""
+        corpus = ["a red cat is posing on the mat", "a dog", "green bird"]
+        vocab = build_vocab(corpus, min_count=1)
+        cfg = tiny_cfg(vocab_size=len(vocab), embed_dim=3, filter_widths=(2, 4),
+                       filters_per_width=5)
+        records = [VideoRecord(id=f"v{i}", category=0, split="train", captions=[c])
+                   for i, c in enumerate(corpus)]
+        seen = []
+        monkeypatch.setattr(evaluator, "check_fits_in_memory", lambda shapes, what: seen.append(
+            (8 * sum(math.prod(shape) for shape in shapes.values()), what)))
+        check_training_fits(records, vocab, cfg)
+        assert seen == [(8 * (3 * (3 * len(vocab) + 214) + 2 * (4 + 3) * 248),
+                         "the evaluator's parameters, gradients, RMSProp accumulators "
+                         "and training update")]
 
 
 class TestCheckpoint:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import signal
 import threading
 from collections import Counter
@@ -10,10 +11,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vidcap import binio, cli, harness
-from vidcap.decoder import init_lm_params
+from vidcap import binio, cli, evaluator, harness
+from vidcap.decoder import init_lm_params, lm_param_shapes
 from vidcap.ensemble import GeneratorModel
 from vidcap.errors import DataError, FormatError, NumericError, ParameterError
+from vidcap.evaluator import check_training_fits, evaluator_param_shapes
 from vidcap.harness import (
     Dataset,
     ExperimentConfig,
@@ -248,16 +250,23 @@ class TestExperimentConfig:
             run_experiment(cfg)
 
 
+def _physical_memory(monkeypatch, n_bytes: int) -> None:
+    """os.sysconf reports n_bytes of physical memory, in 8-byte pages."""
+    real = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": n_bytes // 8}.get(name) or real(name))
+
+
 class TestRunExperiment:
     @pytest.mark.parametrize("n_negatives, rows", [(5, 9), (10**9, 46)])
-    def test_evaluator_triple_bounded_before_training(self, monkeypatch, n_negatives, rows):
+    def test_evaluator_update_bounded_before_training(self, monkeypatch, n_negatives, rows):
         """fit_evaluator, which `vidcap train-eval` calls, sizes the bound for
         the 4 anchors' positives and n_negatives shared rows, at most the 14 x
         3 train captions, padded to the widest filter or the longest train
         caption: BOS, six words such as "a red cat is posing today", EOS."""
         calls = []
-        monkeypatch.setattr(harness, "check_triple_fits",
-                            lambda cfg, r, cols: calls.append((r, cols)))
+        monkeypatch.setattr(evaluator, "check_fits_in_memory", lambda shapes, what: calls.extend(
+            [shapes["embedded rows"][1:3]] if "embedded rows" in shapes else []))
         monkeypatch.setattr(harness, "train_evaluator",
                             lambda *a, **k: calls.append("trained") or ({}, []))
         for widths, cols in (((2, 3), 8), ((2, 40), 40)):
@@ -269,33 +278,55 @@ class TestRunExperiment:
             assert calls == [(rows, cols), "trained"]
 
     def test_evaluator_update_bound_fails_under_data(self, monkeypatch):
-        """With physical memory one float short of an update of 4 positives and
-        42 shared negatives (all 14 x 3 train captions) padded to the width-600
-        filter, `run` stops under [data] before training; the 1 + 41 rows of
-        one anchor's triple would have fit. Exactly that much memory passes."""
+        """With physical memory one float short of the evaluator's parameters,
+        gradients and RMSProp accumulators plus an update of 4 positives and 42
+        shared negatives (all 14 x 3 train captions) padded to the width-600
+        filter, `run` stops under [data] before training. Exactly that much
+        memory passes."""
         E, F, W = 32, 32, 600
-        def need(rows):  # embedded rows, windows and pre-activations, twice
-            return 8 * 2 * rows * (W * E + (W - 1) * (2 * E + F) + W * E + F)
-
-        real = os.sysconf
-        def memory(n_bytes):
-            monkeypatch.setattr(os, "sysconf", lambda name: {
-                "SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": n_bytes // 8}.get(name) or real(name))
+        cfg = ExperimentConfig(filter_widths=(2, W), synth=SynthConfig(n_videos=20))
+        dataset, store = harness.load_data(cfg)
+        vocab = harness.make_vocab(cfg, dataset)
+        eval_cfg = harness.evaluator_config(cfg, store, vocab)
+        n_params = sum(math.prod(s) for s in evaluator_param_shapes(eval_cfg).values())
+        # three copies of the parameters; embedded rows, windows and pre-activations, twice
+        need = 8 * (3 * n_params + 2 * 46 * (W * E + (W - 1) * (2 * E + F) + W * E + F))
 
         trained = []
         monkeypatch.setattr(harness, "train_evaluator", lambda *a, **k: trained.append(1))
         monkeypatch.setattr(harness, "fit_lm", lambda *a, **k: trained.append(1))
-        cfg = ExperimentConfig(filter_widths=(2, W), synth=SynthConfig(n_videos=20))
-        memory(need(46) - 8)
-        with pytest.raises(ParameterError, match=rf"^\[data\] the evaluator's training "
-                                                 rf"triples need {need(46)} bytes"):
+        _physical_memory(monkeypatch, need - 8)
+        with pytest.raises(ParameterError, match=rf"^\[data\] the evaluator's parameters, "
+                                                 rf"gradients, RMSProp accumulators and "
+                                                 rf"training update need {need} bytes"):
             run_experiment(cfg)
         assert trained == []
+        _physical_memory(monkeypatch, need)
+        check_training_fits(dataset.split("train"), vocab, eval_cfg)
+
+    def test_generator_training_bound_fails_under_data(self, monkeypatch, tmp_path, capsys):
+        """Memory that holds the largest model's parameters twice but not
+        three times (parameters, gradients and RMSProp accumulators) stops
+        `vidcap run` under [data] with exit 1 before any training; exactly
+        three times passes."""
+        cfg = ExperimentConfig(hidden=600, synth=SynthConfig(n_videos=20))
         dataset, store = harness.load_data(cfg)
         vocab = harness.make_vocab(cfg, dataset)
-        memory(need(46))
-        harness.check_evaluator_fits(cfg, harness.evaluator_config(cfg, store, vocab),
-                                     dataset, vocab)
+        lm_cfgs = [harness.lm_config(cfg, spec, store, vocab) for spec in cfg.models]
+        n_params = max(sum(math.prod(s) for s in lm_param_shapes(c).values()) for c in lm_cfgs)
+        trained = []
+        for name in ("init_lm_params", "fit_lm", "train_evaluator"):
+            monkeypatch.setattr(harness, name, lambda *a, _name=name, **k: trained.append(_name))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(asdict(cfg)))
+        _physical_memory(monkeypatch, 2 * 8 * n_params)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert re.match(r"usage error: \[data\] the parameters, gradients and RMSProp "
+                        r"accumulators of model '[^']+' need \d+ bytes", capsys.readouterr().err)
+        assert trained == []
+        _physical_memory(monkeypatch, 3 * 8 * n_params)
+        for spec in cfg.models:
+            harness.lm_config(cfg, spec, store, vocab)
 
     def test_model_rows_score_each_models_own_captions(self, monkeypatch):
         """Row i scores entry i of every pool, which generate_pool fills in

@@ -14,6 +14,7 @@ from vidcap.numerics import (
     log_softmax,
     make_rng,
     rmsprop_step,
+    rmsprop_update,
     sigmoid,
 )
 
@@ -131,6 +132,30 @@ class TestRmsProp:
         rmsprop_step(p, np.zeros(3), state, name="p")
         assert np.array_equal(p, [1.0, -2.0, 3.0])
         assert np.allclose(state.acc["p"], 0.45)  # decayed by 0.9
+
+    def test_zero_gradients_only_decay_the_accumulators(self):
+        """An update whose gradients are all zero, as an evaluator update with
+        no active hinge has, leaves every parameter bit for bit, -0.0
+        included, and multiplies each existing accumulator by exactly `decay`.
+        The zero accumulator it makes for a parameter that had none changes
+        no later update."""
+        rng = make_rng(3)
+        params = {"a": np.array([1.5, -0.0, 0.0, -2.0, 5e-324]), "b": rng.normal(size=(2, 3))}
+        state = OptState(learning_rate=0.01, decay=0.9)
+        state.acc["b"] = rng.random((2, 3))
+        before = {k: v.copy() for k, v in params.items()}
+        decayed = state.acc["b"] * 0.9
+        rmsprop_update(params, {k: np.zeros_like(v) for k, v in params.items()}, state)
+        for k in params:
+            assert params[k].tobytes() == before[k].tobytes(), k
+        assert state.acc["b"].tobytes() == decayed.tobytes()
+        fresh = OptState(learning_rate=0.01, decay=0.9, acc={"b": decayed})
+        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+        rmsprop_update(params, grads, state)
+        rmsprop_update(before, grads, fresh)
+        for k in params:
+            assert params[k].tobytes() == before[k].tobytes(), k
+            assert state.acc[k].tobytes() == fresh.acc[k].tobytes(), k
 
     def test_single_step_formula(self):
         # acc = 0.1*1 = 0.1; delta = -0.01/sqrt(0.1 + 1e-8)

@@ -3,12 +3,17 @@
 Subcommands: synth, vocab, codebook, encode, train-lm, train-eval, generate,
 rerank, score, run. The pipeline subcommands (synth, vocab, train-lm,
 train-eval, generate, rerank, score) run the stage functions that `run`
-chains, so a stagewise chain over one config writes the files `run` writes;
-all but rerank, which has none, read their hyperparameters from an
-ExperimentConfig JSON given by --config (the defaults without one; --seed
-overrides its seed). Their other flags name input and output files. Exit
-codes: 0 success, 1 usage error, 2 data error (a malformed artifact, config
-or JSON input, named in the message), 3 numeric error.
+chains, so a stagewise chain over one config writes the files `run` writes,
+and train-lm and train-eval make the checks `run` makes of their stage before
+it trains (train-lm rejects a beam that could not fit in memory); all but
+rerank, which has none, read their hyperparameters from an ExperimentConfig
+JSON given by --config (the defaults without one; --seed overrides its seed).
+Their other flags name input and output files. Exit codes: 0 success, 1 usage
+error, 2 data error (a malformed artifact, config or JSON input, or a
+checkpoint whose vocabulary size or feature dimensions do not match the given
+files, named in the message), 3 numeric error. An error is one line on
+stderr: numpy's floating-point warnings are off, and explicit checks find the
+non-finite values they warned of.
 
 BLAS runs one thread per process unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 or MKL_NUM_THREADS is set: the matrices here are small, and `run` trains in a
@@ -167,7 +172,7 @@ def cmd_encode(args) -> int:
 def cmd_train_lm(args) -> int:
     cfg = _experiment_config(args)
     dataset, store, vocab = _load_inputs(args)
-    model, history, ppl = harness.fit_generator(cfg, args.model, dataset, store, vocab)
+    model, history, ppl = harness.prepare_generator(cfg, args.model, dataset, store, vocab)()
     decoder.save_lm(args.out, model.cfg, model.params, extra={
         "init_feature": model.init_feature, "persist_feature": model.persist_feature})
     print(f"{cfg.eval_split} perplexity: {ppl:.4f}")
@@ -177,7 +182,7 @@ def cmd_train_lm(args) -> int:
 
 def cmd_train_eval(args) -> int:
     cfg = _experiment_config(args)
-    eval_cfg, params, history = harness.fit_evaluator(cfg, *_load_inputs(args))
+    eval_cfg, params, history = harness.prepare_evaluator(cfg, *_load_inputs(args))()
     evaluator.save_evaluator(args.out, eval_cfg, params)
     print(f"final evaluator loss {_final(history)} -> {args.out}")
     return 0
@@ -301,7 +306,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        return args.func(args) or 0
+        with np.errstate(all="ignore"):  # a forked worker inherits it
+            return args.func(args) or 0
     except ParameterError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -8,14 +8,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import binio
+from . import binio, generation  # generation.beam_search_ids: bench/layers.py traces it
 from .decoder import LMConfig
 from .errors import DataError
 from .evaluator import EvaluatorConfig, cosines, encode_sentences, project_videos
 from .evaluator import encode_sentence  # noqa: F401  (bench/layers.py traces this name)
-from .generation import GenerationConfig, beam_search
+from .generation import GenerationConfig
 from .numerics import Params
-from .text import Vocabulary, encode, tokenize
+from .text import Vocabulary, decode, encode, tokenize
 
 
 @dataclass
@@ -53,10 +53,10 @@ def generate_pool(models: list[GeneratorModel], video_id: str, feature_of,
     """
     pool = CandidatePool(video_id=video_id)
     for m in models:
-        init_vec = feature_of(video_id, m.init_feature)
-        persist_vec = feature_of(video_id, m.persist_feature)
-        caption, logprob = beam_search(m.params, m.cfg, init_vec, persist_vec, gen_cfg, vocab)
-        pool.entries.append(Candidate(caption=caption, model=m.tag, logprob=logprob))
+        tokens, logprob, _ = generation.beam_search_ids(
+            m.params, m.cfg, feature_of(video_id, m.init_feature),
+            feature_of(video_id, m.persist_feature), gen_cfg)
+        pool.entries.append(Candidate(caption=decode(tokens, vocab), model=m.tag, logprob=logprob))
     return pool
 
 

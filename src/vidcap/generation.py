@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import LMConfig, zero_states, stack_step
-from .errors import NumericError, ParameterError
+from .errors import DimensionError, NumericError, ParameterError
 from .numerics import Params, check_fits_in_memory, log_softmax
-from .text import PAD, BOS, EOS, UNK, Vocabulary, decode
+from .text import PAD, BOS, EOS, UNK
 
 
 @dataclass
@@ -64,6 +64,10 @@ def beam_search_ids(params: Params, lm_cfg: LMConfig, init_vec, persist_vec,
     """
     init_vec = np.asarray(init_vec, dtype=np.float64)
     persist_vec = np.asarray(persist_vec, dtype=np.float64)
+    if init_vec.shape != (lm_cfg.init_dim,):
+        raise DimensionError(f"init feature {init_vec.shape} != ({lm_cfg.init_dim},)")
+    if persist_vec.shape != (lm_cfg.persist_dim,):
+        raise DimensionError(f"persist feature {persist_vec.shape} != ({lm_cfg.persist_dim},)")
 
     # Step 0: the projected init feature plays the role of a word embedding.
     x0 = np.concatenate([params["init_W"] @ init_vec + params["init_b"], persist_vec])
@@ -117,10 +121,3 @@ def beam_search_ids(params: Params, lm_cfg: LMConfig, init_vec, persist_vec,
         raise NumericError("beam search found no hypothesis with a finite log-prob")
     tokens, lp = min(completed or truncated, key=lambda hyp: (-hyp[1], tuple(hyp[0])))
     return tokens, lp, bool(completed)
-
-
-def beam_search(params: Params, lm_cfg: LMConfig, init_vec, persist_vec,
-                gen_cfg: GenerationConfig, vocab: Vocabulary) -> tuple[str, float]:
-    """Decoded best caption and its cumulative log-probability."""
-    tokens, logprob, _ = beam_search_ids(params, lm_cfg, init_vec, persist_vec, gen_cfg)
-    return decode(tokens, vocab), logprob

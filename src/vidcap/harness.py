@@ -358,18 +358,20 @@ def _format_table(model_rows: list[dict], ensemble_row: dict) -> str:
 #
 # Each stage has one implementation: run_experiment chains the stages in
 # memory, and each stagewise CLI subcommand loads a stage's inputs from files,
-# calls it and saves its output. A stage draws from its own stream of the
-# config seed, make_rng(cfg.seed, k) with k = 0 for the data, i + 1 for roster
-# model i and len(cfg.models) + 1 for the evaluator, so it gives the same
-# result whichever way it is run.
+# calls it and saves its output. A training stage's prepare_* function checks
+# every bound and reads every input, and returns a call that trains:
+# run_experiment prepares every training stage in its data stage, so bad input
+# fails before any training, and train-lm / train-eval prepare one and call it.
+# A stage draws from its own stream of the config seed, make_rng(cfg.seed, k)
+# with k = 0 for the data, i + 1 for roster model i and len(cfg.models) + 1 for
+# the evaluator, so it gives the same result whichever way it is run.
 #
-# The training stages are independent, so run_experiment overlaps them when a
+# The prepared calls are independent, so run_experiment overlaps them when a
 # second process can run beside the calling one (_can_fork): a forked worker
-# trains and scores roster models 2..k while the calling process trains and
-# scores model 1 and then trains the evaluator. One stage of each kind stays
-# in the calling process, so tracers and profilers there still see every
-# layer. No result depends on the split: each stage draws only from its own
-# stream, and the worker's models and perplexities come back bit-exact.
+# makes the calls of roster models 2..k while the calling process makes model
+# 1's and then the evaluator's, so tracers and profilers there see a stage of
+# each kind. No result depends on the split: the worker's models and
+# perplexities come back bit-exact.
 
 
 def _records(dataset: Dataset, split: str) -> list[VideoRecord]:
@@ -446,49 +448,61 @@ def generation_config(cfg: ExperimentConfig) -> GenerationConfig:
     return GenerationConfig(beam_size=cfg.beam_size, max_len=cfg.max_len)
 
 
-def fit_generator(cfg: ExperimentConfig, tag: str, dataset: Dataset, store: FeatureStore,
-                  vocab: Vocabulary) -> tuple[GeneratorModel, list[float], float]:
-    """Train the roster model `tag` on the train split and score it on the eval
-    split; returns the model, its mean training loss per epoch and its
-    eval-split perplexity."""
+def prepare_generator(cfg: ExperimentConfig, tag: str, dataset: Dataset, store: FeatureStore,
+                      vocab: Vocabulary):
+    """Check the roster model `tag` (its config, memory and beam bounds) and
+    read both splits' examples; returns a call that trains it on the train
+    split and gives the model, its mean loss per epoch and its eval-split
+    perplexity."""
     tags = check_roster(cfg)
     if tag not in tags:
         raise ParameterError(f"no model {tag!r} in the roster; its tags are {tags}")
     i = tags.index(tag)
     spec = cfg.models[i]
-    rng = make_rng(cfg.seed, i + 1)
     lm_cfg = lm_config(cfg, spec, store, vocab)
-    params = init_lm_params(lm_cfg, rng)
-    examples = lm_examples(_records(dataset, "train"), store, vocab, spec.init_feature,
-                           spec.persist_feature)
-    history = fit_lm(params, lm_cfg, examples, _opt(cfg), rng, epochs=cfg.lm_epochs,
-                     batch_size=cfg.batch_size)
-    model = GeneratorModel(tag=tag, cfg=lm_cfg, params=params,
-                           init_feature=spec.init_feature,
-                           persist_feature=spec.persist_feature)
-    held_out = lm_examples(_records(dataset, cfg.eval_split), store, vocab,
-                           spec.init_feature, spec.persist_feature)
-    return model, history, perplexity(held_out, params, lm_cfg)
+    check_beam_fits(generation_config(cfg), lm_cfg, tag)
+    _opt(cfg)
+    examples, held_out = (lm_examples(_records(dataset, split), store, vocab, spec.init_feature,
+                                      spec.persist_feature) for split in ("train", cfg.eval_split))
+
+    def fit() -> tuple[GeneratorModel, list[float], float]:
+        rng = make_rng(cfg.seed, i + 1)
+        params = init_lm_params(lm_cfg, rng)
+        history = fit_lm(params, lm_cfg, examples, _opt(cfg), rng, epochs=cfg.lm_epochs,
+                         batch_size=cfg.batch_size)
+        model = GeneratorModel(tag, lm_cfg, params, spec.init_feature, spec.persist_feature)
+        return model, history, perplexity(held_out, params, lm_cfg)
+    return fit
 
 
-def fit_evaluator(cfg: ExperimentConfig, dataset: Dataset, store: FeatureStore,
-                  vocab: Vocabulary) -> tuple[EvaluatorConfig, Params, list[float]]:
-    """Train the caption-video evaluator on the train split; returns its
-    config, its parameters and its mean loss per epoch."""
+def prepare_evaluator(cfg: ExperimentConfig, dataset: Dataset, store: FeatureStore,
+                      vocab: Vocabulary):
+    """Check the caption-video evaluator (its config and memory bound) and read
+    the train split's features; returns a call that trains it on the train
+    split and gives its config, its parameters and its mean loss per epoch."""
     eval_cfg = evaluator_config(cfg, store, vocab)
     records = _records(dataset, "train")
     check_training_fits(records, vocab, eval_cfg)
-    params, history = train_evaluator(
-        records, lambda vid: store.get(vid, cfg.evaluator_feature), vocab, eval_cfg,
-        make_rng(cfg.seed, len(cfg.models) + 1), opt=_opt(cfg), epochs=cfg.eval_epochs)
-    return eval_cfg, params, history
+    _opt(cfg)
+    features = {r.id: store.get(r.id, cfg.evaluator_feature) for r in records}
+
+    def fit() -> tuple[EvaluatorConfig, Params, list[float]]:
+        params, history = train_evaluator(
+            records, features.__getitem__, vocab, eval_cfg,
+            make_rng(cfg.seed, len(cfg.models) + 1), opt=_opt(cfg), epochs=cfg.eval_epochs)
+        return eval_cfg, params, history
+    return fit
 
 
 def generate_pools(cfg: ExperimentConfig, models: list[GeneratorModel], dataset: Dataset,
                    store: FeatureStore, vocab: Vocabulary) -> list[CandidatePool]:
-    """One beam-search candidate per model for each eval-split video, in id order."""
+    """One beam-search candidate per model for each eval-split video, in id order;
+    DataError when a model's vocabulary size is not the given vocabulary's."""
     gen_cfg = generation_config(cfg)
     for model in models:
+        if model.cfg.vocab_size != len(vocab):
+            raise DataError(f"model {model.tag!r} has a vocabulary of {model.cfg.vocab_size} "
+                            f"tokens, the given vocabulary {len(vocab)}")
         check_beam_fits(gen_cfg, model.cfg, model.tag)
     records = sorted(_records(dataset, cfg.eval_split), key=lambda r: r.id)
     return [generate_pool(models, r.id, store.get, gen_cfg, vocab) for r in records]
@@ -496,7 +510,11 @@ def generate_pools(cfg: ExperimentConfig, models: list[GeneratorModel], dataset:
 
 def rerank_pools(pools: list[CandidatePool], store: FeatureStore, eval_cfg: EvaluatorConfig,
                  eval_params: Params, vocab: Vocabulary) -> dict[str, str]:
-    """Score every candidate in place; returns {video id: chosen caption}."""
+    """Score every candidate in place; returns {video id: chosen caption}.
+    DataError when the evaluator's vocabulary size is not the given vocabulary's."""
+    if eval_cfg.vocab_size != len(vocab):
+        raise DataError(f"the evaluator has a vocabulary of {eval_cfg.vocab_size} tokens, "
+                        f"the given vocabulary {len(vocab)}")
     return {pool.video_id: rerank(pool, store.get(pool.video_id, eval_cfg.feature_name),
                                   eval_params, eval_cfg, vocab).caption
             for pool in pools}
@@ -587,12 +605,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     """Train every roster model and the evaluator, generate candidate pools on
     the eval split, rerank, and score singles plus the ensemble.
 
-    The data stage builds every config and reads every feature, so bad input
-    fails before training. When _can_fork() allows, a forked worker trains and
-    scores models 2..k while this process trains and scores model 1, then
-    trains the evaluator. No result depends on it; the first error raised is
-    the first in run order (model 1 and its eval-split perplexity, the
-    evaluator, models 2..k and theirs), and no worker process outlives it."""
+    The data stage prepares every training stage and reads the eval split's
+    evaluator features, so bad input fails before training. When _can_fork()
+    allows, a forked worker trains and scores models 2..k while this process
+    trains and scores model 1, then trains the evaluator. No result depends
+    on it; the first error raised is the first in run order (model 1 and its
+    eval-split perplexity, the evaluator, models 2..k and theirs), and no
+    worker process outlives it."""
     with _stage("data"):
         check_roster(cfg)
         for name, least in (("lm_epochs", 0), ("eval_epochs", 0), ("batch_size", 1)):
@@ -600,16 +619,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
                 raise ParameterError(f"{name} must be >= {least}, got {getattr(cfg, name)}")
         dataset, store = load_data(cfg)
         vocab = make_vocab(cfg, dataset)
-        names = [cfg.evaluator_feature]
-        gen_cfg = generation_config(cfg)
-        for spec in cfg.models:
-            check_beam_fits(gen_cfg, lm_config(cfg, spec, store, vocab), spec.tag)
-            names += [spec.init_feature, spec.persist_feature]
-        _opt(cfg)
-        check_training_fits(_records(dataset, "train"), vocab, evaluator_config(cfg, store, vocab))
-        for r in _records(dataset, "train") + _records(dataset, cfg.eval_split):
-            for name in names:
-                store.get(r.id, name)
+        fits = [(spec.tag, prepare_generator(cfg, spec.tag, dataset, store, vocab))
+                for spec in cfg.models]
+        fit_eval = prepare_evaluator(cfg, dataset, store, vocab)
+        for r in _records(dataset, cfg.eval_split):
+            store.get(r.id, cfg.evaluator_feature)
         if out_dir is not None:
             try:
                 Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -617,21 +631,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
                 raise DataError(f"cannot create the output directory {out_dir}: "
                                 f"{e.strerror or e}") from None
 
-    def train(spec: ModelSpec) -> tuple[GeneratorModel, float]:
-        with _stage(f"train-lm:{spec.tag}"):
-            model, _, ppl = fit_generator(cfg, spec.tag, dataset, store, vocab)
+    def train(tag: str, fit) -> tuple[GeneratorModel, float]:
+        with _stage(f"train-lm:{tag}"):
+            model, _, ppl = fit()
             return model, ppl
 
-    first, rest = cfg.models[0], cfg.models[1:]
+    first, *rest = fits
 
     def train_rest() -> list[tuple[GeneratorModel, float]]:
-        return [train(spec) for spec in rest]
+        return [train(*item) for item in rest]
 
-    with (_worker(train_rest, "train-lm:" + ",".join(spec.tag for spec in rest))
+    with (_worker(train_rest, "train-lm:" + ",".join(tag for tag, _ in rest))
           if rest and _can_fork() else nullcontext(train_rest)) as join:
-        trained = [train(first)]
+        trained = [train(*first)]
         with _stage("train-eval"):
-            eval_cfg, eval_params, _ = fit_evaluator(cfg, dataset, store, vocab)
+            eval_cfg, eval_params, _ = fit_eval()
         trained += join()
     models = [model for model, _ in trained]
 

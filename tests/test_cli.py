@@ -270,7 +270,8 @@ class TestExitCodes:
     def test_rerank_features_without_evaluator_feature_is_2(self, workspace, tmp_path, capsys):
         root, _ = workspace
         ev = tmp_path / "e.vevp"
-        ev_cfg = EvaluatorConfig(vocab_size=5, video_dim=2, feature_name="feat-a+feat-b")
+        ev_cfg = EvaluatorConfig(vocab_size=len(Vocabulary.load(root / "vocab.tsv")), video_dim=2,
+                                 feature_name="feat-a+feat-b")
         save_evaluator(ev, ev_cfg, init_evaluator_params(ev_cfg, make_rng(0)))
         pool = tmp_path / "pool.jsonl"
         pool.write_text(json.dumps({"video_id": "video0020", "model": "m", "caption": "a",
@@ -280,6 +281,67 @@ class TestExitCodes:
                      "--out", str(tmp_path / "c.json")]) == 2
         err = capsys.readouterr().err
         assert "'feat-b'" in err and "'video0020'" in err
+
+    @pytest.mark.parametrize("feature, role", [("categ", "init"), ("feat-a", "persist")])
+    def test_generate_feature_dimension_mismatch_is_2(self, workspace, tmp_path, capsys,
+                                                      feature, role):
+        """A feature file whose dimension is not the checkpoint's init_dim or
+        persist_dim is a data error naming both dimensions."""
+        root, cfg_path = workspace
+        inputs = _stage_inputs(root)
+        store = harness.load_features(*inputs[3:6])
+        vocab = Vocabulary.load(root / "vocab.tsv")
+        lm_cfg = LMConfig(vocab_size=len(vocab), init_dim=store.dim("categ"),
+                          persist_dim=store.dim("feat-a"), depth=1, hidden=4, embed_dim=4)
+        ckpt = tmp_path / "m.vlmp"
+        save_lm(ckpt, lm_cfg, init_lm_params(lm_cfg, make_rng(0)),
+                extra={"init_feature": "categ", "persist_feature": "feat-a"})
+        narrow = tmp_path / f"{feature}.vfea"
+        write_feature_file(narrow, feature, [(vid, np.ones(5)) for vid in store.videos(feature)])
+        features = [narrow if Path(f).name == narrow.name else f for f in inputs[3:6]]
+        out = tmp_path / "pool.jsonl"
+        assert main(["generate", "--data", inputs[1], "--features", *map(str, features),
+                     "--vocab", inputs[-1], "--model", f"m={ckpt}", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {role} feature (5,) != ({store.dim(feature)},)" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_vocabulary_size_mismatch_is_2(self, workspace, tmp_path, capsys):
+        """A vocabulary whose size is not the checkpoint's stops `generate` and
+        `rerank` before any output, naming the model or the evaluator and both
+        sizes."""
+        root, cfg_path = workspace
+        inputs = _stage_inputs(root)
+        store = harness.load_features(*inputs[3:6])
+        n = len(Vocabulary.load(root / "vocab.tsv"))
+        lm_cfg = LMConfig(vocab_size=n + 20, init_dim=store.dim("categ"),
+                          persist_dim=store.dim("feat-a"), depth=1, hidden=4, embed_dim=4)
+        ckpt = tmp_path / "m.vlmp"
+        save_lm(ckpt, lm_cfg, init_lm_params(lm_cfg, make_rng(0)),
+                extra={"init_feature": "categ", "persist_feature": "feat-a"})
+        out = tmp_path / "p.jsonl"
+        assert main(["generate", *inputs, "--model", f"wide={ckpt}", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: model 'wide' has a vocabulary of {n + 20} tokens, " \
+               f"the given vocabulary {n}" in err
+        assert "Traceback" not in err and not out.exists()
+
+        ev_cfg = EvaluatorConfig(vocab_size=10, video_dim=store.dim("feat-a"),
+                                 feature_name="feat-a")
+        ev = tmp_path / "e.vevp"
+        save_evaluator(ev, ev_cfg, init_evaluator_params(ev_cfg, make_rng(0)))
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text(json.dumps({"video_id": "video0020", "model": "m",
+                                    "caption": "a red cat", "logprob": -1.0}) + "\n")
+        chosen = tmp_path / "c.json"
+        assert main(["rerank", "--pool", str(pool), "--evaluator", str(ev), *inputs[2:],
+                     "--out", str(chosen)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: the evaluator has a vocabulary of 10 tokens, " \
+               f"the given vocabulary {n}" in err
+        assert "Traceback" not in err and not chosen.exists()
 
     @pytest.mark.parametrize("command", ["vocab", "run"])
     @pytest.mark.parametrize("text, words", [
@@ -490,6 +552,33 @@ class TestConfigValues:
         assert main(["train-lm", *_stage_inputs(root), "--model", "m-a", *args,
                      "--out", str(tmp_path / "m-a.vlmp")]) == 3
         assert "mean NLL per token" in capsys.readouterr().err
+
+    def test_numeric_error_is_one_line(self, workspace, tmp_path):
+        """numpy's overflow warnings, from this process and the forked worker,
+        do not precede the numeric error on stderr. Run in a child process:
+        pytest would capture the warnings."""
+        _, cfg_path = workspace
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({**json.loads(cfg_path.read_text()), "learning_rate": 1e300}))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        out = subprocess.run([sys.executable, "-m", "vidcap.cli", "run", "--config",
+                              str(tmp_path / "cfg.json")], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 3
+        assert re.fullmatch(r"numeric error: \[train-lm:m-a\] [^\n]*\n", out.stderr), out.stderr
+
+    def test_train_lm_bounds_the_beam(self, workspace, tmp_path, capsys, trained):
+        """Stagewise train-lm rejects a beam that cannot fit in memory before it
+        trains, as `run` does under [data]."""
+        root, cfg_path = workspace
+        cfg = {**json.loads(cfg_path.read_text()), "beam_size": 10**12}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "m-a.vlmp"
+        assert main(["train-lm", *_stage_inputs(root), "--model", "m-a", "--config",
+                     str(tmp_path / "cfg.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error: the beam scores and states of model 'm-a' need" in err
+        assert "Traceback" not in err and trained == [] and not out.exists()
 
     @pytest.mark.parametrize("where", ["file", "under-a-file"])
     def test_run_out_not_a_directory_is_2(self, workspace, tmp_path, capsys, trained, where):

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 from reference_beam import greedy_ids, ref_beam_search_ids
 from vidcap import generation
 from vidcap.decoder import LMConfig, fit_lm, forward_logprob, init_lm_params, lm_param_shapes
-from vidcap.errors import NumericError, ParameterError
-from vidcap.generation import GenerationConfig, beam_search, beam_search_ids
+from vidcap.errors import DimensionError, NumericError, ParameterError
+from vidcap.generation import GenerationConfig, beam_search_ids
 from vidcap.numerics import OptState
-from vidcap.text import BOS, EOS, build_vocab
+from vidcap.text import BOS, EOS, build_vocab, decode
 
 # vocab_size 8 = 4 reserved ids + 4 emittable words
 TINY = LMConfig(vocab_size=8, init_dim=3, persist_dim=2, depth=1, hidden=6, embed_dim=4)
@@ -111,12 +111,22 @@ class TestBeamBehavior:
         vocab = build_vocab(["w x y z"], min_count=1)
         assert len(vocab) == TINY.vocab_size
         params, init_vec, persist_vec = tiny_model(11)
-        caption, logprob = beam_search(params, TINY, init_vec, persist_vec,
-                                       GenerationConfig(beam_size=4, max_len=6), vocab)
+        tokens, logprob, _ = beam_search_ids(params, TINY, init_vec, persist_vec,
+                                             GenerationConfig(beam_size=4, max_len=6))
+        caption = decode(tokens, vocab)
         assert isinstance(caption, str)
         assert np.isfinite(logprob)
         for word in caption.split():
             assert word in ("w", "x", "y", "z")
+
+    def test_feature_dimension_mismatch(self):
+        params, init_vec, persist_vec = tiny_model(12)
+        gen_cfg = GenerationConfig(beam_size=2, max_len=4)
+        with pytest.raises(DimensionError, match=rf"init feature \(5,\) != \({TINY.init_dim},\)"):
+            beam_search_ids(params, TINY, np.ones(5), persist_vec, gen_cfg)
+        with pytest.raises(DimensionError,
+                           match=rf"persist feature \(5,\) != \({TINY.persist_dim},\)"):
+            beam_search_ids(params, TINY, init_vec, np.ones(5), gen_cfg)
 
 
 class TestBeamStop:

@@ -260,7 +260,7 @@ def _physical_memory(monkeypatch, n_bytes: int) -> None:
 class TestRunExperiment:
     @pytest.mark.parametrize("n_negatives, rows", [(5, 9), (10**9, 46)])
     def test_evaluator_update_bounded_before_training(self, monkeypatch, n_negatives, rows):
-        """fit_evaluator, which `vidcap train-eval` calls, sizes the bound for
+        """prepare_evaluator, which `vidcap train-eval` calls, sizes the bound for
         the 4 anchors' positives and n_negatives shared rows, at most the 14 x
         3 train captions, padded to the widest filter or the longest train
         caption: BOS, six words such as "a red cat is posing today", EOS."""
@@ -274,7 +274,7 @@ class TestRunExperiment:
             cfg = ExperimentConfig(n_negatives=n_negatives, filter_widths=widths,
                                    synth=SynthConfig(n_videos=20))
             dataset, store = harness.load_data(cfg)
-            harness.fit_evaluator(cfg, dataset, store, harness.make_vocab(cfg, dataset))
+            harness.prepare_evaluator(cfg, dataset, store, harness.make_vocab(cfg, dataset))()
             assert calls == [(rows, cols), "trained"]
 
     def test_evaluator_update_bound_fails_under_data(self, monkeypatch):
@@ -327,6 +327,17 @@ class TestRunExperiment:
         _physical_memory(monkeypatch, 3 * 8 * n_params)
         for spec in cfg.models:
             harness.lm_config(cfg, spec, store, vocab)
+
+    def test_data_stage_checks_each_stage_once(self, monkeypatch):
+        """The data stage prepares every training stage, which checks its
+        inputs once: one lm_config per roster model, one evaluator bound."""
+        calls = Counter()
+        for name in ("lm_config", "check_training_fits"):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, _name=name, _real=real:
+                                calls.update([_name]) or _real(*a))
+        run_experiment(_two_specialists())
+        assert calls == {"lm_config": 2, "check_training_fits": 1}
 
     def test_model_rows_score_each_models_own_captions(self, monkeypatch):
         """Row i scores entry i of every pool, which generate_pool fills in

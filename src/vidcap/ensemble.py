@@ -10,7 +10,7 @@ import numpy as np
 
 from . import binio, generation  # generation.beam_search_ids: bench/layers.py traces it
 from .decoder import LMConfig
-from .errors import DataError
+from .errors import DataError, DimensionError
 from .evaluator import EvaluatorConfig, cosines, encode_sentences, project_videos
 from .evaluator import encode_sentence  # noqa: F401  (bench/layers.py traces this name)
 from .generation import GenerationConfig
@@ -49,13 +49,19 @@ def generate_pool(models: list[GeneratorModel], video_id: str, feature_of,
 
     feature_of(video_id, name) -> float64 vector is FeatureStore.get or a
     callable with its contract: a feature it cannot resolve raises DataError
-    naming the feature and the video.
+    naming the feature and the video. A feature of the wrong dimension raises
+    DimensionError naming the model, the feature and the video.
     """
     pool = CandidatePool(video_id=video_id)
     for m in models:
-        tokens, logprob, _ = generation.beam_search_ids(
-            m.params, m.cfg, feature_of(video_id, m.init_feature),
-            feature_of(video_id, m.persist_feature), gen_cfg)
+        init = feature_of(video_id, m.init_feature)
+        try:
+            tokens, logprob, _ = generation.beam_search_ids(
+                m.params, m.cfg, init, feature_of(video_id, m.persist_feature), gen_cfg)
+        except DimensionError as e:  # beam_search_ids checks the init feature first
+            name = m.init_feature if np.shape(init) != (m.cfg.init_dim,) else m.persist_feature
+            raise DimensionError(f"model {m.tag!r}, feature {name!r}, video {video_id!r}: {e}") \
+                from None
         pool.entries.append(Candidate(caption=decode(tokens, vocab), model=m.tag, logprob=logprob))
     return pool
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import binio
 from .decoder import LMConfig, init_lm_params, fit_lm, lm_param_shapes, perplexity
 from .ensemble import CandidatePool, GeneratorModel, dump_pools, generate_pool, rerank
-from .errors import DataError, FormatError, ParameterError, VidcapError
+from .errors import DataError, DimensionError, FormatError, ParameterError, VidcapError
 from .evaluator import EvaluatorConfig, check_training_fits, train_evaluator
 from .generation import GenerationConfig, check_beam_fits
 from .metrics import MetricReport, score_captions
@@ -511,13 +511,21 @@ def generate_pools(cfg: ExperimentConfig, models: list[GeneratorModel], dataset:
 def rerank_pools(pools: list[CandidatePool], store: FeatureStore, eval_cfg: EvaluatorConfig,
                  eval_params: Params, vocab: Vocabulary) -> dict[str, str]:
     """Score every candidate in place; returns {video id: chosen caption}.
-    DataError when the evaluator's vocabulary size is not the given vocabulary's."""
+    DataError when the evaluator's vocabulary size is not the given vocabulary's,
+    DimensionError naming the feature and the video when its dimension is not
+    the evaluator's."""
     if eval_cfg.vocab_size != len(vocab):
         raise DataError(f"the evaluator has a vocabulary of {eval_cfg.vocab_size} tokens, "
                         f"the given vocabulary {len(vocab)}")
-    return {pool.video_id: rerank(pool, store.get(pool.video_id, eval_cfg.feature_name),
-                                  eval_params, eval_cfg, vocab).caption
-            for pool in pools}
+    chosen = {}
+    for pool in pools:
+        feature = store.get(pool.video_id, eval_cfg.feature_name)
+        try:
+            chosen[pool.video_id] = rerank(pool, feature, eval_params, eval_cfg, vocab).caption
+        except DimensionError as e:
+            raise DimensionError(f"the evaluator, feature {eval_cfg.feature_name!r}, "
+                                 f"video {pool.video_id!r}: {e}") from None
+    return chosen
 
 
 def score_split(cfg: ExperimentConfig, hypotheses: dict[str, str],

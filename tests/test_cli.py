@@ -286,7 +286,8 @@ class TestExitCodes:
     def test_generate_feature_dimension_mismatch_is_2(self, workspace, tmp_path, capsys,
                                                       feature, role):
         """A feature file whose dimension is not the checkpoint's init_dim or
-        persist_dim is a data error naming both dimensions."""
+        persist_dim is a data error naming the model, the feature, the first
+        eval-split video and both dimensions."""
         root, cfg_path = workspace
         inputs = _stage_inputs(root)
         store = harness.load_features(*inputs[3:6])
@@ -304,8 +305,34 @@ class TestExitCodes:
                      "--vocab", inputs[-1], "--model", f"m={ckpt}", "--config", str(cfg_path),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"data error: {role} feature (5,) != ({store.dim(feature)},)" in err
-        assert "Traceback" not in err and not out.exists()
+        first = min(r.id for r in harness.load_dataset(inputs[1]).split("val"))
+        assert err == f"data error: model 'm', feature '{feature}', video '{first}': " \
+                      f"{role} feature (5,) != ({store.dim(feature)},)\n"
+        assert not out.exists()
+
+    def test_rerank_feature_dimension_mismatch_is_2(self, workspace, tmp_path, capsys):
+        """A feature file whose dimension is not the evaluator's video_dim is a
+        data error naming the evaluator, the feature, the video and both
+        dimensions, on one stderr line."""
+        root, _ = workspace
+        inputs = _stage_inputs(root)
+        store = harness.load_features(*inputs[3:6])
+        vocab = Vocabulary.load(root / "vocab.tsv")
+        ev_cfg = EvaluatorConfig(vocab_size=len(vocab), video_dim=store.dim("feat-a") + 3,
+                                 feature_name="feat-a")
+        ev = tmp_path / "e.vevp"
+        save_evaluator(ev, ev_cfg, init_evaluator_params(ev_cfg, make_rng(0)))
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text(json.dumps({"video_id": "video0020", "model": "m",
+                                    "caption": "a red cat", "logprob": -1.0}) + "\n")
+        chosen = tmp_path / "c.json"
+        assert main(["rerank", "--pool", str(pool), "--evaluator", str(ev), *inputs[2:],
+                     "--out", str(chosen)]) == 2
+        err = capsys.readouterr().err
+        dim = store.dim("feat-a")
+        assert err == f"data error: the evaluator, feature 'feat-a', video 'video0020': " \
+                      f"video matrix (1, {dim}) != (videos, {dim + 3})\n"
+        assert not chosen.exists()
 
     def test_vocabulary_size_mismatch_is_2(self, workspace, tmp_path, capsys):
         """A vocabulary whose size is not the checkpoint's stops `generate` and

@@ -1,11 +1,13 @@
 import gc
 import math
+from array import array
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_metrics import _lcs, ref_bleu4, ref_cider_d, ref_rouge_l, toks
+from reference_metrics import _lcs, ngram_counts, ref_bleu4, ref_cider_d, ref_rouge_l, toks
 from vidcap import metrics
 from vidcap.errors import DataError
 from vidcap.metrics import bleu4, cider_d, rouge_l, score_captions
@@ -307,3 +309,67 @@ class TestTwoPassScorer:
         first = score_captions(hyps, refs).to_json()
         score_captions(*random_corpus(4, n_videos=5))
         assert score_captions(hyps, refs).to_json() == first
+
+
+def _decode(code, base):
+    """The id tuple an n-gram code stands for: its digits in base `base`."""
+    digits = []
+    while code > 0:
+        code, d = divmod(code, base)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+@st.composite
+def id_sequences(draw):
+    """A caption as word ids over a small alphabet (so n-grams repeat), and a
+    base above its largest id. Ids reach 70,000: from base 55,109 on,
+    base**4 >= 2**63."""
+    alphabet = draw(st.lists(st.integers(1, 70_000), min_size=1, max_size=4, unique=True))
+    ids = draw(st.lists(st.sampled_from(alphabet), max_size=12))
+    return ids, max(alphabet) + 1 + draw(st.integers(0, 3))
+
+
+class TestIntegerCodes:
+    @given(id_sequences())
+    @settings(max_examples=300, deadline=None)
+    def test_codes_decode_to_the_oracle_ngrams(self, case):
+        """Each code decodes to the n-gram the oracle counts, with its count;
+        orders come one after another, each in order of first occurrence."""
+        ids, base = case
+        got = [(_decode(code, base), count)
+               for code, count in metrics._ngram_codes(array("l", ids), base).items()]
+        assert got == [item for n in range(1, 5) for item in ngram_counts(ids, n).items()]
+
+    def test_vocabulary_past_int64_codes(self):
+        """With more than 55,108 distinct words, base**4 >= 2**63: the 4-gram
+        codes outgrow a 64-bit integer, and every score still equals the
+        oracles' to the bit."""
+        rng = make_rng(7)
+        common = [f"c{i}" for i in range(40)]
+        fresh = (f"w{i}" for i in range(10**6))
+        hyps, refs = {}, {}
+        for v in range(3000):
+            rs = [[rng.choice(common) if rng.random() < 0.2 else next(fresh) for _ in range(5)]
+                  for _ in range(5)]
+            hyp = list(rs[int(rng.integers(5))])
+            if v % 3:
+                hyp[int(rng.integers(5))] = next(fresh)
+            hyps[f"v{v:04d}"], refs[f"v{v:04d}"] = " ".join(hyp), [" ".join(r) for r in rs]
+        words = set(chain.from_iterable(map(str.split, chain(*refs.values(), hyps.values()))))
+        assert len(words) > 55_108
+        report = score_captions(hyps, refs)
+        rouge, rouge_per = ref_rouge_l(hyps, refs)
+        cider, cider_per = ref_cider_d(hyps, refs)
+        assert (report.bleu4, report.rouge_l, report.cider) == (ref_bleu4(hyps, refs), rouge, cider)
+        assert {vid: row["rouge_l"] for vid, row in report.per_video.items()} == rouge_per
+        assert {vid: row["cider"] for vid, row in report.per_video.items()} == cider_per
+        assert report.bleu4 > 0.0
+
+    def test_tokenizes_each_caption_once(self, monkeypatch):
+        """Every hypothesis and reference string is tokenized exactly once."""
+        calls, real = [], metrics.tokenize
+        monkeypatch.setattr(metrics, "tokenize", lambda s: calls.append(s) or real(s))
+        hyps, refs = random_corpus(8, n_videos=6)
+        score_captions(hyps, refs)
+        assert sorted(calls) == sorted(chain(hyps.values(), *refs.values()))

@@ -9,16 +9,21 @@ with little-endian integers. The index is UTF-8 JSON with sorted keys:
 {"version": 1, "header": <the writer's JSON object>, "tensors": [[name,
 "<f4" or "<f8", shape], ...]}. The tensor data is each tensor's raw
 little-endian bytes in index order, and the trailer is the zlib CRC-32 of
-every byte before it. Round trips are bit-exact. The magic names the kind:
+every byte before it. Round trips are bit-exact. The magic names the kind,
+and each kind's header is one dataclass:
 
-  VFEA  feature store   : header {"name", "videos"}, values (count, dim) float32
-  VCBK  codebook        : header {"channel"}, centroids (k, d) float32
-  VLMP  LM checkpoint   : header = LMConfig fields + init/persist feature names
-  VEVP  eval checkpoint : header = EvaluatorConfig fields
+  VFEA  feature store   : _FeatureHeader {"name", "videos"}, values (count, dim) float32
+  VCBK  codebook        : features._CodebookHeader {"channel"}, centroids (k, d) float32
+  VLMP  LM checkpoint   : decoder.LMHeader, the LMConfig fields plus "init_feature" and
+                          "persist_feature", null when the model is bound to no feature
+  VEVP  eval checkpoint : evaluator.EvaluatorConfig
 
-The reader reads the file once and checks every extent against the bytes
-it holds before it slices any, so a corrupt length cannot allocate memory.
-A malformed file raises FormatError naming the file.
+`read_checkpoint` reads the file once and checks every extent against the
+bytes it holds before it slices any, so a corrupt length cannot allocate
+memory. `load` reads every kind: it decodes the header into its dataclass
+and checks that the tensors have exactly the names and shapes the header
+implies and hold only finite values. A malformed file raises FormatError
+naming the file.
 """
 
 from __future__ import annotations
@@ -113,21 +118,22 @@ def read_checkpoint(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     return header, tensors
 
 
-def check_shapes(path, tensors: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
-    """FormatError unless `tensors` has exactly the names in `shapes`, each of its
-    shape (an extent of None matches any)."""
+def load(path, magic: bytes, header_cls, shapes_of) -> tuple[object, dict[str, np.ndarray]]:
+    """(header, tensors) of a container written with `magic`: the header decoded
+    as dataclass `header_cls`, and tensors with exactly the names and shapes of
+    `shapes_of(header)` (an extent of None matches any), every value finite.
+    Otherwise FormatError naming the file."""
+    raw_header, tensors = read_checkpoint(path, magic)
+    header = config_from_json(header_cls, raw_header, path)
+    shapes = shapes_of(header)
     for name in sorted(tensors.keys() | shapes.keys()):
         got, want = getattr(tensors.get(name), "shape", None), shapes.get(name)
         if got is None or want is None or len(got) != len(want) \
                 or any(w not in (None, g) for g, w in zip(got, want)):
             raise FormatError(f"{path}: tensor {name!r} of shape {got} does not fit {want}")
-
-
-def check_finite_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    """FormatError naming the first tensor, by name, that holds a NaN or an infinity."""
-    for name in sorted(tensors):
         if not np.isfinite(tensors[name]).all():
             raise FormatError(f"{path}: tensor {name!r} holds a non-finite value")
+    return header, tensors
 
 
 @dataclasses.dataclass
@@ -153,18 +159,18 @@ def write_feature_file(path, name: str, rows: list[tuple[str, np.ndarray]]) -> N
 
 
 def read_feature_file(path) -> tuple[str, list[tuple[str, np.ndarray]]]:
-    header, tensors = read_checkpoint(path, FEATURE_MAGIC)
-    head = config_from_json(_FeatureHeader, header, path)
-    check_shapes(path, tensors, {"values": (len(head.videos), None)})
+    head, tensors = load(path, FEATURE_MAGIC, _FeatureHeader,
+                         lambda h: {"values": (len(h.videos), None)})
     return head.name, list(zip(head.videos, tensors["values"]))
 
 
 def config_from_json(cls, doc, where, *, partial: bool = False):
-    """Dataclass `cls` from a decoded JSON object whose keys are its fields (with
-    `partial`, fields that have defaults may be left out) and whose values have
-    the fields' types: int, float, str, `X | None`, `list[X]`, `tuple[X, ...]`
-    or a nested dataclass. Otherwise, or if `cls` rejects the values, raises
-    FormatError naming `where` and the key."""
+    """Dataclass `cls` from a decoded JSON object whose keys are its fields and
+    whose values have the fields' types. A field whose default is None may be
+    left out, and with `partial` so may any field that has a default. The types
+    are int, float, str, `X | None`, `list[X]`, `tuple[X, ...]` or a nested
+    dataclass. Otherwise, or if `cls` rejects the values, raises FormatError
+    naming `where` and the key."""
     try:
         return _decode(cls, doc, "", partial)
     except (DataError, ParameterError) as e:
@@ -172,10 +178,11 @@ def config_from_json(cls, doc, where, *, partial: bool = False):
 
 
 @functools.cache
-def _fields(tp) -> dict[str, tuple[object, bool]]:
-    """Field name -> (type, whether it has no default) of dataclass `tp`."""
+def _fields(tp, partial: bool) -> dict[str, tuple[object, bool]]:
+    """Field name -> (type, whether it may be left out) of dataclass `tp`."""
     hints = typing.get_type_hints(tp)
-    return {f.name: (hints[f.name], f.default is f.default_factory is dataclasses.MISSING)
+    return {f.name: (hints[f.name], f.default is None or (partial and not (
+                f.default is f.default_factory is dataclasses.MISSING)))
             for f in dataclasses.fields(tp)}
 
 
@@ -186,9 +193,9 @@ def _decode(tp, value, key: str, partial: bool):
         return float(value)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if dataclasses.is_dataclass(tp) and isinstance(value, dict):
-        prefix, fields = f"{key}." if key else "", _fields(tp)
+        prefix, fields = f"{key}." if key else "", _fields(tp, partial)
         unknown = sorted(value.keys() - fields.keys())
-        missing = [n for n, (_, req) in fields.items() if n not in value and (req or not partial)]
+        missing = [n for n, (_, optional) in fields.items() if n not in value and not optional]
         if unknown or missing:
             raise FormatError(f"unknown key {prefix + unknown[0]!r}" if unknown
                               else f"missing key {prefix + missing[0]!r}")

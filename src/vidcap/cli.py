@@ -9,11 +9,12 @@ it trains (train-lm rejects a beam that could not fit in memory); all but
 rerank, which has none, read their hyperparameters from an ExperimentConfig
 JSON given by --config (the defaults without one; --seed overrides its seed).
 Their other flags name input and output files. Exit codes: 0 success, 1 usage
-error, 2 data error (a malformed artifact, config or JSON input, or a
-checkpoint whose vocabulary size or feature dimensions do not match the given
-files, named in the message), 3 numeric error. An error is one line on
-stderr: numpy's floating-point warnings are off, and explicit checks find the
-non-finite values they warned of.
+error, 2 data error (a malformed or non-finite feature file, codebook,
+checkpoint, config, or descriptor or activation JSON; two codebooks for one
+channel; or a checkpoint whose vocabulary size or feature dimensions do not
+match the given files; the message names the file), 3 numeric error. An
+error is one line on stderr: numpy's floating-point warnings are off, and
+explicit checks find the non-finite values they warned of.
 
 BLAS runs one thread per process unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 or MKL_NUM_THREADS is set: the matrices here are small, and `run` trains in a
@@ -55,13 +56,16 @@ def _videos(path) -> dict:
 
 
 def _numbers(value, path, vid, ndim: int) -> np.ndarray:
-    """A video's `ndim`-D (or empty) JSON array of numbers, as float64."""
+    """A video's `ndim`-D (or empty) JSON array of finite numbers, as float64
+    (Python's json reads NaN and Infinity)."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         arr = np.asarray(None)
     if arr.dtype.kind not in "iuf" or (arr.ndim != ndim and arr.size > 0):
         raise DataError(f"{path}: video {vid!r}: expected a {ndim}-D array of numbers")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{path}: video {vid!r}: holds a non-finite number")
     return arr.astype(np.float64)
 
 
@@ -91,12 +95,10 @@ def _load_generator(item: str) -> GeneratorModel:
     if not path:
         raise ParameterError(f"--model expects tag=path, got {item!r}")
     cfg, params, header = decoder.load_lm(path)
-    for key in ("init_feature", "persist_feature"):
-        if not isinstance(header.get(key), str):
-            raise DataError(f"{path}: checkpoint header has no string {key!r}")
-    return GeneratorModel(tag=tag, cfg=cfg, params=params,
-                          init_feature=header["init_feature"],
-                          persist_feature=header["persist_feature"])
+    if header.init_feature is None or header.persist_feature is None:
+        raise DataError(f"{path}: checkpoint header binds no init_feature or persist_feature")
+    return GeneratorModel(tag=tag, cfg=cfg, params=params, init_feature=header.init_feature,
+                          persist_feature=header.persist_feature)
 
 
 def cmd_synth(args) -> int:
@@ -146,7 +148,13 @@ def cmd_encode(args) -> int:
     if path is None:
         raise ParameterError(f"--kind {args.kind} needs --{flag}")
     videos = _videos(path)
-    books = {book.channel: book for book in map(features.Codebook.load, args.codebooks)}
+    books, book_paths = {}, {}
+    for book_path in args.codebooks:
+        book = features.Codebook.load(book_path)
+        if book.channel in books:
+            raise DataError(f"{book_path}: a second codebook for channel {book.channel!r}, "
+                            f"after {book_paths[book.channel]}")
+        books[book.channel], book_paths[book.channel] = book, book_path
     store = harness.FeatureStore()
     for vid in sorted(videos):
         if args.kind == "bof":
@@ -173,8 +181,7 @@ def cmd_train_lm(args) -> int:
     cfg = _experiment_config(args)
     dataset, store, vocab = _load_inputs(args)
     model, history, ppl = harness.prepare_generator(cfg, args.model, dataset, store, vocab)()
-    decoder.save_lm(args.out, model.cfg, model.params, extra={
-        "init_feature": model.init_feature, "persist_feature": model.persist_feature})
+    decoder.save_lm(args.out, model.cfg, model.params, model.init_feature, model.persist_feature)
     print(f"{cfg.eval_split} perplexity: {ppl:.4f}")
     print(f"final train loss {_final(history)} -> {args.out}")
     return 0

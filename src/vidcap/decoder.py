@@ -350,18 +350,21 @@ def fit_lm(params: Params, cfg: LMConfig, examples: list[Example], opt: OptState
     return history
 
 
-def save_lm(path, cfg: LMConfig, params: Params, extra: dict | None = None) -> None:
-    """Header: the config's fields plus `extra` (JSON values), which may not shadow them."""
-    header, extra = asdict(cfg), extra or {}
-    if header.keys() & extra.keys():
-        raise ParameterError(f"extra keys {sorted(header.keys() & extra.keys())} shadow LMConfig")
-    binio.write_checkpoint(path, binio.LM_MAGIC, {**header, **extra}, params)
+@dataclass
+class LMHeader(LMConfig):
+    """A VLMP checkpoint's header: the config, and the names of the features the
+    model reads through each channel (None when it is bound to none)."""
+
+    init_feature: str | None = None
+    persist_feature: str | None = None
 
 
-def load_lm(path) -> tuple[LMConfig, Params, dict]:
-    header, tensors = binio.read_checkpoint(path, binio.LM_MAGIC)
-    names = {f.name for f in fields(LMConfig)}
-    cfg = binio.config_from_json(LMConfig, {k: v for k, v in header.items() if k in names}, path)
-    binio.check_shapes(path, tensors, lm_param_shapes(cfg))
-    binio.check_finite_tensors(path, tensors)
-    return cfg, tensors, header
+def save_lm(path, cfg: LMConfig, params: Params, init_feature: str | None = None,
+            persist_feature: str | None = None) -> None:
+    header = LMHeader(**asdict(cfg), init_feature=init_feature, persist_feature=persist_feature)
+    binio.write_checkpoint(path, binio.LM_MAGIC, asdict(header), params)
+
+
+def load_lm(path) -> tuple[LMConfig, Params, LMHeader]:
+    header, tensors = binio.load(path, binio.LM_MAGIC, LMHeader, lm_param_shapes)
+    return LMConfig(**{f.name: getattr(header, f.name) for f in fields(LMConfig)}), tensors, header

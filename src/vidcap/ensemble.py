@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import binio, generation  # generation.beam_search_ids: bench/layers.py traces it
 from .decoder import LMConfig
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, NumericError
 from .evaluator import EvaluatorConfig, cosines, encode_sentences, project_videos
 from .evaluator import encode_sentence  # noqa: F401  (bench/layers.py traces this name)
 from .generation import GenerationConfig
@@ -50,7 +50,9 @@ def generate_pool(models: list[GeneratorModel], video_id: str, feature_of,
     feature_of(video_id, name) -> float64 vector is FeatureStore.get or a
     callable with its contract: a feature it cannot resolve raises DataError
     naming the feature and the video. A feature of the wrong dimension raises
-    DimensionError naming the model, the feature and the video.
+    DimensionError naming the model, the feature and the video, and a model
+    whose every hypothesis scores NaN raises NumericError naming the model and
+    the video.
     """
     pool = CandidatePool(video_id=video_id)
     for m in models:
@@ -62,6 +64,8 @@ def generate_pool(models: list[GeneratorModel], video_id: str, feature_of,
             name = m.init_feature if np.shape(init) != (m.cfg.init_dim,) else m.persist_feature
             raise DimensionError(f"model {m.tag!r}, feature {name!r}, video {video_id!r}: {e}") \
                 from None
+        except NumericError as e:
+            raise NumericError(f"model {m.tag!r}, video {video_id!r}: {e}") from None
         pool.entries.append(Candidate(caption=decode(tokens, vocab), model=m.tag, logprob=logprob))
     return pool
 
@@ -87,15 +91,8 @@ def rerank(pool: CandidatePool, video_values: np.ndarray, eval_params: Params,
 def dump_pools(pools: list[CandidatePool], path) -> None:
     """Line-delimited JSON, one record per candidate."""
     with open(path, "w", encoding="utf-8") as f:
-        for pool in pools:
-            for cand in pool.entries:
-                f.write(json.dumps({
-                    "video_id": pool.video_id,
-                    "model": cand.model,
-                    "caption": cand.caption,
-                    "logprob": cand.logprob,
-                    "score": cand.score,
-                }, sort_keys=True) + "\n")
+        f.writelines(json.dumps({"video_id": pool.video_id, **asdict(cand)}, sort_keys=True) + "\n"
+                     for pool in pools for cand in pool.entries)
 
 
 @dataclass
@@ -112,8 +109,7 @@ def load_pools(path) -> list[CandidatePool]:
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if line.strip():
             where = f"{path}:{lineno}"
-            rec = binio.config_from_json(_PoolRecord, binio.parse_json(line, where), where,
-                                         partial=True)
+            rec = binio.config_from_json(_PoolRecord, binio.parse_json(line, where), where)
             pools.setdefault(rec.video_id, CandidatePool(rec.video_id)).entries.append(
                 Candidate(rec.caption, rec.model, rec.logprob, rec.score))
     return [pools[k] for k in sorted(pools)]

@@ -309,8 +309,4 @@ def save_evaluator(path, cfg: EvaluatorConfig, params: Params) -> None:
 
 
 def load_evaluator(path) -> tuple[EvaluatorConfig, Params]:
-    header, tensors = binio.read_checkpoint(path, binio.EVAL_MAGIC)
-    cfg = binio.config_from_json(EvaluatorConfig, header, path)
-    binio.check_shapes(path, tensors, evaluator_param_shapes(cfg))
-    binio.check_finite_tensors(path, tensors)
-    return cfg, tensors
+    return binio.load(path, binio.EVAL_MAGIC, EvaluatorConfig, evaluator_param_shapes)

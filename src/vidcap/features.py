@@ -9,12 +9,12 @@ categories. Concatenation is harness.FeatureStore's compound names: feature
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import binio
-from .errors import DataError, DimensionError, ParameterError
+from .errors import DataError, DimensionError, FormatError, ParameterError
 from .numerics import check_finite
 
 # Scale-2 regions per frame: 3x3 grid with overlaps and horizontal flips.
@@ -103,15 +103,17 @@ class Codebook:
         return self.centroids.shape[1]
 
     def save(self, path) -> None:
-        binio.write_checkpoint(path, binio.CODEBOOK_MAGIC, {"channel": self.channel},
+        binio.write_checkpoint(path, binio.CODEBOOK_MAGIC, asdict(_CodebookHeader(self.channel)),
                                {"centroids": self.centroids.astype(np.float32)})
 
     @classmethod
     def load(cls, path) -> "Codebook":
-        header, tensors = binio.read_checkpoint(path, binio.CODEBOOK_MAGIC)
-        head = binio.config_from_json(_CodebookHeader, header, path)
-        binio.check_shapes(path, tensors, {"centroids": (None, None)})
-        return cls(channel=head.channel, centroids=tensors["centroids"].astype(np.float64))
+        head, tensors = binio.load(path, binio.CODEBOOK_MAGIC, _CodebookHeader,
+                                   lambda h: {"centroids": (None, None)})
+        try:
+            return cls(channel=head.channel, centroids=tensors["centroids"].astype(np.float64))
+        except DimensionError as e:  # no centroids
+            raise FormatError(f"{path}: {e}") from None
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -72,12 +72,8 @@ def load_dataset(path) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    doc = {"videos": [
-        {"id": r.id, "category": r.category, "split": r.split, "captions": r.captions}
-        for r in dataset.records
-    ]}
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
+        json.dump({"videos": [asdict(r) for r in dataset.records]}, f, sort_keys=True, indent=1)
         f.write("\n")
 
 

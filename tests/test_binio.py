@@ -1,3 +1,5 @@
+import json
+import re
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -133,6 +135,10 @@ class TestConfigFromJson:
         assert got == _Outer("a", (2, 3), [_Inner(1, 2.0)], None)
         assert isinstance(got.widths, tuple) and isinstance(got.inner[0].x, float)
 
+    def test_none_default_may_be_left_out(self):
+        assert binio.config_from_json(_Outer, {"name": "a", "widths": [1], "inner": []},
+                                      "c") == _Outer("a")
+
     def test_partial_keeps_defaults(self):
         assert binio.config_from_json(_Outer, {"name": "a"}, "c", partial=True) == _Outer("a")
         with pytest.raises(FormatError, match="missing key 'widths'"):
@@ -171,7 +177,7 @@ def _tiny_artifacts(tmp_path):
                               embed_dim=1)
     lm = tmp_path / "m.vlmp"
     decoder.save_lm(lm, lm_cfg, decoder.init_lm_params(lm_cfg, rng),
-                    extra={"init_feature": "categ", "persist_feature": "feat-a"})
+                    init_feature="categ", persist_feature="feat-a")
     ev_cfg = evaluator.EvaluatorConfig(vocab_size=4, video_dim=1, embed_dim=1, filter_widths=(1,),
                                        filters_per_width=1, joint_dim=1, n_negatives=1,
                                        feature_name="feat-a")
@@ -179,6 +185,21 @@ def _tiny_artifacts(tmp_path):
     evaluator.save_evaluator(ev, ev_cfg, evaluator.init_evaluator_params(ev_cfg, rng))
     return [(feat, binio.read_feature_file), (book, Codebook.load),
             (lm, decoder.load_lm), (ev, evaluator.load_evaluator)]
+
+
+def test_non_finite_tensor_of_each_kind(tmp_path):
+    """A NaN written over the first value of an artifact's first tensor, with the
+    checksum recomputed, raises FormatError naming the file and the tensor."""
+    for path, load in _tiny_artifacts(tmp_path):
+        raw = path.read_bytes()
+        (n,) = struct.unpack_from("<I", raw, 4)
+        name, code, _ = json.loads(raw[8 : 8 + n])["tensors"][0]
+        nan = np.array([np.nan], code).tobytes()
+        body = raw[: 8 + n] + nan + raw[8 + n + len(nan) : -4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        words = f"{path}: tensor {name!r} holds a non-finite value"
+        with pytest.raises(FormatError, match=re.escape(words)):
+            load(path)
 
 
 @pytest.mark.parametrize("magic, load, header", [

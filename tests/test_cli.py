@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from vidcap import cli, decoder, harness
-from vidcap.binio import write_feature_file
+from vidcap.binio import CODEBOOK_MAGIC, write_checkpoint, write_feature_file
 from vidcap.cli import main
 from vidcap.decoder import LMConfig, init_lm_params, save_lm
 from vidcap.evaluator import EvaluatorConfig, init_evaluator_params, save_evaluator
-from vidcap.features import DESCRIPTOR_CHANNELS
+from vidcap.features import DESCRIPTOR_CHANNELS, Codebook
 from vidcap.numerics import make_rng
 from vidcap.text import Vocabulary
 
@@ -206,7 +206,7 @@ class TestExitCodes:
                           embed_dim=4)
         ckpt, ev = tmp_path / "m.vlmp", tmp_path / "e.vevp"
         save_lm(ckpt, lm_cfg, init_lm_params(lm_cfg, make_rng(0)),
-                extra={"init_feature": "categ", "persist_feature": "feat-a"})
+                init_feature="categ", persist_feature="feat-a")
         ev_cfg = EvaluatorConfig(vocab_size=5, video_dim=2, feature_name="feat-a")
         save_evaluator(ev, ev_cfg, init_evaluator_params(ev_cfg, make_rng(0)))
         for path in (ckpt, ev):
@@ -236,7 +236,7 @@ class TestExitCodes:
         params = init_lm_params(lm_cfg, make_rng(0))
         params["out_W"][0, 0] = np.nan
         ckpt = tmp_path / "m.vlmp"
-        save_lm(ckpt, lm_cfg, params, extra={"init_feature": "categ", "persist_feature": "feat-a"})
+        save_lm(ckpt, lm_cfg, params, init_feature="categ", persist_feature="feat-a")
         out = tmp_path / "p.jsonl"
         assert main(["generate", *_stage_inputs(root), "--model", f"m={ckpt}",
                      "--config", str(cfg_path), "--out", str(out)]) == 2
@@ -296,7 +296,7 @@ class TestExitCodes:
                           persist_dim=store.dim("feat-a"), depth=1, hidden=4, embed_dim=4)
         ckpt = tmp_path / "m.vlmp"
         save_lm(ckpt, lm_cfg, init_lm_params(lm_cfg, make_rng(0)),
-                extra={"init_feature": "categ", "persist_feature": "feat-a"})
+                init_feature="categ", persist_feature="feat-a")
         narrow = tmp_path / f"{feature}.vfea"
         write_feature_file(narrow, feature, [(vid, np.ones(5)) for vid in store.videos(feature)])
         features = [narrow if Path(f).name == narrow.name else f for f in inputs[3:6]]
@@ -346,7 +346,7 @@ class TestExitCodes:
                           persist_dim=store.dim("feat-a"), depth=1, hidden=4, embed_dim=4)
         ckpt = tmp_path / "m.vlmp"
         save_lm(ckpt, lm_cfg, init_lm_params(lm_cfg, make_rng(0)),
-                extra={"init_feature": "categ", "persist_feature": "feat-a"})
+                init_feature="categ", persist_feature="feat-a")
         out = tmp_path / "p.jsonl"
         assert main(["generate", *inputs, "--model", f"wide={ckpt}", "--config", str(cfg_path),
                      "--out", str(out)]) == 2
@@ -423,6 +423,61 @@ class TestExitCodes:
         assert main(["codebook", "--descriptors", str(path), "--channel", "HOG", "--k", "1",
                      "--out", str(tmp_path / "b.vcbk")]) == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_non_finite_descriptors_are_2(self, tmp_path, capsys):
+        """Python's json reads NaN and Infinity. `codebook` and `encode` reject them,
+        naming the file and the video: k-means++ would fail on NaN weights, and
+        bag-of-features would count a NaN row in centroid 0."""
+        rng = make_rng(0)
+        videos = {f"v{i}": {ch: rng.normal(size=(6, 2)).tolist() for ch in DESCRIPTOR_CHANNELS}
+                  for i in range(4)}
+        videos["v2"]["HOG"][3][0] = float("nan")
+        desc, acts = tmp_path / "desc.json", tmp_path / "acts.json"
+        desc.write_text(json.dumps({"videos": videos}))
+        acts.write_text(json.dumps({"videos": {"v0": [[1.0, 2.0]], "v1": [[float("inf"), 0.0]]}}))
+        books = [str(tmp_path / f"{ch}.vcbk") for ch in DESCRIPTOR_CHANNELS]
+        for ch, book in zip(DESCRIPTOR_CHANNELS, books):
+            Codebook(ch, rng.normal(size=(2, 2))).save(book)
+        for args, path, vid in [
+            (["codebook", "--descriptors", str(desc), "--channel", "HOG", "--k", "2"], desc, "v2"),
+            (["encode", "--kind", "bof", "--descriptors", str(desc), "--codebooks", *books,
+              "--name", "x"], desc, "v2"),
+            (["encode", "--kind", "mean", "--activations", str(acts), "--name", "x"], acts, "v1"),
+        ]:
+            out = tmp_path / "out"
+            assert main([*args, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == \
+                f"data error: {path}: video {vid!r}: holds a non-finite number\n"
+            assert not out.exists()
+
+    def test_two_codebooks_for_one_channel_are_2(self, tmp_path, capsys):
+        first, second = tmp_path / "a.vcbk", tmp_path / "b.vcbk"
+        for path in (first, second):
+            Codebook("HOG", np.zeros((1, 2))).save(path)
+        desc = tmp_path / "desc.json"
+        desc.write_text(json.dumps({"videos": {"v0": {"HOG": [[1, 2]]}}}))
+        assert main(["encode", "--kind", "bof", "--descriptors", str(desc), "--codebooks",
+                     str(first), str(second), "--name", "x",
+                     "--out", str(tmp_path / "x.vfea")]) == 2
+        err = capsys.readouterr().err
+        assert str(first) in err and str(second) in err and "'HOG'" in err
+        assert not (tmp_path / "x.vfea").exists()
+
+    @pytest.mark.parametrize("centroids, words", [
+        ([[np.nan, 0.0]], "tensor 'centroids' holds a non-finite value"),
+        (np.zeros((0, 2)), "centroids must be (k,d) with k>=1, got (0, 2)"),
+    ], ids=["nan", "empty"])
+    def test_malformed_codebook_is_2(self, tmp_path, capsys, centroids, words):
+        """A NaN centroid is a malformed file, exit 2 naming it, not a numeric
+        error; so is a codebook without centroids."""
+        book = tmp_path / "bad.vcbk"
+        write_checkpoint(book, CODEBOOK_MAGIC, {"channel": "HOG"},
+                         {"centroids": np.array(centroids, np.float32)})
+        desc = tmp_path / "desc.json"
+        desc.write_text(json.dumps({"videos": {"v0": {"HOG": [[1, 2]]}}}))
+        assert main(["encode", "--kind", "bof", "--descriptors", str(desc), "--codebooks",
+                     str(book), "--name", "x", "--out", str(tmp_path / "x.vfea")]) == 2
+        assert capsys.readouterr().err == f"data error: {book}: {words}\n"
 
     def test_vocab_not_utf8_is_2(self, workspace, tmp_path, capsys):
         root, cfg_path = workspace
@@ -593,6 +648,30 @@ class TestConfigValues:
                              text=True, timeout=120)
         assert out.returncode == 3
         assert re.fullmatch(r"numeric error: \[train-lm:m-a\] [^\n]*\n", out.stderr), out.stderr
+
+    def test_beam_overflow_names_model_and_video(self, workspace, tmp_path):
+        """A finite checkpoint whose logits overflow leaves beam search no
+        hypothesis with a finite log-prob: exit 3, and one stderr line naming the
+        model and the first eval video. Run in a child process, as above."""
+        root, cfg_path = workspace
+        store = harness.load_features(*_stage_inputs(root)[3:6])
+        lm_cfg = LMConfig(vocab_size=len(Vocabulary.load(root / "vocab.tsv")),
+                          init_dim=store.dim("categ"), persist_dim=store.dim("feat-a"),
+                          depth=1, hidden=4, embed_dim=4)
+        params = init_lm_params(lm_cfg, make_rng(0))
+        params["out_W"][:], params["l1_b"][:] = 1.7e308, 50.0
+        ckpt = tmp_path / "m.vlmp"
+        save_lm(ckpt, lm_cfg, params, init_feature="categ", persist_feature="feat-a")
+        first = min(r.id for r in harness.load_dataset(root / "dataset.json").split("val"))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        out = subprocess.run([sys.executable, "-m", "vidcap.cli", "generate", *_stage_inputs(root),
+                              "--model", f"m={ckpt}", "--config", str(cfg_path),
+                              "--out", str(tmp_path / "p.jsonl")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 3
+        assert out.stderr == (f"numeric error: model 'm', video {first!r}: beam search found "
+                              "no hypothesis with a finite log-prob\n")
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_train_lm_bounds_the_beam(self, workspace, tmp_path, capsys, trained):
         """Stagewise train-lm rejects a beam that cannot fit in memory before it

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from gradcheck import grad_check
 from reference_decoder import ref_batch_loss_and_grads, ref_forward_logprob, ref_perplexity
-from vidcap import decoder
+from vidcap import binio, decoder
 from vidcap.decoder import (
     LMConfig,
     batch_loss_and_grads,
@@ -22,7 +22,7 @@ from vidcap.decoder import (
     train_step,
     zero_states,
 )
-from vidcap.errors import DataError, FormatError, ParameterError
+from vidcap.errors import DataError, FormatError
 from vidcap.numerics import OptState, make_rng
 from vidcap.text import BOS, EOS
 
@@ -373,16 +373,26 @@ class TestCheckpoint:
         cfg = tiny_cfg(depth=3)
         params = init_lm_params(cfg, make_rng(16))
         p1, p2 = tmp_path / "m1.vlmp", tmp_path / "m2.vlmp"
-        save_lm(p1, cfg, params, extra={"init_feature": "categ"})
+        save_lm(p1, cfg, params, init_feature="categ")
         cfg2, params2, header = load_lm(p1)
         assert cfg2 == cfg
-        assert header["init_feature"] == "categ"
+        assert header.init_feature == "categ"
         assert set(params2) == set(params)
         for k in params:
             assert np.array_equal(params2[k], params[k])
             assert params2[k].dtype == params[k].dtype
-        save_lm(p2, cfg2, params2, extra={"init_feature": "categ"})
+        save_lm(p2, cfg2, params2, init_feature="categ")
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_header_without_feature_names_loads(self, tmp_path):
+        """A header of the config's fields alone, as checkpoints without bound
+        features were written, loads with both feature names None."""
+        cfg = tiny_cfg()
+        path = tmp_path / "m.vlmp"
+        binio.write_checkpoint(path, binio.LM_MAGIC, asdict(cfg), init_lm_params(cfg, make_rng(0)))
+        cfg2, _, header = load_lm(path)
+        assert cfg2 == cfg
+        assert header.init_feature is None and header.persist_feature is None
 
     @pytest.mark.parametrize("other", [tiny_cfg(depth=3), tiny_cfg(vocab=13), tiny_cfg(hidden=9)])
     def test_params_not_fitting_config_rejected(self, tmp_path, other):
@@ -390,9 +400,3 @@ class TestCheckpoint:
         save_lm(path, tiny_cfg(), init_lm_params(other, make_rng(0)))
         with pytest.raises(FormatError, match="m.vlmp: tensor"):
             load_lm(path)
-
-    def test_extra_may_not_shadow_config(self, tmp_path):
-        cfg = tiny_cfg()
-        with pytest.raises(ParameterError, match="depth"):
-            save_lm(tmp_path / "m.vlmp", cfg, init_lm_params(cfg, make_rng(0)),
-                    extra={"depth": 5})

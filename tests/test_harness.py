@@ -145,7 +145,7 @@ class TestFeatureStore:
         path = tmp_path / "nan.vfea"
         binio.write_feature_file(path, "gcnn", [("v0", np.ones(2, np.float32)),
                                                 ("v1", np.array([1.0, np.nan], np.float32))])
-        with pytest.raises(DataError, match=r"'gcnn' for 'v1'"):
+        with pytest.raises(FormatError, match=r"nan\.vfea: tensor 'values' holds a non-finite"):
             load_features(path)
 
     def test_video_repeated_across_files_rejected(self, tmp_path):

@@ -23,12 +23,12 @@ bytes it holds before it slices any, so a corrupt length cannot allocate
 memory. `load` reads every kind: it decodes the header into its dataclass
 and checks that the tensors have exactly the names and shapes the header
 implies and hold only finite values. A malformed file raises FormatError
-naming the file.
+naming the file. The VFEA reader returns the rows as written: a video that
+repeats is rejected by `harness.FeatureStore.add`, which holds the rows.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 import json
@@ -140,11 +140,6 @@ def load(path, magic: bytes, header_cls, shapes_of) -> tuple[object, dict[str, n
 class _FeatureHeader:
     name: str
     videos: list[str]
-
-    def __post_init__(self):
-        repeated = [vid for vid, n in collections.Counter(self.videos).items() if n > 1]
-        if repeated:
-            raise DataError(f"video id {repeated[0]!r} appears more than once")
 
 
 def write_feature_file(path, name: str, rows: list[tuple[str, np.ndarray]]) -> None:

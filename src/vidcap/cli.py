@@ -10,9 +10,10 @@ rerank, which has none, read their hyperparameters from an ExperimentConfig
 JSON given by --config (the defaults without one; --seed overrides its seed).
 Their other flags name input and output files. Exit codes: 0 success, 1 usage
 error, 2 data error (a malformed or non-finite feature file, codebook,
-checkpoint, config, or descriptor or activation JSON; two codebooks for one
-channel; or a checkpoint whose vocabulary size or feature dimensions do not
-match the given files; the message names the file), 3 numeric error. An
+checkpoint, config, vocabulary file, or descriptor or activation JSON; two
+codebooks for one channel; or a checkpoint whose vocabulary size or feature
+dimensions do not match the given files; the message names the file, and for
+a descriptor or activation JSON the video), 3 numeric error. An
 error is one line on stderr: numpy's floating-point warnings are off, and
 explicit checks find the non-finite values they warned of.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 # Before numpy loads: BLAS reads these when it starts its thread pool.
@@ -55,25 +57,34 @@ def _videos(path) -> dict:
     return doc["videos"]
 
 
-def _numbers(value, path, vid, ndim: int) -> np.ndarray:
-    """A video's `ndim`-D (or empty) JSON array of finite numbers, as float64
+@contextmanager
+def _video(path, vid: str):
+    """Name the input file and the video in a data or dimension error of the block."""
+    try:
+        yield
+    except (DataError, DimensionError) as e:
+        raise type(e)(f"{path}: video {vid!r}: {e}") from None
+
+
+def _numbers(value, ndim: int) -> np.ndarray:
+    """An `ndim`-D (or empty) JSON array of finite numbers, as float64
     (Python's json reads NaN and Infinity)."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         arr = np.asarray(None)
     if arr.dtype.kind not in "iuf" or (arr.ndim != ndim and arr.size > 0):
-        raise DataError(f"{path}: video {vid!r}: expected a {ndim}-D array of numbers")
+        raise DataError(f"expected a {ndim}-D array of numbers")
     if not np.isfinite(arr).all():
-        raise DataError(f"{path}: video {vid!r}: holds a non-finite number")
+        raise DataError("holds a non-finite number")
     return arr.astype(np.float64)
 
 
-def _channels(videos: dict, vid: str, path, names) -> dict[str, np.ndarray]:
+def _channels(video, names) -> dict[str, np.ndarray]:
     """The descriptor channels in `names` that a video has, as float64 arrays."""
-    if not isinstance(videos[vid], dict):
-        raise DataError(f"{path}: video {vid!r}: expected an object of descriptor channels")
-    return {ch: _numbers(videos[vid][ch], path, vid, 2) for ch in names if ch in videos[vid]}
+    if not isinstance(video, dict):
+        raise DataError("expected an object of descriptor channels")
+    return {ch: _numbers(video[ch], 2) for ch in names if ch in video}
 
 
 def _experiment_config(args) -> harness.ExperimentConfig:
@@ -121,10 +132,10 @@ def cmd_vocab(args) -> int:
 
 
 def cmd_codebook(args) -> int:
-    videos = _videos(args.descriptors)
-    parts = [desc for vid in sorted(videos)
-             for desc in _channels(videos, vid, args.descriptors, [args.channel]).values()
-             if desc.size > 0]
+    videos, parts = _videos(args.descriptors), []
+    for vid in sorted(videos):
+        with _video(args.descriptors, vid):
+            parts += [d for d in _channels(videos[vid], [args.channel]).values() if d.size > 0]
     if not parts:
         raise DataError(f"no descriptors for channel {args.channel!r} in {args.descriptors}")
     if any(p.shape[1] != parts[0].shape[1] for p in parts):
@@ -157,20 +168,21 @@ def cmd_encode(args) -> int:
         books[book.channel], book_paths[book.channel] = book, book_path
     store = harness.FeatureStore()
     for vid in sorted(videos):
-        if args.kind == "bof":
-            values = features.bof_encode(_channels(videos, vid, path, features.DESCRIPTOR_CHANNELS),
-                                         books)
-        elif args.kind == "mean":
-            values = features.mean_pool(list(_numbers(videos[vid], path, vid, 2)))
-        else:
-            frames = videos[vid]
-            if not (isinstance(frames, list) and all(isinstance(f, dict) for f in frames)):
-                raise DataError(f"{path}: video {vid!r}: expected a list of frame objects")
-            values = features.pyramid_pool(
-                [features.RegionActivations(_numbers(f.get("scale1"), path, vid, 1),
-                                            _numbers(f.get("regions"), path, vid, 2))
-                 for f in frames], combo=args.combo)
-        store.add(args.name, vid, values)
+        with _video(path, vid):
+            if args.kind == "bof":
+                values = features.bof_encode(
+                    _channels(videos[vid], features.DESCRIPTOR_CHANNELS), books)
+            elif args.kind == "mean":
+                values = features.mean_pool(list(_numbers(videos[vid], 2)))
+            else:
+                frames = videos[vid]
+                if not (isinstance(frames, list) and all(isinstance(f, dict) for f in frames)):
+                    raise DataError("expected a list of frame objects")
+                values = features.pyramid_pool(
+                    [features.RegionActivations(_numbers(f.get("scale1"), 1),
+                                                _numbers(f.get("regions"), 2))
+                     for f in frames], combo=args.combo)
+            store.add(args.name, vid, values)
     harness.save_features(store, args.name, args.out)
     print(f"encoded {len(store.videos(args.name))} videos "
           f"({args.kind}, dim {store.dim(args.name)}) -> {args.out}")

@@ -336,9 +336,12 @@ def perplexity(examples: list[Example], params: Params, cfg: LMConfig) -> float:
 
 def fit_lm(params: Params, cfg: LMConfig, examples: list[Example], opt: OptState,
            rng: np.random.Generator, epochs: int = 10, batch_size: int = 16) -> list[float]:
-    """Shuffled mini-batch training; returns the mean loss per epoch."""
+    """Shuffled mini-batch training; returns the mean loss per epoch. DataError
+    when there is an epoch to run and no example."""
     if batch_size < 1 or epochs < 0:
         raise ParameterError(f"need batch_size >= 1 and epochs >= 0, got {batch_size=}, {epochs=}")
+    if epochs and not examples:
+        raise DataError("empty dataset")
     history = []
     for _ in range(epochs):
         order = rng.permutation(len(examples))

@@ -242,13 +242,16 @@ def triple_loss_and_grads(params: Params, cfg: EvaluatorConfig, videos,
 
 
 def check_training_fits(records, vocab: Vocabulary, cfg: EvaluatorConfig) -> None:
-    """ParameterError when training on the records' captions could not fit in
-    memory: the parameters, their gradients and RMSProp accumulators, and one
-    update of ANCHORS positives and n_negatives caption rows, padded to the
-    longest caption or the widest filter as `pad_ids` pads them. The update's
-    embedded rows and each filter width's windows and pre-activations count
-    twice, which bounds what the backward pass builds while the forward pass's
-    cache is held."""
+    """DataError unless the records hold two videos or more, each with a caption.
+    ParameterError when training on their captions could not fit in memory:
+    the parameters, their gradients and RMSProp accumulators, and one update
+    of ANCHORS positives and n_negatives caption rows, padded to the longest
+    caption or the widest filter as `pad_ids` pads them. The update's embedded
+    rows and each filter width's windows and pre-activations count twice,
+    which bounds what the backward pass builds while the forward pass's cache
+    is held."""
+    if len(records) < 2 or not all(r.captions for r in records):
+        raise DataError("evaluator training needs at least two videos, each with a caption")
     lengths = [len(encode(tokenize(c), vocab)) for r in records for c in r.captions]
     rows, cols = ANCHORS + min(cfg.n_negatives, len(lengths)), max(lengths + [*cfg.filter_widths])
     shapes = {name: (3, *shape) for name, shape in evaluator_param_shapes(cfg).items()}
@@ -278,8 +281,7 @@ def train_evaluator(records, feature_of, vocab: Vocabulary, cfg: EvaluatorConfig
     if epochs < 0:
         raise ParameterError(f"epochs must be >= 0, got {epochs}")
     records = sorted(records, key=lambda r: r.id)
-    if len(records) < 2 or not all(r.captions for r in records):
-        raise DataError("evaluator training needs at least two videos, each with a caption")
+    check_training_fits(records, vocab, cfg)
     params = init_evaluator_params(cfg, rng)
     opt = opt or OptState()
     ids, lengths = pad_ids([encode(tokenize(c), vocab) for r in records for c in r.captions], cfg)

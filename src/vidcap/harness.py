@@ -17,7 +17,7 @@ from .ensemble import CandidatePool, GeneratorModel, dump_pools, generate_pool, 
 from .errors import DataError, DimensionError, FormatError, ParameterError, VidcapError
 from .evaluator import EvaluatorConfig, check_training_fits, train_evaluator
 from .generation import GenerationConfig, check_beam_fits
-from .metrics import MetricReport, score_captions
+from .metrics import MetricReport, check_corpus, score_captions
 from .numerics import OptState, Params, check_fits_in_memory, make_rng
 from .text import RESERVED, Vocabulary, build_vocab, encode, tokenize
 
@@ -85,6 +85,7 @@ class FeatureStore:
         self._dims: dict[str, int] = {}
 
     def add(self, name: str, video_id: str, values: np.ndarray) -> None:
+        """One row; DataError unless a finite vector of the feature's dim, for a new video."""
         values = np.asarray(values, dtype=np.float32)
         if values.ndim != 1:
             raise DataError(f"feature {name!r} for {video_id!r} is not a vector")
@@ -94,6 +95,8 @@ class FeatureStore:
         if values.shape[0] != dim:
             raise DataError(
                 f"feature {name!r}: dim {values.shape[0]} != established dim {dim}")
+        if video_id in self._data.get(name, ()):
+            raise DataError(f"feature {name!r} for video {video_id!r} is already in the store")
         self._data.setdefault(name, {})[video_id] = values
 
     def names(self) -> list[str]:
@@ -130,16 +133,15 @@ def save_features(store: FeatureStore, name: str, path) -> None:
 
 def load_features(*paths) -> FeatureStore:
     """One store holding every feature file in `paths` (none gives an empty store).
-    A feature may be split over several files, but no video may appear twice."""
+    A feature may span several files; a row the store rejects is a FormatError naming its file."""
     store = FeatureStore()
     for path in paths:
         name, rows = binio.read_feature_file(path)
-        known = set(store.videos(name))
-        for vid, vec in rows:
-            if vid in known:
-                raise FormatError(f"{path}: feature {name!r} for video {vid!r} "
-                                  "is already in an earlier file")
-            store.add(name, vid, vec)
+        try:
+            for vid, vec in rows:
+                store.add(name, vid, vec)
+        except DataError as e:
+            raise FormatError(f"{path}: {e}") from None
     return store
 
 
@@ -306,8 +308,7 @@ def _stage(name: str):
     try:
         yield
     except VidcapError as e:
-        if not str(e).startswith("["):
-            e.args = (f"[{name}] {e}",)
+        e.args = (f"[{name}] {e}",)
         raise
 
 
@@ -396,9 +397,8 @@ def write_data(dataset: Dataset, store: FeatureStore, out: Path) -> None:
         save_features(store, name, out / f"{name}.vfea")
 
 
-def check_roster(cfg: ExperimentConfig) -> list[str]:
-    """The roster's model tags; ParameterError when it is empty or repeats a tag."""
-    tags = [m.tag for m in cfg.models]
+def check_roster(tags: list[str]) -> list[str]:
+    """A roster's model tags; ParameterError when there are none or one repeats."""
     if not tags:
         raise ParameterError("the model roster is empty")
     if len(set(tags)) != len(tags):
@@ -447,10 +447,10 @@ def generation_config(cfg: ExperimentConfig) -> GenerationConfig:
 def prepare_generator(cfg: ExperimentConfig, tag: str, dataset: Dataset, store: FeatureStore,
                       vocab: Vocabulary):
     """Check the roster model `tag` (its config, memory and beam bounds) and
-    read both splits' examples; returns a call that trains it on the train
-    split and gives the model, its mean loss per epoch and its eval-split
-    perplexity."""
-    tags = check_roster(cfg)
+    read both splits' examples, DataError when the eval split has no caption;
+    returns a call that trains it on the train split and gives the model, its
+    mean loss per epoch and its eval-split perplexity."""
+    tags = check_roster([m.tag for m in cfg.models])
     if tag not in tags:
         raise ParameterError(f"no model {tag!r} in the roster; its tags are {tags}")
     i = tags.index(tag)
@@ -460,6 +460,8 @@ def prepare_generator(cfg: ExperimentConfig, tag: str, dataset: Dataset, store: 
     _opt(cfg)
     examples, held_out = (lm_examples(_records(dataset, split), store, vocab, spec.init_feature,
                                       spec.persist_feature) for split in ("train", cfg.eval_split))
+    if not held_out:
+        raise DataError(f"the {cfg.eval_split} split has no captions to measure perplexity on")
 
     def fit() -> tuple[GeneratorModel, list[float], float]:
         rng = make_rng(cfg.seed, i + 1)
@@ -493,7 +495,9 @@ def prepare_evaluator(cfg: ExperimentConfig, dataset: Dataset, store: FeatureSto
 def generate_pools(cfg: ExperimentConfig, models: list[GeneratorModel], dataset: Dataset,
                    store: FeatureStore, vocab: Vocabulary) -> list[CandidatePool]:
     """One beam-search candidate per model for each eval-split video, in id order;
-    DataError when a model's vocabulary size is not the given vocabulary's."""
+    ParameterError when the tags are not a roster's (check_roster), DataError
+    when a model's vocabulary size is not the given vocabulary's."""
+    check_roster([model.tag for model in models])
     gen_cfg = generation_config(cfg)
     for model in models:
         if model.cfg.vocab_size != len(vocab):
@@ -526,12 +530,9 @@ def rerank_pools(pools: list[CandidatePool], store: FeatureStore, eval_cfg: Eval
 
 def score_split(cfg: ExperimentConfig, hypotheses: dict[str, str],
                 dataset: Dataset) -> MetricReport:
-    """BLEU-4, ROUGE-L and CIDEr-D of {video id: caption} against the eval split."""
-    references = dataset.references(cfg.eval_split)
-    missing = sorted(set(hypotheses) - set(references))
-    if missing:
-        raise DataError(f"hypotheses for unknown videos: {missing[:5]}")
-    return score_captions(hypotheses, references)
+    """BLEU-4, ROUGE-L and CIDEr-D of {video id: caption} against the eval split;
+    `score_captions` rejects a video that has no references there."""
+    return score_captions(hypotheses, dataset.references(cfg.eval_split))
 
 
 def save_chosen(chosen: dict[str, str], path) -> None:
@@ -609,15 +610,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     """Train every roster model and the evaluator, generate candidate pools on
     the eval split, rerank, and score singles plus the ensemble.
 
-    The data stage prepares every training stage and reads the eval split's
-    evaluator features, so bad input fails before training. When _can_fork()
-    allows, a forked worker trains and scores models 2..k while this process
-    trains and scores model 1, then trains the evaluator. No result depends
-    on it; the first error raised is the first in run order (model 1 and its
-    eval-split perplexity, the evaluator, models 2..k and theirs), and no
-    worker process outlives it."""
+    The data stage prepares every training stage, checks that the eval split
+    can be scored and reads its evaluator features, so bad input fails before
+    training. When _can_fork() allows, a forked worker trains and scores
+    models 2..k while this process trains and scores model 1, then trains the
+    evaluator. No result depends on it; the first error raised is the first
+    in run order (model 1 and its eval-split perplexity, the evaluator, models
+    2..k and theirs), and no worker process outlives it."""
     with _stage("data"):
-        check_roster(cfg)
+        check_roster([m.tag for m in cfg.models])
         for name, least in (("lm_epochs", 0), ("eval_epochs", 0), ("batch_size", 1)):
             if getattr(cfg, name) < least:
                 raise ParameterError(f"{name} must be >= {least}, got {getattr(cfg, name)}")
@@ -626,7 +627,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         fits = [(spec.tag, prepare_generator(cfg, spec.tag, dataset, store, vocab))
                 for spec in cfg.models]
         fit_eval = prepare_evaluator(cfg, dataset, store, vocab)
-        for r in _records(dataset, cfg.eval_split):
+        eval_records = _records(dataset, cfg.eval_split)
+        check_corpus(len(eval_records), f"the {cfg.eval_split} split")
+        for r in eval_records:
             store.get(r.id, cfg.evaluator_feature)
         if out_dir is not None:
             try:

@@ -233,9 +233,18 @@ class MetricReport:
             sort_keys=True, indent=2)
 
 
+def check_corpus(n_videos: int, corpus: str = "the corpus") -> None:
+    """DataError unless `corpus` has two videos or more: CIDEr-D's idf,
+    log(N) - log(df), needs two documents (Vedantam, Zitnick and Parikh, CVPR 2015)."""
+    if n_videos < 2:
+        raise DataError(f"cider_d needs at least two videos in {corpus}, got {n_videos}")
+
+
 def score_captions(hypotheses: dict[str, str],
                    references: dict[str, list[str]]) -> MetricReport:
     """Corpus BLEU-4, ROUGE-L and CIDEr-D, and ROUGE-L and CIDEr-D per video.
+    DataError when a hypothesis's video has no references (an unknown video
+    has none) or there are fewer than two videos (`check_corpus`).
     Everything the passes allocate is acyclic, so the cyclic garbage collector
     is paused while they run (its full collections would only rescan the
     n-gram counters), and left as the caller had it."""
@@ -243,8 +252,7 @@ def score_captions(hypotheses: dict[str, str],
     gc.disable()
     try:
         r_per, corpus = _first_pass(hypotheses, references)
-        if len(r_per) < 2:
-            raise DataError("cider_d needs a corpus of at least two videos")
+        check_corpus(len(r_per))
         b, df = _bleu_pass(corpus)
         c_per = _cider_pass(corpus, df)
     finally:

@@ -66,7 +66,10 @@ class Vocabulary:
         entries.sort()
         if [i for i, _ in entries] != list(range(len(entries))):
             raise DataError(f"{path}: vocabulary ids are not contiguous from 0")
-        return cls(id_to_token=[t for _, t in entries])
+        try:
+            return cls(id_to_token=[t for _, t in entries])
+        except DataError as e:  # reserved tokens out of place, or a repeated token
+            raise DataError(f"{path}: {e}") from None
 
 
 def build_vocab(corpus: list[str], min_count: int = 5) -> Vocabulary:

@@ -2,9 +2,11 @@ import json
 import os
 import re
 import resource
+import struct
 import subprocess
 import sys
 import typing
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +225,47 @@ class TestExitCodes:
                      *_stage_inputs(root)[2:], "--out", str(tmp_path / "c.json")]) == 2
         assert str(ev) in capsys.readouterr().err
 
+    def test_repeated_tensor_name_is_2(self, workspace, tmp_path, capsys):
+        """An index that names one tensor twice, checksum recomputed, is a
+        malformed checkpoint naming the file."""
+        root, cfg_path = workspace
+        lm_cfg = LMConfig(vocab_size=5, init_dim=2, persist_dim=2, depth=1, hidden=4,
+                          embed_dim=4)
+        ckpt = tmp_path / "m.vlmp"
+        save_lm(ckpt, lm_cfg, init_lm_params(lm_cfg, make_rng(0)),
+                init_feature="categ", persist_feature="feat-a")
+        raw = ckpt.read_bytes()
+        (n,) = struct.unpack_from("<I", raw, 4)
+        index = json.loads(raw[8 : 8 + n])
+        index["tensors"][1][0] = index["tensors"][0][0]
+        packed = json.dumps(index).encode()
+        body = raw[:4] + struct.pack("<I", len(packed)) + packed + raw[8 + n : -4]
+        ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        out = tmp_path / "p.jsonl"
+        assert main(["generate", *_stage_inputs(root), "--model", f"m={ckpt}",
+                     "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {ckpt}: duplicate tensor names\n"
+        assert not out.exists()
+
+    def test_generate_repeated_tag_is_1(self, workspace, tmp_path, capsys):
+        """Pools hold one candidate per roster model, so `generate` takes the
+        roster's rule on tags: a repeated tag is a usage error, and no pool is
+        written."""
+        root, cfg_path = workspace
+        store = harness.load_features(*_stage_inputs(root)[3:6])
+        lm_cfg = LMConfig(vocab_size=len(Vocabulary.load(root / "vocab.tsv")),
+                          init_dim=store.dim("categ"), persist_dim=store.dim("feat-a"),
+                          depth=1, hidden=4, embed_dim=4)
+        ckpt = tmp_path / "m.vlmp"
+        save_lm(ckpt, lm_cfg, init_lm_params(lm_cfg, make_rng(0)),
+                init_feature="categ", persist_feature="feat-a")
+        out = tmp_path / "p.jsonl"
+        assert main(["generate", *_stage_inputs(root), "--model", f"m={ckpt}",
+                     "--model", f"m={ckpt}", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "usage error: model tags must be unique, got ['m', 'm']\n"
+        assert not out.exists()
+
     def test_non_finite_checkpoints_are_2(self, workspace, tmp_path, capsys):
         """A checkpoint that fits the workspace but holds a NaN weight is a data
         error naming the file and the tensor, raised before any output is
@@ -416,7 +459,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("doc", [[1], {"videos": {"v0": [[1, "x"]]}},
                                      {"videos": {"v0": {"HOG": [[1, "x"]]}}},
-                                     {"videos": {"v0": {"HOG": [[1, 2]]}, "v1": {"HOG": [[1]]}}}])
+                                     {"videos": {"v0": {"HOG": [[1, 2]]}, "v1": {"HOG": [[1]]}}},
+                                     {"videos": {"v0": {"HOF": [[1, 2]]}}}])
     def test_bad_descriptors_for_codebook_are_2(self, tmp_path, capsys, doc):
         path = tmp_path / "desc.json"
         path.write_text(json.dumps(doc))
@@ -449,6 +493,30 @@ class TestExitCodes:
             assert capsys.readouterr().err == \
                 f"data error: {path}: video {vid!r}: holds a non-finite number\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("kind, video, channels, words", [
+        ("pyramid", [{"scale1": [1, 2], "regions": [[1, 2]] * 25}], (),
+         "expected 26 scale-2 regions, got shape (25, 2)"),
+        ("pyramid", [], (), "pyramid_pool of an empty frame list"),
+        ("mean", [], (), "mean_pool of an empty list"),
+        ("bof", {ch: [[1.0] * 4] * 6 for ch in DESCRIPTOR_CHANNELS}, DESCRIPTOR_CHANNELS,
+         "channel 'trajectory-shape': descriptors (6, 4) vs codebook dim 3"),
+        ("bof", {ch: [[1.0] * 3] for ch in DESCRIPTOR_CHANNELS}, DESCRIPTOR_CHANNELS[:-1],
+         "codebook for channel 'MBHy' missing"),
+    ], ids=["regions", "no-frames", "no-rows", "wide-descriptors", "missing-codebook"])
+    def test_encode_errors_name_file_and_video(self, tmp_path, capsys, kind, video, channels,
+                                               words):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"videos": {"v0": video}}))
+        books = [str(tmp_path / f"{ch}.vcbk") for ch in channels]
+        for ch, book in zip(channels, books):
+            Codebook(ch, np.zeros((2, 3))).save(book)
+        flags = ["--descriptors", str(path), "--codebooks", *books] if kind == "bof" \
+            else ["--activations", str(path)]
+        out = tmp_path / "x.vfea"
+        assert main(["encode", "--kind", kind, *flags, "--name", "x", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: video 'v0': {words}\n"
+        assert not out.exists()
 
     def test_two_codebooks_for_one_channel_are_2(self, tmp_path, capsys):
         first, second = tmp_path / "a.vcbk", tmp_path / "b.vcbk"
@@ -486,6 +554,46 @@ class TestExitCodes:
         assert main(["train-eval", *_stage_inputs(root)[:-1], str(vocab), "--config",
                      str(cfg_path), "--out", str(tmp_path / "e.vevp")]) == 2
         assert str(vocab) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tokens, words", [
+        (["<pad>", "<bos>", "<eos>", "<unk>", "cat", "cat"], "duplicate token in vocabulary"),
+        (["<bos>", "<pad>", "<eos>", "<unk>", "cat"], "first four entries must be"),
+    ], ids=["repeated-token", "reordered-reserved"])
+    def test_bad_vocabulary_is_2(self, workspace, tmp_path, capsys, tokens, words):
+        root, cfg_path = workspace
+        vocab = tmp_path / "vocab.tsv"
+        vocab.write_text("".join(f"{token}\t{i}\n" for i, token in enumerate(tokens)))
+        assert main(["train-eval", *_stage_inputs(root)[:-1], str(vocab), "--config",
+                     str(cfg_path), "--out", str(tmp_path / "e.vevp")]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {vocab}: {words}")
+
+    @pytest.mark.parametrize("val_to", ["dev", "train"], ids=["unknown-split", "no-val-videos"])
+    def test_bad_dataset_is_2(self, workspace, tmp_path, capsys, trained, val_to):
+        """A record with an unknown split names the file and the record; a
+        dataset without eval-split videos stops train-lm before it trains."""
+        root, cfg_path = workspace
+        doc = json.loads((root / "dataset.json").read_text())
+        i, vid = next((i, v["id"]) for i, v in enumerate(doc["videos"]) if v["split"] == "val")
+        for record in doc["videos"]:
+            if record["split"] == "val":
+                record["split"] = val_to
+        data = tmp_path / "dataset.json"
+        data.write_text(json.dumps(doc))
+        out = tmp_path / "m-a.vlmp"
+        assert main(["train-lm", "--data", str(data), *_stage_inputs(root)[2:], "--model", "m-a",
+                     "--config", str(cfg_path), "--out", str(out)]) == 2
+        words = f"{data}: videos[{i}]: video {vid!r}: unknown split 'dev'" if val_to == "dev" \
+            else "need a non-empty val split"
+        assert capsys.readouterr().err == f"data error: {words}\n"
+        assert trained == [] and not out.exists()
+
+    def test_score_unknown_video_is_2(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        captions = tmp_path / "caps.json"
+        captions.write_text(json.dumps({"video0020": "a red cat", "nope": "a dog"}))
+        assert main(["score", "--data", str(root / "dataset.json"),
+                     "--captions", str(captions)]) == 2
+        assert capsys.readouterr().err == "data error: video 'nope' has no references\n"
 
     def test_directory_as_input_is_2(self, tmp_path, capsys):
         assert main(["score", "--data", str(tmp_path), "--captions", str(tmp_path)]) == 2
@@ -586,6 +694,7 @@ class TestConfigValues:
         ("run", [], {"hidden": 0}, 1),
         ("run", [], {"models": [{"tag": "m", "init_feature": "categ", "persist_feature": f}
                                 for f in ("feat-a", "feat-b")]}, 1),
+        ("codebook", ["--k", "0"], None, 1),
     ])
     def test_exit_code_without_traceback(self, workspace, tmp_path, capsys, trained,
                                          command, flags, overrides, code):

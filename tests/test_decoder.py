@@ -367,6 +367,15 @@ class TestPerplexity:
         with pytest.raises(DataError):
             perplexity([], init_lm_params(cfg, make_rng(0)), cfg)
 
+    def test_fit_on_no_examples(self):
+        """An epoch over no example is a DataError, as perplexity's and
+        make_batch's are, not a history of NaN means; zero epochs is a no-op."""
+        cfg = tiny_cfg()
+        params = init_lm_params(cfg, make_rng(0))
+        with pytest.raises(DataError, match="empty dataset"):
+            fit_lm(params, cfg, [], OptState(), make_rng(1), epochs=2)
+        assert fit_lm(params, cfg, [], OptState(), make_rng(1), epochs=0) == []
+
 
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vidcap import binio, cli, evaluator, harness
+from vidcap import binio, cli, decoder, evaluator, harness
 from vidcap.decoder import init_lm_params, lm_param_shapes
 from vidcap.ensemble import GeneratorModel
 from vidcap.errors import DataError, FormatError, NumericError, ParameterError
@@ -156,6 +156,27 @@ class TestFeatureStore:
         with pytest.raises(FormatError, match=r"b\.vfea: feature 'x' for video 'v0'"):
             load_features(a, b)
         assert load_features(a, c).videos("x") == ["v0", "v1", "v2"]  # one feature, two files
+
+    def test_repeated_video_rejected(self):
+        store = FeatureStore()
+        store.add("x", "v0", [1.0])
+        store.add("y", "v0", [1.0])  # another feature of the same video
+        with pytest.raises(DataError, match="feature 'x' for video 'v0' is already in the store"):
+            store.add("x", "v0", [2.0])
+        assert store.get("v0", "x").tolist() == [1.0]
+
+    @pytest.mark.parametrize("rows, words", [
+        ([("v1", np.ones(2)), ("v1", np.zeros(2))],
+         "feature 'x' for video 'v1' is already in the store"),
+        ([("v1", np.ones(3))], "feature 'x': dim 3 != established dim 2"),
+    ], ids=["repeat-within-a-file", "dim-across-files"])
+    def test_rejected_row_names_its_file(self, tmp_path, rows, words):
+        """The store rejects the row, and load_features names the file it came from."""
+        a, b = tmp_path / "a.vfea", tmp_path / "b.vfea"
+        binio.write_feature_file(a, "x", [("v0", np.ones(2))])
+        binio.write_feature_file(b, "x", rows)
+        with pytest.raises(FormatError, match=re.escape(f"{b}: {words}")):
+            load_features(a, b)
 
     def test_empty_family_saves_zero_count_file(self, tmp_path):
         store = FeatureStore()
@@ -378,6 +399,12 @@ class TestRunExperiment:
         with pytest.raises(DataError, match=r"\[data\].*no-such-feature"):
             run_experiment(cfg)
 
+    def test_stage_tags_a_message_that_starts_with_a_bracket(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "[x].json").write_text("{not json")
+        with pytest.raises(DataError, match=r"^\[data\] \[x\]\.json: not valid JSON"):
+            run_experiment(ExperimentConfig(data_path="[x].json"))
+
     def test_missing_evaluator_feature_rejected_before_training(self, monkeypatch):
         monkeypatch.setattr(harness, "fit_lm", lambda *a, **k: pytest.fail("train-lm ran"))
         with pytest.raises(DataError, match=r"\[data\].*nope"):
@@ -570,6 +597,38 @@ class TestTrainingWorker:
         assert "[train-lm:m-b] the worker process ended by signal 9" in err
         assert "Traceback" not in err
         assert _no_child_left()
+
+    @pytest.mark.parametrize("synth, eval_split, words", [
+        ({"n_videos": 3, "train_frac": 0.34, "val_frac": 0.33}, "val",
+         "evaluator training needs at least two videos, each with a caption"),
+        ({"n_videos": 10, "val_frac": 0.1}, "val",
+         "cider_d needs at least two videos in the val split, got 1"),
+        (None, "test", "the test split has no captions to measure perplexity on"),
+    ], ids=["one-video-train", "one-video-eval", "eval-without-captions"])
+    def test_unusable_split_fails_before_training(self, split, monkeypatch, tmp_path, capsys,
+                                                  synth, eval_split, words):
+        """A split that evaluator training or scoring cannot use stops `vidcap
+        run` under [data] with exit 2, before any LM step or evaluator training
+        and before the output directory is made."""
+        calls, step, train_evaluator = [], decoder.train_step, harness.train_evaluator
+        monkeypatch.setattr(decoder, "train_step", lambda *a: calls.append("lm") or step(*a))
+        monkeypatch.setattr(harness, "train_evaluator",
+                            lambda *a, **k: calls.append("eval") or train_evaluator(*a, **k))
+        cfg = {"min_count": 1, "lm_epochs": 1, "eval_epochs": 1, "eval_split": eval_split}
+        if synth is None:  # test videos may have no captions
+            dataset, store = harness.load_data(ExperimentConfig(synth=SynthConfig(n_videos=20)))
+            for r in dataset.split("test"):
+                r.captions = []
+            harness.write_data(dataset, store, tmp_path)
+            cfg.update(data_path=str(tmp_path / "dataset.json"),
+                       feature_paths=[str(tmp_path / f"{n}.vfea") for n in store.names()])
+        else:
+            cfg["synth"] = synth
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: [data] {words}\n"
+        assert calls == [] and split.forks == [] and not out.exists()
 
     def test_single_model_roster_does_not_fork(self, split):
         cfg = _two_specialists()

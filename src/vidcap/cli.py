@@ -237,7 +237,10 @@ def cmd_score(args) -> int:
     captions = binio.read_json(args.captions)
     if not (isinstance(captions, dict) and all(isinstance(c, str) for c in captions.values())):
         raise DataError(f"{args.captions}: expected an object of video id -> caption string")
-    report = harness.score_split(cfg, captions, dataset)
+    try:
+        report = harness.score_split(cfg, captions, dataset)
+    except DataError as e:
+        raise DataError(f"{args.captions}: {e}") from None
     sys.stdout.write(report.to_text())
     if args.out:
         out = Path(args.out)

@@ -17,7 +17,7 @@ from .ensemble import CandidatePool, GeneratorModel, dump_pools, generate_pool, 
 from .errors import DataError, DimensionError, FormatError, ParameterError, VidcapError
 from .evaluator import EvaluatorConfig, check_training_fits, train_evaluator
 from .generation import GenerationConfig, check_beam_fits
-from .metrics import MetricReport, check_corpus, score_captions
+from .metrics import MetricReport, check_corpus, references_of, score_captions
 from .numerics import OptState, Params, check_fits_in_memory, make_rng
 from .text import RESERVED, Vocabulary, build_vocab, encode, tokenize
 
@@ -42,14 +42,16 @@ class VideoRecord:
 
 
 class Dataset:
-    """All splits of one benchmark; ids are unique across the dataset."""
+    """All splits of one benchmark; ids are unique across the dataset. `path`
+    is the file it was read from, None when it was drawn."""
 
-    def __init__(self, records: list[VideoRecord]):
+    def __init__(self, records: list[VideoRecord], path=None):
         ids = [r.id for r in records]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise DataError(f"duplicate video ids: {dupes[:5]}")
         self.records = list(records)
+        self.path = path
 
     def split(self, name: str) -> list[VideoRecord]:
         if name not in SPLITS:
@@ -68,7 +70,7 @@ def load_dataset(path) -> Dataset:
     if not isinstance(doc, dict) or not isinstance(doc.get("videos"), list):
         raise DataError(f"{path}: expected a top-level 'videos' array")
     return Dataset([binio.config_from_json(VideoRecord, item, f"{path}: videos[{i}]")
-                    for i, item in enumerate(doc["videos"])])
+                    for i, item in enumerate(doc["videos"])], path)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -374,7 +376,8 @@ def _format_table(model_rows: list[dict], ensemble_row: dict) -> str:
 def _records(dataset: Dataset, split: str) -> list[VideoRecord]:
     records = dataset.split(split)
     if not records:
-        raise DataError(f"need a non-empty {split} split")
+        where = f"{dataset.path}: " if dataset.path else ""
+        raise DataError(f"{where}need a non-empty {split} split")
     return records
 
 
@@ -531,8 +534,11 @@ def rerank_pools(pools: list[CandidatePool], store: FeatureStore, eval_cfg: Eval
 def score_split(cfg: ExperimentConfig, hypotheses: dict[str, str],
                 dataset: Dataset) -> MetricReport:
     """BLEU-4, ROUGE-L and CIDEr-D of {video id: caption} against the eval split;
-    `score_captions` rejects a video that has no references there."""
-    return score_captions(hypotheses, dataset.references(cfg.eval_split))
+    DataError naming the split when a video has no references there."""
+    references = dataset.references(cfg.eval_split)
+    for vid in hypotheses:
+        references_of(references, vid, f"the {cfg.eval_split} split")
+    return score_captions(hypotheses, references)
 
 
 def save_chosen(chosen: dict[str, str], path) -> None:
@@ -629,7 +635,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         fit_eval = prepare_evaluator(cfg, dataset, store, vocab)
         eval_records = _records(dataset, cfg.eval_split)
         check_corpus(len(eval_records), f"the {cfg.eval_split} split")
+        references = dataset.references(cfg.eval_split)
         for r in eval_records:
+            references_of(references, r.id, f"the {cfg.eval_split} split")
             store.get(r.id, cfg.evaluator_feature)
         if out_dir is not None:
             try:

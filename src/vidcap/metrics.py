@@ -10,17 +10,24 @@ as they first appear. ROUGE-L runs on the id lists, and all captions' ids go
 end to end into one flat array. With B = W + 1, the n-gram (i1..in) is the
 integer code sum(ik * B**(n-k)), which lies in [B**(n-1), B**n): codes of
 different orders never collide, and the order is read from the code. From
-55,108 words on, B**4 reaches 2**63; Python ints do not overflow, but a
-fixed-width port would.
+55,108 words on, B**4 reaches 2**63: Python ints do not overflow, but
+4-gram codes no longer fit in an int64.
 
 Two passes then run over the ids. Pass 1 clips the BLEU-4 n-gram counts and
-counts the CIDEr-D document frequencies, keyed by code. Pass 2 computes the
-CIDEr-D tf-idf terms, which need the finished frequencies, and counts every
-caption's n-grams again: keeping pass 1's counts raised peak RSS on 2500
-videos x 20 references from 172 MB to 260 MB. At that shape the frequencies
-hold 835,818 n-grams, and keying them by code instead of by word tuples cut
-the benchmark's peak RSS from 174.6 MB to 136.7 MB. Sums run in the textbook
-order, so the scores equal the plain-loop formulas to the bit.
+counts the CIDEr-D document frequencies (df), keyed by code. It keeps only the
+codes that occur in two videos or more: idf = log(N) - log(max(1, df)), so
+idf(0) equals idf(1) to the bit, and a code in one video needs no entry. At
+2500 videos x 20 references that is 57,200 of 835,818 codes. So that the full
+table never exists, each video appends its distinct codes to one run per
+order, an int64 array while the order's codes fit in one (B**n <= 2**63)
+and a list past that. After the loop the runs are counted one order at a
+time, the largest order's 326k codes at most, and each run is freed before
+the next is counted. Pass 2 computes the CIDEr-D tf-idf terms, which need the
+finished frequencies, and counts every caption's n-grams again: keeping pass
+1's counts raised peak RSS at that shape from 172 MB to 260 MB. The
+benchmark's peak RSS there is about 86 MB, against 136.7 MB with every code
+kept. Sums run in the textbook order, so the scores equal the plain-loop
+formulas to the bit.
 """
 
 from __future__ import annotations
@@ -43,13 +50,19 @@ CIDER_N = 4        # CIDEr-D averages n-gram orders 1..CIDER_N
 CIDER_SIGMA = 6.0  # width of CIDEr-D's gaussian length penalty
 
 
-def _ngram_codes(t, base: int) -> Counter:
-    """The 1..4-grams of the id sequence t as codes, with their counts: order
-    by order, each order in order of first occurrence. The code of (i1..in)
-    is sum(ik * base**(n-k)), so an n-gram's code lies in [base**(n-1), base**n)."""
+def _ngram_orders(t, base: int) -> tuple:
+    """The 1..4-gram codes of the id sequence t, one sequence per order, each in
+    order of occurrence. The code of (i1..in) is sum(ik * base**(n-k)), so an
+    n-gram's code lies in [base**(n-1), base**n)."""
     c2 = [*map(add, map(mul, t, repeat(base)), t[1:])]
     c3 = [*map(add, map(mul, c2, repeat(base)), t[2:])]
-    return Counter(chain(t, c2, c3, map(add, map(mul, c3, repeat(base)), t[3:])))
+    return t, c2, c3, [*map(add, map(mul, c3, repeat(base)), t[3:])]
+
+
+def _ngram_codes(t, base: int) -> Counter:
+    """The 1..4-gram codes of t with their counts: order by order, each order in
+    order of first occurrence."""
+    return Counter(chain(*_ngram_orders(t, base)))
 
 
 def _rouge_f(hyp: list[str], refs: list[list[str]]) -> float:
@@ -107,10 +120,8 @@ def _first_pass(hypotheses, references) -> tuple[dict[str, float], _Corpus]:
     ids, ends, n_refs = array("l"), array("l", [0]), []
     rouge: dict[str, float] = {}
     for vid in sorted(hypotheses):
-        if not references.get(vid):
-            raise DataError(f"video {vid!r} has no references")
         hyp, *refs = ([*map(word_ids.__getitem__, tokenize(c))]
-                      for c in chain((hypotheses[vid],), references[vid]))
+                      for c in chain((hypotheses[vid],), references_of(references, vid)))
         rouge[vid] = _rouge_f(hyp, refs)
         for t in (hyp, *refs):
             ids.extend(t)
@@ -119,27 +130,36 @@ def _first_pass(hypotheses, references) -> tuple[dict[str, float], _Corpus]:
     return rouge, _Corpus(ids, ends, n_refs, len(word_ids) + 1)
 
 
-def _bleu_pass(corpus: _Corpus) -> tuple[float, Counter]:
-    """Pass 1: corpus BLEU-4 and the CIDEr-D document frequencies."""
-    cuts = [corpus.base ** n for n in range(1, CIDER_N)]  # bisect_right(cuts, code) = order - 1
+def _bleu_pass(corpus: _Corpus) -> tuple[float, dict[int, int]]:
+    """Pass 1: corpus BLEU-4 and the CIDEr-D document frequencies of the codes
+    in two videos or more."""
+    base = corpus.base
+    cuts = [base ** n for n in range(1, CIDER_N)]  # bisect_right(cuts, code) = order - 1
     matches, totals = [0] * 4, [0] * 4
     hyp_len_total = ref_len_total = 0
-    df: Counter = Counter()
+    # each video's distinct codes, one run per order; int64 while the order's codes fit
+    runs = [array("q") if base ** n <= 2 ** 63 else [] for n in range(1, CIDER_N + 1)]
     for hyp, refs in corpus.videos():
         hyp_len_total += len(hyp)
         ref_len_total += min((abs(len(r) - len(hyp)), len(r)) for r in refs)[1]
-        hyp_counts = _ngram_codes(hyp, corpus.base)
+        hyp_counts = _ngram_codes(hyp, base)
         max_ref: dict[int, int] = {}
-        seen: set = set()  # a document is a video's reference set
+        seen = [set() for _ in runs]  # a document is a video's reference set
         for ref in refs:
-            counts = _ngram_codes(ref, corpus.base)
-            seen.update(counts)
+            orders = _ngram_orders(ref, base)
+            for codes, grams in zip(seen, orders):
+                codes.update(grams)
+            counts = Counter(chain(*orders))
             for g in hyp_counts.keys() & counts.keys():
                 max_ref[g] = max(max_ref.get(g, 0), counts[g])
-        df.update(seen)
+        for run, codes in zip(runs, seen):
+            run.extend(codes)
         for g, c in max_ref.items():
             matches[bisect_right(cuts, g)] += min(c, hyp_counts[g])
         totals = [t + max(0, len(hyp) - n) for n, t in enumerate(totals)]
+    df: dict[int, int] = {}
+    while runs:  # one order's counts at a time, each run freed once counted
+        df.update((g, d) for g, d in Counter(runs.pop()).items() if d > 1)
     if not all(matches):
         return 0.0, df
     log_p = sum(math.log(m / t) / 4.0 for m, t in zip(matches, totals))
@@ -147,17 +167,19 @@ def _bleu_pass(corpus: _Corpus) -> tuple[float, Counter]:
     return bp * math.exp(log_p), df
 
 
-def _cider_pass(corpus: _Corpus, df: Counter) -> list[float]:
-    """Pass 2: per-video CIDEr-D. No reference tf-idf vector is built, and a zero
-    term is skipped: every term is >= 0, and adding +0.0 changes no sum."""
+def _cider_pass(corpus: _Corpus, df: dict[int, int]) -> list[float]:
+    """Pass 2: per-video CIDEr-D. A code missing from df is in one video or none,
+    and idf[0] == idf[1]. No reference tf-idf vector is built, and a zero term
+    is skipped: every term is >= 0, and adding +0.0 changes no sum."""
     powers = [corpus.base ** n for n in range(CIDER_N + 1)]
     cuts = powers[1:CIDER_N]
     n_videos = len(corpus.n_refs)
     log_n = math.log(n_videos)
     idf = [log_n - math.log(max(1.0, d)) for d in range(n_videos + 1)]
+    df_of = df.get
     per_video: list[float] = []
     for hyp, refs in corpus.videos():
-        h_vec = {g: c * idf[df.get(g, 0)] for g, c in _ngram_codes(hyp, corpus.base).items()}
+        h_vec = {g: c * idf[df_of(g, 0)] for g, c in _ngram_codes(hyp, corpus.base).items()}
         h_sq = [0.0] * CIDER_N
         for g, w in h_vec.items():
             h_sq[bisect_right(cuts, g)] += w * w
@@ -167,14 +189,14 @@ def _cider_pass(corpus: _Corpus, df: Counter) -> list[float]:
             nums = [0.0] * CIDER_N
             for g, w in h_vec.items():
                 if c := counts.get(g):
-                    r = c * idf[df[g]]
+                    r = c * idf[df_of(g, 0)]
                     nums[bisect_right(cuts, g)] += min(w, r) * r
             top = max((n for n, num in enumerate(nums, 1) if num), default=0)
             r_sq = [0.0] * CIDER_N  # the reference's norms, up to the top order that matched
             for g, c in counts.items():
                 if g >= powers[top]:
                     break
-                r = c * idf[df[g]]
+                r = c * idf[df_of(g, 0)]
                 r_sq[bisect_right(cuts, g)] += r * r
             penalty = math.exp(-((len(hyp) - len(ref)) ** 2) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
             for num, hs, rs in zip(nums, h_sq, r_sq):
@@ -233,6 +255,15 @@ class MetricReport:
             sort_keys=True, indent=2)
 
 
+def references_of(references: dict[str, list[str]], vid: str,
+                  corpus: str = "the corpus") -> list[str]:
+    """The references of video `vid` in `corpus`; DataError when it has none
+    there (an unknown video has none): a scored video needs references."""
+    if refs := references.get(vid):
+        return refs
+    raise DataError(f"video {vid!r} has no references in {corpus}")
+
+
 def check_corpus(n_videos: int, corpus: str = "the corpus") -> None:
     """DataError unless `corpus` has two videos or more: CIDEr-D's idf,
     log(N) - log(df), needs two documents (Vedantam, Zitnick and Parikh, CVPR 2015)."""
@@ -243,8 +274,8 @@ def check_corpus(n_videos: int, corpus: str = "the corpus") -> None:
 def score_captions(hypotheses: dict[str, str],
                    references: dict[str, list[str]]) -> MetricReport:
     """Corpus BLEU-4, ROUGE-L and CIDEr-D, and ROUGE-L and CIDEr-D per video.
-    DataError when a hypothesis's video has no references (an unknown video
-    has none) or there are fewer than two videos (`check_corpus`).
+    DataError when a hypothesis's video has no references (`references_of`)
+    or there are fewer than two videos (`check_corpus`).
     Everything the passes allocate is acyclic, so the cyclic garbage collector
     is paused while they run (its full collections would only rescan the
     n-gram counters), and left as the caller had it."""

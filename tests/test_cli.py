@@ -582,10 +582,23 @@ class TestExitCodes:
         out = tmp_path / "m-a.vlmp"
         assert main(["train-lm", "--data", str(data), *_stage_inputs(root)[2:], "--model", "m-a",
                      "--config", str(cfg_path), "--out", str(out)]) == 2
-        words = f"{data}: videos[{i}]: video {vid!r}: unknown split 'dev'" if val_to == "dev" \
+        words = f"videos[{i}]: video {vid!r}: unknown split 'dev'" if val_to == "dev" \
             else "need a non-empty val split"
-        assert capsys.readouterr().err == f"data error: {words}\n"
+        assert capsys.readouterr().err == f"data error: {data}: {words}\n"
         assert trained == [] and not out.exists()
+
+    def test_train_eval_without_train_videos_is_2(self, workspace, tmp_path, capsys, trained):
+        root, cfg_path = workspace
+        doc = json.loads((root / "dataset.json").read_text())
+        for record in doc["videos"]:
+            if record["split"] == "train":
+                record["split"] = "val"
+        data = tmp_path / "dataset.json"
+        data.write_text(json.dumps(doc))
+        assert main(["train-eval", "--data", str(data), *_stage_inputs(root)[2:], "--config",
+                     str(cfg_path), "--out", str(tmp_path / "e.vevp")]) == 2
+        assert capsys.readouterr().err == f"data error: {data}: need a non-empty train split\n"
+        assert trained == []
 
     def test_score_unknown_video_is_2(self, workspace, tmp_path, capsys):
         root, _ = workspace
@@ -593,7 +606,8 @@ class TestExitCodes:
         captions.write_text(json.dumps({"video0020": "a red cat", "nope": "a dog"}))
         assert main(["score", "--data", str(root / "dataset.json"),
                      "--captions", str(captions)]) == 2
-        assert capsys.readouterr().err == "data error: video 'nope' has no references\n"
+        assert capsys.readouterr().err == \
+            f"data error: {captions}: video 'nope' has no references in the val split\n"
 
     def test_directory_as_input_is_2(self, tmp_path, capsys):
         assert main(["score", "--data", str(tmp_path), "--captions", str(tmp_path)]) == 2

@@ -604,7 +604,9 @@ class TestTrainingWorker:
         ({"n_videos": 10, "val_frac": 0.1}, "val",
          "cider_d needs at least two videos in the val split, got 1"),
         (None, "test", "the test split has no captions to measure perplexity on"),
-    ], ids=["one-video-train", "one-video-eval", "eval-without-captions"])
+        (1, "test", "video 'video0017' has no references in the test split"),
+    ], ids=["one-video-train", "one-video-eval", "eval-without-captions",
+            "eval-partly-without-captions"])
     def test_unusable_split_fails_before_training(self, split, monkeypatch, tmp_path, capsys,
                                                   synth, eval_split, words):
         """A split that evaluator training or scoring cannot use stops `vidcap
@@ -615,9 +617,9 @@ class TestTrainingWorker:
         monkeypatch.setattr(harness, "train_evaluator",
                             lambda *a, **k: calls.append("eval") or train_evaluator(*a, **k))
         cfg = {"min_count": 1, "lm_epochs": 1, "eval_epochs": 1, "eval_split": eval_split}
-        if synth is None:  # test videos may have no captions
+        if synth in (None, 1):  # a dataset file: no test video has captions, or the first has none
             dataset, store = harness.load_data(ExperimentConfig(synth=SynthConfig(n_videos=20)))
-            for r in dataset.split("test"):
+            for r in dataset.split("test")[:synth]:
                 r.captions = []
             harness.write_data(dataset, store, tmp_path)
             cfg.update(data_path=str(tmp_path / "dataset.json"),

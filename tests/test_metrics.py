@@ -373,3 +373,43 @@ class TestIntegerCodes:
         hyps, refs = random_corpus(8, n_videos=6)
         score_captions(hyps, refs)
         assert sorted(calls) == sorted(chain(hyps.values(), *refs.values()))
+
+
+def _oracle_df(hyps, refs):
+    """The oracle's document frequency of every n-gram (word tuple): the
+    number of videos whose references contain it."""
+    df = {}
+    for vid in sorted(hyps):
+        grams = {g for r in refs[vid] for n in range(1, 5) for g in ngram_counts(toks(r), n)}
+        for g in grams:
+            df[g] = df.get(g, 0) + 1
+    return df
+
+
+def _shared_df(hyps, refs):
+    """Pass 1's document frequencies, decoded to word tuples."""
+    corpus = metrics._first_pass(hyps, refs)[1]
+    words = [*dict.fromkeys(chain.from_iterable(
+        toks(c) for vid in sorted(hyps) for c in (hyps[vid], *refs[vid])))]
+    return {tuple(words[i - 1] for i in _decode(code, corpus.base)): d
+            for code, d in metrics._bleu_pass(corpus)[1].items()}
+
+
+class TestSharedDocumentFrequencies:
+    """Pass 1 keeps the document frequency of an n-gram only when it is in two
+    videos or more: idf(0) == idf(1), so the other n-grams need no entry."""
+
+    @given(corpora())
+    @settings(max_examples=200, deadline=None)
+    def test_keys_are_the_ngrams_of_two_videos(self, corpus):
+        hyps, refs = corpus
+        assert _shared_df(hyps, refs) == {g: d for g, d in _oracle_df(hyps, refs).items() if d > 1}
+
+    def test_hand_built_corpus(self):
+        """"dog" is in the references of one video, "cat" in those of two and
+        "a" in all three; no other n-gram is in two videos."""
+        hyps = {"v0": "a dog", "v1": "a cat", "v2": "a cat"}
+        refs = {"v0": ["a dog", "a dog runs"], "v1": ["a cat sits"], "v2": ["the cat", "a"]}
+        assert _oracle_df(hyps, refs)[("dog",)] == 1
+        assert _shared_df(hyps, refs) == {("a",): 3, ("cat",): 2}
+        assert score_captions(hyps, refs).cider == ref_cider_d(hyps, refs)[0]

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParameterError
+from .errors import DataError, FormatError, ParameterError, naming
 
 FEATURE_MAGIC = b"VFEA"
 CODEBOOK_MAGIC = b"VCBK"
@@ -166,10 +166,8 @@ def config_from_json(cls, doc, where, *, partial: bool = False):
     are int, float, str, `X | None`, `list[X]`, `tuple[X, ...]` or a nested
     dataclass. Otherwise, or if `cls` rejects the values, raises FormatError
     naming `where` and the key."""
-    try:
+    with naming(f"{where}: ", (DataError, ParameterError), FormatError):
         return _decode(cls, doc, "", partial)
-    except (DataError, ParameterError) as e:
-        raise FormatError(f"{where}: {e}") from None
 
 
 @functools.cache

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 # Before numpy loads: BLAS reads these when it starts its thread pool.
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import binio, decoder, evaluator, features, harness
 from .ensemble import GeneratorModel, dump_pools, load_pools
-from .errors import DataError, DimensionError, NumericError, ParameterError
+from .errors import DataError, DimensionError, NumericError, ParameterError, naming
 from .numerics import make_rng
 from .text import Vocabulary
 
@@ -55,15 +54,6 @@ def _videos(path) -> dict:
     if not (isinstance(doc, dict) and isinstance(doc.get("videos"), dict)):
         raise DataError(f"{path}: expected an object with a 'videos' object")
     return doc["videos"]
-
-
-@contextmanager
-def _video(path, vid: str):
-    """Name the input file and the video in a data or dimension error of the block."""
-    try:
-        yield
-    except (DataError, DimensionError) as e:
-        raise type(e)(f"{path}: video {vid!r}: {e}") from None
 
 
 def _numbers(value, ndim: int) -> np.ndarray:
@@ -134,7 +124,7 @@ def cmd_vocab(args) -> int:
 def cmd_codebook(args) -> int:
     videos, parts = _videos(args.descriptors), []
     for vid in sorted(videos):
-        with _video(args.descriptors, vid):
+        with naming(f"{args.descriptors}: video {vid!r}: ", (DataError, DimensionError)):
             parts += [d for d in _channels(videos[vid], [args.channel]).values() if d.size > 0]
     if not parts:
         raise DataError(f"no descriptors for channel {args.channel!r} in {args.descriptors}")
@@ -168,7 +158,7 @@ def cmd_encode(args) -> int:
         books[book.channel], book_paths[book.channel] = book, book_path
     store = harness.FeatureStore()
     for vid in sorted(videos):
-        with _video(path, vid):
+        with naming(f"{path}: video {vid!r}: ", (DataError, DimensionError)):
             if args.kind == "bof":
                 values = features.bof_encode(
                     _channels(videos[vid], features.DESCRIPTOR_CHANNELS), books)
@@ -237,10 +227,8 @@ def cmd_score(args) -> int:
     captions = binio.read_json(args.captions)
     if not (isinstance(captions, dict) and all(isinstance(c, str) for c in captions.values())):
         raise DataError(f"{args.captions}: expected an object of video id -> caption string")
-    try:
+    with naming(f"{args.captions}: ", DataError):
         report = harness.score_split(cfg, captions, dataset)
-    except DataError as e:
-        raise DataError(f"{args.captions}: {e}") from None
     sys.stdout.write(report.to_text())
     if args.out:
         out = Path(args.out)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import binio, generation  # generation.beam_search_ids: bench/layers.py traces it
 from .decoder import LMConfig
-from .errors import DataError, DimensionError, NumericError
+from .errors import DataError, DimensionError, NumericError, naming
 from .evaluator import EvaluatorConfig, cosines, encode_sentences, project_videos
 from .evaluator import encode_sentence  # noqa: F401  (bench/layers.py traces this name)
 from .generation import GenerationConfig
@@ -49,23 +49,22 @@ def generate_pool(models: list[GeneratorModel], video_id: str, feature_of,
 
     feature_of(video_id, name) -> float64 vector is FeatureStore.get or a
     callable with its contract: a feature it cannot resolve raises DataError
-    naming the feature and the video. A feature of the wrong dimension raises
-    DimensionError naming the model, the feature and the video, and a model
-    whose every hypothesis scores NaN raises NumericError naming the model and
-    the video.
+    naming the feature and the video, here prefixed with the model. A feature
+    of the wrong dimension raises DimensionError naming the model, the feature
+    and the video, and a model whose every hypothesis scores NaN raises
+    NumericError naming the model and the video.
     """
     pool = CandidatePool(video_id=video_id)
     for m in models:
-        init = feature_of(video_id, m.init_feature)
-        try:
+        with naming(f"model {m.tag!r}: ", DataError):
+            init = feature_of(video_id, m.init_feature)
+            persist = feature_of(video_id, m.persist_feature)
+        # beam_search_ids checks the init feature first
+        name = m.init_feature if np.shape(init) != (m.cfg.init_dim,) else m.persist_feature
+        with naming(f"model {m.tag!r}, video {video_id!r}: ", NumericError), \
+                naming(f"model {m.tag!r}, feature {name!r}, video {video_id!r}: ", DimensionError):
             tokens, logprob, _ = generation.beam_search_ids(
-                m.params, m.cfg, init, feature_of(video_id, m.persist_feature), gen_cfg)
-        except DimensionError as e:  # beam_search_ids checks the init feature first
-            name = m.init_feature if np.shape(init) != (m.cfg.init_dim,) else m.persist_feature
-            raise DimensionError(f"model {m.tag!r}, feature {name!r}, video {video_id!r}: {e}") \
-                from None
-        except NumericError as e:
-            raise NumericError(f"model {m.tag!r}, video {video_id!r}: {e}") from None
+                m.params, m.cfg, init, persist, gen_cfg)
         pool.entries.append(Candidate(caption=decode(tokens, vocab), model=m.tag, logprob=logprob))
     return pool
 

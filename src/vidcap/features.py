@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import binio
-from .errors import DataError, DimensionError, FormatError, ParameterError
+from .errors import DataError, DimensionError, FormatError, ParameterError, naming
 from .numerics import check_finite
 
 # Scale-2 regions per frame: 3x3 grid with overlaps and horizontal flips.
@@ -110,10 +110,8 @@ class Codebook:
     def load(cls, path) -> "Codebook":
         head, tensors = binio.load(path, binio.CODEBOOK_MAGIC, _CodebookHeader,
                                    lambda h: {"centroids": (None, None)})
-        try:
+        with naming(f"{path}: ", DimensionError, FormatError):  # no centroids
             return cls(channel=head.channel, centroids=tensors["centroids"].astype(np.float64))
-        except DimensionError as e:  # no centroids
-            raise FormatError(f"{path}: {e}") from None
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

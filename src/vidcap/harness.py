@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 from . import binio
 from .decoder import LMConfig, init_lm_params, fit_lm, lm_param_shapes, perplexity
 from .ensemble import CandidatePool, GeneratorModel, dump_pools, generate_pool, rerank
-from .errors import DataError, DimensionError, FormatError, ParameterError, VidcapError
+from .errors import DataError, DimensionError, FormatError, ParameterError, naming
 from .evaluator import EvaluatorConfig, check_training_fits, train_evaluator
 from .generation import GenerationConfig, check_beam_fits
 from .metrics import MetricReport, check_corpus, references_of, score_captions
@@ -46,12 +47,17 @@ class Dataset:
     is the file it was read from, None when it was drawn."""
 
     def __init__(self, records: list[VideoRecord], path=None):
-        ids = [r.id for r in records]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise DataError(f"duplicate video ids: {dupes[:5]}")
         self.records = list(records)
         self.path = path
+        ids = [r.id for r in records]
+        if len(set(ids)) != len(ids):
+            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+            raise DataError(f"{self.where}duplicate video ids: {dupes[:5]}")
+
+    @property
+    def where(self) -> str:
+        """The "<path>: " that names the dataset's file in an error; "" when drawn."""
+        return f"{self.path}: " if self.path else ""
 
     def split(self, name: str) -> list[VideoRecord]:
         if name not in SPLITS:
@@ -139,11 +145,9 @@ def load_features(*paths) -> FeatureStore:
     store = FeatureStore()
     for path in paths:
         name, rows = binio.read_feature_file(path)
-        try:
+        with naming(f"{path}: ", DataError, FormatError):
             for vid, vec in rows:
                 store.add(name, vid, vec)
-        except DataError as e:
-            raise FormatError(f"{path}: {e}") from None
     return store
 
 
@@ -304,14 +308,9 @@ class ExperimentConfig:
         return binio.config_from_json(cls, binio.read_json(path), path, partial=True)
 
 
-@contextmanager
 def _stage(name: str):
     """Tag errors escaping a pipeline stage with the stage name."""
-    try:
-        yield
-    except VidcapError as e:
-        e.args = (f"[{name}] {e}",)
-        raise
+    return naming(f"[{name}] ")
 
 
 def lm_examples(records, store: FeatureStore, vocab: Vocabulary,
@@ -376,8 +375,7 @@ def _format_table(model_rows: list[dict], ensemble_row: dict) -> str:
 def _records(dataset: Dataset, split: str) -> list[VideoRecord]:
     records = dataset.split(split)
     if not records:
-        where = f"{dataset.path}: " if dataset.path else ""
-        raise DataError(f"{where}need a non-empty {split} split")
+        raise DataError(f"{dataset.where}need a non-empty {split} split")
     return records
 
 
@@ -415,8 +413,8 @@ def make_vocab(cfg: ExperimentConfig, dataset: Dataset) -> Vocabulary:
     vocab = build_vocab([c for r in _records(dataset, "train") for c in r.captions],
                         cfg.min_count)
     if len(vocab) == len(RESERVED):
-        raise DataError(f"no word of the train captions occurs min_count={cfg.min_count} "
-                        "times or more, so the vocabulary is empty")
+        raise DataError(f"{dataset.where}no word of the train captions occurs "
+                        f"min_count={cfg.min_count} times or more, so the vocabulary is empty")
     return vocab
 
 
@@ -522,12 +520,11 @@ def rerank_pools(pools: list[CandidatePool], store: FeatureStore, eval_cfg: Eval
                         f"the given vocabulary {len(vocab)}")
     chosen = {}
     for pool in pools:
-        feature = store.get(pool.video_id, eval_cfg.feature_name)
-        try:
+        with naming("the evaluator: ", DataError):
+            feature = store.get(pool.video_id, eval_cfg.feature_name)
+        with naming(f"the evaluator, feature {eval_cfg.feature_name!r}, "
+                    f"video {pool.video_id!r}: ", DimensionError):
             chosen[pool.video_id] = rerank(pool, feature, eval_params, eval_cfg, vocab).caption
-        except DimensionError as e:
-            raise DimensionError(f"the evaluator, feature {eval_cfg.feature_name!r}, "
-                                 f"video {pool.video_id!r}: {e}") from None
     return chosen
 
 

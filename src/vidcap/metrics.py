@@ -32,7 +32,6 @@ formulas to the bit.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 from array import array
@@ -275,20 +274,11 @@ def score_captions(hypotheses: dict[str, str],
                    references: dict[str, list[str]]) -> MetricReport:
     """Corpus BLEU-4, ROUGE-L and CIDEr-D, and ROUGE-L and CIDEr-D per video.
     DataError when a hypothesis's video has no references (`references_of`)
-    or there are fewer than two videos (`check_corpus`).
-    Everything the passes allocate is acyclic, so the cyclic garbage collector
-    is paused while they run (its full collections would only rescan the
-    n-gram counters), and left as the caller had it."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        r_per, corpus = _first_pass(hypotheses, references)
-        check_corpus(len(r_per))
-        b, df = _bleu_pass(corpus)
-        c_per = _cider_pass(corpus, df)
-    finally:
-        if was_enabled:
-            gc.enable()
+    or there are fewer than two videos (`check_corpus`)."""
+    r_per, corpus = _first_pass(hypotheses, references)
+    check_corpus(len(r_per))
+    b, df = _bleu_pass(corpus)
+    c_per = _cider_pass(corpus, df)
     per_video = {vid: {"rouge_l": r, "cider": c} for (vid, r), c in zip(r_per.items(), c_per)}
     return MetricReport(bleu4=b, rouge_l=sum(r_per.values()) / len(r_per),
                         cider=sum(c_per) / len(c_per), per_video=per_video)

@@ -6,7 +6,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, naming
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED = ("<pad>", "<bos>", "<eos>", "<unk>")
@@ -66,10 +66,8 @@ class Vocabulary:
         entries.sort()
         if [i for i, _ in entries] != list(range(len(entries))):
             raise DataError(f"{path}: vocabulary ids are not contiguous from 0")
-        try:
+        with naming(f"{path}: ", DataError):  # reserved tokens out of place, or a repeated token
             return cls(id_to_token=[t for _, t in entries])
-        except DataError as e:  # reserved tokens out of place, or a repeated token
-            raise DataError(f"{path}: {e}") from None
 
 
 def build_vocab(corpus: list[str], min_count: int = 5) -> Vocabulary:

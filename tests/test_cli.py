@@ -377,6 +377,46 @@ class TestExitCodes:
                       f"video matrix (1, {dim}) != (videos, {dim + 3})\n"
         assert not chosen.exists()
 
+    def test_generate_missing_feature_is_2(self, workspace, tmp_path, capsys):
+        """A checkpoint whose persist feature no feature file holds is a data
+        error naming the model, the feature and the first eval-split video."""
+        root, cfg_path = workspace
+        inputs = _stage_inputs(root)
+        store = harness.load_features(*inputs[3:6])
+        lm_cfg = LMConfig(vocab_size=len(Vocabulary.load(root / "vocab.tsv")),
+                          init_dim=store.dim("categ"), persist_dim=store.dim("feat-a"),
+                          depth=1, hidden=4, embed_dim=4)
+        ckpt = tmp_path / "m.vlmp"
+        save_lm(ckpt, lm_cfg, init_lm_params(lm_cfg, make_rng(0)),
+                init_feature="categ", persist_feature="feat-a")
+        out = tmp_path / "pool.jsonl"
+        assert main(["generate", "--data", inputs[1], "--features", inputs[4], inputs[5],
+                     "--vocab", inputs[-1], "--model", f"m={ckpt}", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        first = min(r.id for r in harness.load_dataset(inputs[1]).split("val"))
+        assert capsys.readouterr().err == \
+            f"data error: model 'm': feature 'feat-a' not in the store (video '{first}')\n"
+        assert not out.exists()
+
+    def test_rerank_missing_feature_is_2(self, workspace, tmp_path, capsys):
+        """An evaluator whose feature no feature file holds is a data error
+        naming the evaluator, the feature and the video."""
+        root, _ = workspace
+        inputs = _stage_inputs(root)
+        ev_cfg = EvaluatorConfig(vocab_size=len(Vocabulary.load(root / "vocab.tsv")),
+                                 video_dim=2, feature_name="feat-a")
+        ev = tmp_path / "e.vevp"
+        save_evaluator(ev, ev_cfg, init_evaluator_params(ev_cfg, make_rng(0)))
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text(json.dumps({"video_id": "video0020", "model": "m",
+                                    "caption": "a red cat", "logprob": -1.0}) + "\n")
+        chosen = tmp_path / "c.json"
+        assert main(["rerank", "--pool", str(pool), "--evaluator", str(ev), "--features",
+                     inputs[4], inputs[5], "--vocab", inputs[-1], "--out", str(chosen)]) == 2
+        assert capsys.readouterr().err == \
+            "data error: the evaluator: feature 'feat-a' not in the store (video 'video0020')\n"
+        assert not chosen.exists()
+
     def test_vocabulary_size_mismatch_is_2(self, workspace, tmp_path, capsys):
         """A vocabulary whose size is not the checkpoint's stops `generate` and
         `rerank` before any output, naming the model or the evaluator and both
@@ -586,6 +626,30 @@ class TestExitCodes:
             else "need a non-empty val split"
         assert capsys.readouterr().err == f"data error: {data}: {words}\n"
         assert trained == [] and not out.exists()
+
+    def test_repeated_video_id_in_dataset_is_2(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        doc = json.loads((root / "dataset.json").read_text())
+        doc["videos"].append(doc["videos"][0])
+        data = tmp_path / "dataset.json"
+        data.write_text(json.dumps(doc))
+        out = tmp_path / "vocab.tsv"
+        assert main(["vocab", "--data", str(data), "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        vid = doc["videos"][0]["id"]
+        assert capsys.readouterr().err == f"data error: {data}: duplicate video ids: ['{vid}']\n"
+        assert not out.exists()
+
+    def test_vocab_empty_vocabulary_is_2(self, workspace, tmp_path, capsys):
+        root, cfg_path = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()), "min_count": 1000}))
+        data, out = root / "dataset.json", tmp_path / "vocab.tsv"
+        assert main(["vocab", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"data error: {data}: no word of the train captions occurs min_count=1000 times " \
+            "or more, so the vocabulary is empty\n"
+        assert not out.exists()
 
     def test_train_eval_without_train_videos_is_2(self, workspace, tmp_path, capsys, trained):
         root, cfg_path = workspace

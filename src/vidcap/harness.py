@@ -4,10 +4,10 @@ train -> generate -> rerank -> score experiment driver."""
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from .decoder import LMConfig, init_lm_params, fit_lm, lm_param_shapes, perplexi
 from .ensemble import CandidatePool, GeneratorModel, dump_pools, generate_pool, rerank
 from .errors import DataError, DimensionError, FormatError, ParameterError, naming
 from .evaluator import EvaluatorConfig, check_training_fits, train_evaluator
+from .forking import _can_fork, _worker
 from .generation import GenerationConfig, check_beam_fits
 from .metrics import MetricReport, check_corpus, references_of, score_captions
 from .numerics import OptState, Params, check_fits_in_memory, make_rng
@@ -391,11 +392,17 @@ def load_data(cfg: ExperimentConfig) -> tuple[Dataset, FeatureStore]:
     return load_dataset(cfg.data_path), load_features(*cfg.feature_paths)
 
 
+def _write(path: Path, write) -> None:
+    """write(path); a DataError naming the path when the write fails."""
+    with naming(f"{path}: ", OSError, DataError):
+        write(path)
+
+
 def write_data(dataset: Dataset, store: FeatureStore, out: Path) -> None:
     """Write dataset.json and one <name>.vfea per feature family into out."""
-    save_dataset(dataset, out / "dataset.json")
+    _write(out / "dataset.json", partial(save_dataset, dataset))
     for name in store.names():
-        save_features(store, name, out / f"{name}.vfea")
+        _write(out / f"{name}.vfea", partial(save_features, store, name))
 
 
 def check_roster(tags: list[str]) -> list[str]:
@@ -543,72 +550,6 @@ def save_chosen(chosen: dict[str, str], path) -> None:
         json.dump(chosen, f, sort_keys=True, indent=1)
 
 
-def _can_fork() -> bool:
-    """Whether a forked worker can run beside this process: it may use two or
-    more CPUs and runs a single thread. Another thread would not exist in the
-    child, and a BLAS thread pool would compete with the child for the CPUs:
-    with OpenBLAS's default pool on a 2-CPU machine, a default run_experiment
-    took 9-19 s with the worker against 4.6-6.6 s without it. The `vidcap`
-    command pins BLAS to one thread, so its `run` passes. Where the thread
-    count cannot be read (no /proc), the answer is no."""
-    try:
-        return len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
-    except (AttributeError, OSError):
-        return False
-
-
-@contextmanager
-def _worker(fn, stage: str):
-    """Run fn() in a forked child process while the with-block runs; the block
-    gets a `join` that returns fn's result or raises the exception it raised.
-    The child always leaves through os._exit, and the parent kills and reaps
-    it on every way out of the block. `stage` names the work in the error
-    raised when the child dies without a result."""
-    import pickle  # numpy has loaded it already; imported here, beside its one use
-    import signal  # not at module level: no cold import of this module loads it (~0.8 ms)
-
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                outcome = (True, fn())
-            except Exception as e:
-                outcome = (False, e)
-            with os.fdopen(write_fd, "wb") as f:
-                pickle.dump(outcome, f, protocol=pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    reader = os.fdopen(read_fd, "rb")
-    alive = True
-
-    def join():
-        nonlocal alive
-        data = reader.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        alive = False
-        if code != 0:
-            how = f"signal {-code}" if code < 0 else f"exit code {code}"
-            raise ChildProcessError(f"[{stage}] the worker process ended by {how} "
-                                    "without a result")
-        ok, value = pickle.loads(data)  # bytes our own child wrote
-        if not ok:
-            raise value
-        return value
-
-    try:
-        yield join
-    finally:
-        reader.close()
-        if alive:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
     """Train every roster model and the evaluator, generate candidate pools on
     the eval split, rerank, and score singles plus the ensemble.
@@ -619,7 +560,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
     models 2..k while this process trains and scores model 1, then trains the
     evaluator. No result depends on it; the first error raised is the first
     in run order (model 1 and its eval-split perplexity, the evaluator, models
-    2..k and theirs), and no worker process outlives it."""
+    2..k and theirs), and no worker process outlives it. The artifacts of
+    out_dir are written last, under [write]; a failed write names its file."""
     with _stage("data"):
         check_roster([m.tag for m in cfg.models])
         for name, least in (("lm_epochs", 0), ("eval_epochs", 0), ("batch_size", 1)):
@@ -681,10 +623,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
                        table_text=table, chosen=chosen)
     if out_dir is not None:
         out = Path(out_dir)
-        write_data(dataset, store, out)
-        vocab.save(out / "vocab.tsv")
-        dump_pools(pools, out / "pools.jsonl")
-        save_chosen(chosen, out / "chosen.json")
-        (out / "results.txt").write_text(table, encoding="utf-8")
-        (out / "results.json").write_text(result.to_json() + "\n", encoding="utf-8")
+        with _stage("write"):
+            write_data(dataset, store, out)
+            _write(out / "vocab.tsv", vocab.save)
+            _write(out / "pools.jsonl", partial(dump_pools, pools))
+            _write(out / "chosen.json", partial(save_chosen, chosen))
+            _write(out / "results.txt", lambda p: p.write_text(table, encoding="utf-8"))
+            _write(out / "results.json",
+                   lambda p: p.write_text(result.to_json() + "\n", encoding="utf-8"))
     return result

@@ -4,30 +4,38 @@ All three reuse the pipeline tokenizer so hypotheses and references are
 normalized identically. Hypotheses/references are keyed by video id:
 hypotheses[vid] is one caption string, references[vid] a non-empty list.
 
-`score_captions` first reads the strings (`_first_pass`): it tokenizes each
-caption once, in video id order, hypothesis first, and numbers the words 1..W
-as they first appear. ROUGE-L runs on the id lists, and all captions' ids go
-end to end into one flat array. With B = W + 1, the n-gram (i1..in) is the
+`score_captions` makes three passes. The first (`_first_pass`) reads the
+strings: it tokenizes each caption once, in video id order, hypothesis first,
+numbers the words 1..W as they first appear, and puts all captions' ids end
+to end into one flat array. With B = W + 1, the n-gram (i1..in) is the
 integer code sum(ik * B**(n-k)), which lies in [B**(n-1), B**n): codes of
 different orders never collide, and the order is read from the code. From
 55,108 words on, B**4 reaches 2**63: Python ints do not overflow, but
 4-gram codes no longer fit in an int64.
 
-Two passes then run over the ids. Pass 1 clips the BLEU-4 n-gram counts and
-counts the CIDEr-D document frequencies (df), keyed by code. It keeps only the
-codes that occur in two videos or more: idf = log(N) - log(max(1, df)), so
-idf(0) equals idf(1) to the bit, and a code in one video needs no entry. At
-2500 videos x 20 references that is 57,200 of 835,818 codes. So that the full
-table never exists, each video appends its distinct codes to one run per
-order, an int64 array while the order's codes fit in one (B**n <= 2**63)
-and a list past that. After the loop the runs are counted one order at a
-time, the largest order's 326k codes at most, and each run is freed before
-the next is counted. Pass 2 computes the CIDEr-D tf-idf terms, which need the
-finished frequencies, and counts every caption's n-grams again: keeping pass
-1's counts raised peak RSS at that shape from 172 MB to 260 MB. The
-benchmark's peak RSS there is about 86 MB, against 136.7 MB with every code
-kept. Sums run in the textbook order, so the scores equal the plain-loop
-formulas to the bit.
+The df pass (`_df_pass`) counts the CIDEr-D document frequencies (df), keyed
+by code. It keeps only the codes that occur in two videos or more: idf =
+log(N) - log(max(1, df)), so idf(0) equals idf(1) to the bit, and a code in
+one video needs no entry. At 2500 videos x 20 references that is 57,200 of
+835,818 codes. So that the full table never exists, each video appends its
+distinct codes to one run per order, an int64 array while the order's codes
+fit in one (B**n <= 2**63) and a list past that. After the loop the runs
+are counted one order at a time, the largest order's 326k codes at most, and
+each run is freed before the next is counted.
+
+The per-video pass (`_score_videos`) needs the finished frequencies. It
+counts each reference's n-grams once, for the BLEU-4 clip and for CIDEr-D's
+numerators and norms, and runs ROUGE-L on the id arrays; it returns each
+video's ROUGE-L and CIDEr-D and the integer BLEU-4 tallies. Keeping the df
+pass's counts instead raised peak RSS at that shape from 172 MB to 260 MB.
+Above FORK_MIN_CAPTIONS captions, and when `forking._can_fork` allows, a
+forked worker scores the second half of the videos while this process scores
+the first. The worker inherits the corpus and the frequencies and pickles
+back only its floats and tallies, which this process adds up in video id
+order. Sums run in the textbook order, so the scores equal the plain-loop
+formulas to the bit, forked or not. At 2500 x 20 on a 2-CPU VM a call took
+1.86 s in one process and 1.37 s forked; this process peaked at 84.6 MB either
+way, and the worker at 62.8 MB, most of it pages shared with this process.
 """
 
 from __future__ import annotations
@@ -42,11 +50,18 @@ from itertools import chain, repeat
 from operator import add, mul
 
 from .errors import DataError
+from .forking import _can_fork, _worker
 from .text import tokenize
 
 ROUGE_BETA = 1.2   # recall weight of the ROUGE-L F-measure
 CIDER_N = 4        # CIDEr-D averages n-gram orders 1..CIDER_N
 CIDER_SIGMA = 6.0  # width of CIDEr-D's gaussian length penalty
+# Captions (hypotheses and references) above which score_captions forks: the
+# measured break-even. Fork, pickle and exit cost about 4-5 ms. On a 2-CPU VM,
+# at 20 references a video, a forked call took 9.4 ms against 6.2 ms
+# in-process at 10 videos (210 captions), 26.7 against 26.3 ms at 40 (840)
+# and 51.8 against 62.8 ms at 100 (2100).
+FORK_MIN_CAPTIONS = 1000
 
 
 def _ngram_orders(t, base: int) -> tuple:
@@ -64,12 +79,13 @@ def _ngram_codes(t, base: int) -> Counter:
     return Counter(chain(*_ngram_orders(t, base)))
 
 
-def _rouge_f(hyp: list[str], refs: list[list[str]]) -> float:
-    """ROUGE-L: LCS F-measure, maximized over refs. LCS is bit-parallel
+def _rouge_f(hyp, refs) -> float:
+    """ROUGE-L of the token sequence hyp (word ids, or words): LCS F-measure,
+    maximized over the sequences refs. LCS is bit-parallel
     (Allison and Dix 1986; Hyyro 2004): a match bitmask per hypothesis token,
     a few big-int operations per reference token. The cleared low len(hyp)
     bits of v mark where the LCS table's row steps up; carries only move up."""
-    masks: dict[str, int] = {}
+    masks: dict = {}
     for i, t in enumerate(hyp):
         masks[t] = masks.get(t, 0) | 1 << i
     full = (1 << len(hyp)) - 1
@@ -97,112 +113,123 @@ class _WordIds(dict):
 
 class _Corpus:
     """Every caption as word ids, video by video in id order, hypothesis
-    first. Caption j is ids[ends[j]:ends[j + 1]], video k has n_refs[k]
-    references, and base is one more than the largest id. A plain class: as
-    a dataclass it added about 1.5 ms to the cold import of this module."""
+    first. Caption j is ids[ends[j]:ends[j + 1]], video k is vids[k] and has
+    n_refs[k] references, and base is one more than the largest id. A plain
+    class: as a dataclass it added about 1.5 ms to the cold import of this
+    module."""
 
-    def __init__(self, ids: array, ends: array, n_refs: list[int], base: int):
-        self.ids, self.ends, self.n_refs, self.base = ids, ends, n_refs, base
+    def __init__(self, vids: list[str], ids: array, ends: array, n_refs: list[int], base: int):
+        self.vids, self.ids, self.ends, self.n_refs, self.base = vids, ids, ends, n_refs, base
 
-    def videos(self):
-        """(hypothesis, references) id arrays of each video."""
-        ids, ends, j = self.ids, self.ends, 0
-        for n in self.n_refs:
+    def videos(self, lo: int = 0, hi: int | None = None):
+        """(hypothesis, references) id arrays of videos lo..hi-1."""
+        ids, ends, j = self.ids, self.ends, lo + sum(self.n_refs[:lo])
+        for n in self.n_refs[lo:hi]:
             hyp, *refs = (ids[ends[i]:ends[i + 1]] for i in range(j, j + 1 + n))
             j += 1 + n
             yield hyp, refs
 
 
-def _first_pass(hypotheses, references) -> tuple[dict[str, float], _Corpus]:
-    """Per-video ROUGE-L and the corpus as word ids; the one tokenization."""
+def _first_pass(hypotheses, references) -> _Corpus:
+    """The corpus as word ids; the one tokenization."""
     word_ids = _WordIds()
+    vids = sorted(hypotheses)
     ids, ends, n_refs = array("l"), array("l", [0]), []
-    rouge: dict[str, float] = {}
-    for vid in sorted(hypotheses):
-        hyp, *refs = ([*map(word_ids.__getitem__, tokenize(c))]
-                      for c in chain((hypotheses[vid],), references_of(references, vid)))
-        rouge[vid] = _rouge_f(hyp, refs)
-        for t in (hyp, *refs):
-            ids.extend(t)
+    for vid in vids:
+        refs = references_of(references, vid)
+        for c in chain((hypotheses[vid],), refs):
+            ids.extend(map(word_ids.__getitem__, tokenize(c)))
             ends.append(len(ids))
         n_refs.append(len(refs))
-    return rouge, _Corpus(ids, ends, n_refs, len(word_ids) + 1)
+    return _Corpus(vids, ids, ends, n_refs, len(word_ids) + 1)
 
 
-def _bleu_pass(corpus: _Corpus) -> tuple[float, dict[int, int]]:
-    """Pass 1: corpus BLEU-4 and the CIDEr-D document frequencies of the codes
-    in two videos or more."""
+def _df_pass(corpus: _Corpus) -> dict[int, int]:
+    """The CIDEr-D document frequencies of the codes in two videos or more."""
     base = corpus.base
-    cuts = [base ** n for n in range(1, CIDER_N)]  # bisect_right(cuts, code) = order - 1
-    matches, totals = [0] * 4, [0] * 4
-    hyp_len_total = ref_len_total = 0
     # each video's distinct codes, one run per order; int64 while the order's codes fit
     runs = [array("q") if base ** n <= 2 ** 63 else [] for n in range(1, CIDER_N + 1)]
-    for hyp, refs in corpus.videos():
-        hyp_len_total += len(hyp)
-        ref_len_total += min((abs(len(r) - len(hyp)), len(r)) for r in refs)[1]
-        hyp_counts = _ngram_codes(hyp, base)
-        max_ref: dict[int, int] = {}
-        seen = [set() for _ in runs]  # a document is a video's reference set
-        for ref in refs:
-            orders = _ngram_orders(ref, base)
-            for codes, grams in zip(seen, orders):
-                codes.update(grams)
-            counts = Counter(chain(*orders))
-            for g in hyp_counts.keys() & counts.keys():
-                max_ref[g] = max(max_ref.get(g, 0), counts[g])
-        for run, codes in zip(runs, seen):
-            run.extend(codes)
-        for g, c in max_ref.items():
-            matches[bisect_right(cuts, g)] += min(c, hyp_counts[g])
-        totals = [t + max(0, len(hyp) - n) for n, t in enumerate(totals)]
+    for _, refs in corpus.videos():  # a document is a video's reference set
+        for run, grams in zip(runs, zip(*(_ngram_orders(ref, base) for ref in refs))):
+            run.extend(set(chain.from_iterable(grams)))
     df: dict[int, int] = {}
     while runs:  # one order's counts at a time, each run freed once counted
         df.update((g, d) for g, d in Counter(runs.pop()).items() if d > 1)
-    if not all(matches):
-        return 0.0, df
-    log_p = sum(math.log(m / t) / 4.0 for m, t in zip(matches, totals))
-    bp = 1.0 if hyp_len_total > ref_len_total else math.exp(1.0 - ref_len_total / hyp_len_total)
-    return bp * math.exp(log_p), df
+    return df
 
 
-def _cider_pass(corpus: _Corpus, df: dict[int, int]) -> list[float]:
-    """Pass 2: per-video CIDEr-D. A code missing from df is in one video or none,
-    and idf[0] == idf[1]. No reference tf-idf vector is built, and a zero term
-    is skipped: every term is >= 0, and adding +0.0 changes no sum."""
-    powers = [corpus.base ** n for n in range(CIDER_N + 1)]
+def _score_videos(corpus: _Corpus, df: dict[int, int], lo: int, hi: int) -> tuple:
+    """Videos lo..hi-1: their ROUGE-L and CIDEr-D, and the BLEU-4 tallies they
+    add (matches and totals per order, hypothesis and closest reference
+    lengths). Each reference's n-grams are counted once, for both the BLEU-4
+    clip and CIDEr-D. A code missing from df is in one video or none, and
+    idf[0] == idf[1]. No reference tf-idf vector is built, and a zero term is
+    skipped: every term is >= 0, and adding +0.0 changes no sum."""
+    base = corpus.base
+    powers = [base ** n for n in range(CIDER_N + 1)]
     cuts = powers[1:CIDER_N]
     n_videos = len(corpus.n_refs)
     log_n = math.log(n_videos)
     idf = [log_n - math.log(max(1.0, d)) for d in range(n_videos + 1)]
     df_of = df.get
-    per_video: list[float] = []
-    for hyp, refs in corpus.videos():
-        h_vec = {g: c * idf[df_of(g, 0)] for g, c in _ngram_codes(hyp, corpus.base).items()}
+    rouge: list[float] = []
+    cider: list[float] = []
+    tally = [0] * (2 * CIDER_N + 2)  # matches and totals per order, then the two lengths
+    for hyp, refs in corpus.videos(lo, hi):
+        rouge.append(_rouge_f(hyp, refs))
+        tally[-2] += len(hyp)
+        tally[-1] += min((abs(len(r) - len(hyp)), len(r)) for r in refs)[1]
+        for n in range(CIDER_N):
+            tally[CIDER_N + n] += max(0, len(hyp) - n)
+        hyp_counts = _ngram_codes(hyp, base)
+        h_vec = []  # (code, tf-idf weight, order - 1, idf) of each hypothesis n-gram
         h_sq = [0.0] * CIDER_N
-        for g, w in h_vec.items():
-            h_sq[bisect_right(cuts, g)] += w * w
+        for g, c in hyp_counts.items():
+            i = idf[df_of(g, 0)]
+            w, k = c * i, bisect_right(cuts, g)
+            h_vec.append((g, w, k, i))
+            h_sq[k] += w * w
+        max_ref: dict[int, int] = {}
         total = 0.0
         for ref in refs:
-            counts = _ngram_codes(ref, corpus.base)
+            counts = _ngram_codes(ref, base)
             nums = [0.0] * CIDER_N
-            for g, w in h_vec.items():
+            for g, w, k, i in h_vec:
                 if c := counts.get(g):
-                    r = c * idf[df_of(g, 0)]
-                    nums[bisect_right(cuts, g)] += min(w, r) * r
+                    if c > max_ref.get(g, 0):
+                        max_ref[g] = c
+                    r = c * i
+                    nums[k] += min(w, r) * r
             top = max((n for n, num in enumerate(nums, 1) if num), default=0)
             r_sq = [0.0] * CIDER_N  # the reference's norms, up to the top order that matched
-            for g, c in counts.items():
-                if g >= powers[top]:
-                    break
+            k, next_order = 0, powers[1]
+            for g, c in counts.items() if top else ():
+                if g >= next_order:  # counts holds the orders one after another
+                    k = bisect_right(cuts, g)
+                    if k >= top:
+                        break
+                    next_order = powers[k + 1]
                 r = c * idf[df_of(g, 0)]
-                r_sq[bisect_right(cuts, g)] += r * r
+                r_sq[k] += r * r
             penalty = math.exp(-((len(hyp) - len(ref)) ** 2) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
             for num, hs, rs in zip(nums, h_sq, r_sq):
                 if num:
                     total += penalty * num / (math.sqrt(hs) * math.sqrt(rs))
-        per_video.append(10.0 * total / (len(refs) * CIDER_N))
-    return per_video
+        for g, c in max_ref.items():
+            tally[bisect_right(cuts, g)] += min(c, hyp_counts[g])
+        cider.append(10.0 * total / (len(refs) * CIDER_N))
+    return rouge, cider, tally
+
+
+def _bleu(tally: list[int]) -> float:
+    """Corpus BLEU-4 from the summed tallies of `_score_videos`."""
+    matches, totals = tally[:CIDER_N], tally[CIDER_N:2 * CIDER_N]
+    hyp_len_total, ref_len_total = tally[-2:]
+    if not all(matches):
+        return 0.0
+    log_p = sum(math.log(m / t) / 4.0 for m, t in zip(matches, totals))
+    bp = 1.0 if hyp_len_total > ref_len_total else math.exp(1.0 - ref_len_total / hyp_len_total)
+    return bp * math.exp(log_p)
 
 
 def bleu4(hypotheses: dict[str, str], references: dict[str, list[str]]) -> float:
@@ -212,14 +239,14 @@ def bleu4(hypotheses: dict[str, str], references: dict[str, list[str]]) -> float
     penalty uses the closest reference length (ties prefer the shorter one).
     Unsmoothed: any n with zero matches corpus-wide gives 0.
     """
-    return _bleu_pass(_first_pass(hypotheses, references)[1])[0]
+    return _report(_first_pass(hypotheses, references)).bleu4
 
 
 def rouge_l(hypotheses: dict[str, str],
             references: dict[str, list[str]]) -> tuple[float, dict[str, float]]:
     """Corpus score (mean over videos) plus the per-video breakdown."""
-    per_video = _first_pass(hypotheses, references)[0]
-    return sum(per_video.values()) / len(per_video), per_video
+    report = _report(_first_pass(hypotheses, references))
+    return report.rouge_l, {vid: row["rouge_l"] for vid, row in report.per_video.items()}
 
 
 def cider_d(hypotheses: dict[str, str],
@@ -275,10 +302,25 @@ def score_captions(hypotheses: dict[str, str],
     """Corpus BLEU-4, ROUGE-L and CIDEr-D, and ROUGE-L and CIDEr-D per video.
     DataError when a hypothesis's video has no references (`references_of`)
     or there are fewer than two videos (`check_corpus`)."""
-    r_per, corpus = _first_pass(hypotheses, references)
-    check_corpus(len(r_per))
-    b, df = _bleu_pass(corpus)
-    c_per = _cider_pass(corpus, df)
-    per_video = {vid: {"rouge_l": r, "cider": c} for (vid, r), c in zip(r_per.items(), c_per)}
-    return MetricReport(bleu4=b, rouge_l=sum(r_per.values()) / len(r_per),
-                        cider=sum(c_per) / len(c_per), per_video=per_video)
+    corpus = _first_pass(hypotheses, references)
+    check_corpus(len(corpus.vids))
+    return _report(corpus)
+
+
+def _report(corpus: _Corpus) -> MetricReport:
+    """The scores of a corpus of one video or more. With one, every idf is 0
+    and so is CIDEr-D; `score_captions` refuses it, its views do not."""
+    n = len(corpus.vids)
+    df = _df_pass(corpus)
+    if len(corpus.ends) - 1 > FORK_MIN_CAPTIONS and _can_fork():
+        half = n // 2
+        with _worker(lambda: _score_videos(corpus, df, half, n), "score") as join:
+            blocks = [_score_videos(corpus, df, 0, half), join()]
+    else:
+        blocks = [_score_videos(corpus, df, 0, n)]
+    rouge = [r for b in blocks for r in b[0]]
+    cider = [c for b in blocks for c in b[1]]
+    tally = [sum(t) for t in zip(*(b[2] for b in blocks))]
+    per_video = {vid: {"rouge_l": r, "cider": c} for vid, r, c in zip(corpus.vids, rouge, cider)}
+    return MetricReport(bleu4=_bleu(tally), rouge_l=sum(rouge) / n,
+                        cider=sum(cider) / n, per_video=per_video)

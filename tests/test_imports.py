@@ -53,10 +53,32 @@ def test_harness_import_loads_no_process_pool():
 
 
 def test_metrics_import_loads_no_numpy():
-    probe = "import sys, vidcap.metrics; print('numpy' in sys.modules)"
+    """Nor the scorer worker's process machinery: `forking._worker` imports
+    pickle and signal when it forks, not when it is imported."""
+    unwanted = {"numpy", "multiprocessing", "concurrent.futures", "pickle", "signal"}
+    probe = f"import sys, vidcap.metrics; print(sorted({unwanted!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent), "PYTHONDONTWRITEBYTECODE": "1"}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False", (
+    assert out.stdout.strip() == "[]", (
         "a cold `import vidcap.metrics` is the score-challenge-scale benchmark's set-up "
         "time: about 56 ms without numpy, 130-190 ms with it")
+
+
+def fork_calls(source: str) -> list[int]:
+    """Lines that name `os.fork`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "fork"
+                  and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def test_one_module_forks():
+    """`forking._worker` is the one fork in vidcap; its two callers,
+    run_experiment and score_captions, go through it."""
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if fork_calls(path.read_text(encoding="utf-8"))] == ["forking.py"]
+
+
+def test_scan_finds_a_fork():
+    source = "import os\npid = os.fork()\nf = os.forkpty\nfork = os.fork\nos.getpid()\n"
+    assert fork_calls(source) == [2, 4]

@@ -1,4 +1,6 @@
 import math
+import os
+import signal
 from array import array
 from itertools import chain
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_metrics import _lcs, ngram_counts, ref_bleu4, ref_cider_d, ref_rouge_l, toks
+from test_harness import _count_forks, _no_child_left
 from vidcap import metrics
 from vidcap.errors import DataError
 from vidcap.metrics import bleu4, cider_d, rouge_l, score_captions
@@ -366,16 +369,16 @@ def _oracle_df(hyps, refs):
 
 
 def _shared_df(hyps, refs):
-    """Pass 1's document frequencies, decoded to word tuples."""
-    corpus = metrics._first_pass(hyps, refs)[1]
+    """The df pass's document frequencies, decoded to word tuples."""
+    corpus = metrics._first_pass(hyps, refs)
     words = [*dict.fromkeys(chain.from_iterable(
         toks(c) for vid in sorted(hyps) for c in (hyps[vid], *refs[vid])))]
     return {tuple(words[i - 1] for i in _decode(code, corpus.base)): d
-            for code, d in metrics._bleu_pass(corpus)[1].items()}
+            for code, d in metrics._df_pass(corpus).items()}
 
 
 class TestSharedDocumentFrequencies:
-    """Pass 1 keeps the document frequency of an n-gram only when it is in two
+    """The df pass keeps the document frequency of an n-gram only when it is in two
     videos or more: idf(0) == idf(1), so the other n-grams need no entry."""
 
     @given(corpora())
@@ -392,3 +395,103 @@ class TestSharedDocumentFrequencies:
         assert _oracle_df(hyps, refs)[("dog",)] == 1
         assert _shared_df(hyps, refs) == {("a",): 3, ("cat",): 2}
         assert score_captions(hyps, refs).cider == ref_cider_d(hyps, refs)[0]
+
+
+def _oracle_report(hyps, refs) -> tuple:
+    """The oracles' corpus BLEU-4, ROUGE-L and CIDEr-D and per-video rows."""
+    rouge, rouge_per = ref_rouge_l(hyps, refs)
+    cider, cider_per = ref_cider_d(hyps, refs)
+    return (ref_bleu4(hyps, refs), rouge, cider,
+            {vid: {"rouge_l": rouge_per[vid], "cider": cider_per[vid]} for vid in hyps})
+
+
+def _corpus_of(n_captions: int, seed: int = 0) -> tuple[dict, dict]:
+    """n_captions captions in all (hypotheses and references), over
+    n_captions // 2 videos of one reference each; an odd one out is a second
+    reference of video v0."""
+    hyps, refs = random_corpus(seed, n_videos=n_captions // 2, max_refs=1)
+    if n_captions % 2:
+        refs["v0"].append("a dog")
+    assert len(metrics._first_pass(hyps, refs).ends) - 1 == n_captions
+    return hyps, refs
+
+
+class TestForkedScorer:
+    """Above FORK_MIN_CAPTIONS captions, and when _can_fork() allows, a forked
+    worker scores the second half of the videos while this process scores the
+    first. The report does not depend on it, to the byte."""
+
+    @given(corpora())
+    @settings(max_examples=100, deadline=None)
+    def test_forked_report_is_byte_identical(self, corpus):
+        hyps, refs = corpus
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_can_fork", lambda: False)
+            in_process = score_captions(hyps, refs)
+            patch.setattr(metrics, "_can_fork", lambda: True)
+            patch.setattr(metrics, "FORK_MIN_CAPTIONS", 0)
+            forks = _count_forks(patch)
+            forked = score_captions(hyps, refs)
+        assert len(forks) == 1
+        assert forked.to_json() == in_process.to_json()
+        assert (forked.bleu4, forked.rouge_l, forked.cider, forked.per_video) == \
+            _oracle_report(hyps, refs)
+        assert _no_child_left()
+
+    def test_forks_only_above_the_constant(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_can_fork", lambda: True)
+        forks = _count_forks(monkeypatch)
+        at = _corpus_of(metrics.FORK_MIN_CAPTIONS)
+        score_captions(*at)
+        assert forks == []
+        above = _corpus_of(metrics.FORK_MIN_CAPTIONS + 1)
+        report = score_captions(*above)
+        assert len(forks) == 1
+        monkeypatch.setattr(metrics, "_can_fork", lambda: False)
+        assert score_captions(*above).to_json() == report.to_json()
+        assert len(forks) == 1
+        assert _no_child_left()
+
+    def test_vocabulary_past_int64_codes_forked(self, monkeypatch):
+        """The 3000-video corpus past int64 codes scores on the forked path."""
+        monkeypatch.setattr(metrics, "_can_fork", lambda: True)
+        forks = _count_forks(monkeypatch)
+        TestIntegerCodes().test_vocabulary_past_int64_codes()
+        assert len(forks) == 1
+        assert _no_child_left()
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Fork for any corpus; `blocks(parent, worker)` makes each process's
+        block call its function instead of scoring."""
+        monkeypatch.setattr(metrics, "_can_fork", lambda: True)
+        monkeypatch.setattr(metrics, "FORK_MIN_CAPTIONS", 0)
+        parent_pid = os.getpid()
+
+        def set_blocks(parent, worker):
+            monkeypatch.setattr(metrics, "_score_videos", lambda *args: (
+                parent if os.getpid() == parent_pid else worker)(*args))
+        yield set_blocks
+        assert _no_child_left()
+
+    def test_killed_worker_is_a_child_process_error(self, blocks):
+        blocks(metrics._score_videos, lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(ChildProcessError, match=r"^\[score\] the worker process ended by "
+                                                    r"signal 9 without a result$"):
+            score_captions(*random_corpus(3, n_videos=4))
+
+    def test_worker_error_reaches_the_caller(self, blocks):
+        def fail(*args):
+            raise DataError("worker failed")
+
+        blocks(metrics._score_videos, fail)
+        with pytest.raises(DataError, match="^worker failed$"):
+            score_captions(*random_corpus(3, n_videos=4))
+
+    def test_error_in_this_process_stops_the_worker(self, blocks):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        blocks(interrupted, lambda *args: signal.pause())  # the worker would never finish
+        with pytest.raises(KeyboardInterrupt):
+            score_captions(*random_corpus(3, n_videos=4))

@@ -25,6 +25,10 @@ and checks that the tensors have exactly the names and shapes the header
 implies and hold only finite values. A malformed file raises FormatError
 naming the file. The VFEA reader returns the rows as written: a video that
 repeats is rejected by `harness.FeatureStore.add`, which holds the rows.
+
+Every file the pipeline writes, text as UTF-8, goes through `write_file`: a
+temporary file renamed over the target, so a failed write names the target and
+leaves the old file whole. No fsync: the fault is a failed write, not power loss.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import struct
 import sys
 import types
@@ -79,7 +84,18 @@ def write_checkpoint(path, magic: bytes, header: dict, tensors: dict[str, np.nda
     index = json.dumps({"version": FORMAT_VERSION, "header": header, "tensors": entries},
                        sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
     body = b"".join([magic, struct.pack("<I", len(index)), index, *blobs])
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    write_file(path, body + struct.pack("<I", zlib.crc32(body)))
+
+
+def write_file(path, data: str | bytes) -> None:
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    with naming(f"{path}: ", OSError, DataError):
+        try:
+            tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+            os.replace(tmp, path)
+        except BaseException as e:  # name the target, not the temporary file
+            tmp.unlink(missing_ok=True)
+            raise OSError(e.errno, e.strerror) if isinstance(e, OSError) and e.filename else e
 
 
 def read_checkpoint(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:

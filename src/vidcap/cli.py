@@ -233,8 +233,8 @@ def cmd_score(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
-        (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+        binio.write_file(out / "report.txt", report.to_text())
+        binio.write_file(out / "report.json", report.to_json() + "\n")
     return 0
 
 

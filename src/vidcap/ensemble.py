@@ -89,9 +89,9 @@ def rerank(pool: CandidatePool, video_values: np.ndarray, eval_params: Params,
 
 def dump_pools(pools: list[CandidatePool], path) -> None:
     """Line-delimited JSON, one record per candidate."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(json.dumps({"video_id": pool.video_id, **asdict(cand)}, sort_keys=True) + "\n"
-                     for pool in pools for cand in pool.entries)
+    binio.write_file(path, "".join(
+        json.dumps({"video_id": pool.video_id, **asdict(cand)}, sort_keys=True) + "\n"
+        for pool in pools for cand in pool.entries))
 
 
 @dataclass

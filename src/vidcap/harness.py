@@ -7,7 +7,6 @@ import json
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -81,9 +80,8 @@ def load_dataset(path) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump({"videos": [asdict(r) for r in dataset.records]}, f, sort_keys=True, indent=1)
-        f.write("\n")
+    binio.write_file(path, json.dumps({"videos": [asdict(r) for r in dataset.records]},
+                                      sort_keys=True, indent=1) + "\n")
 
 
 class FeatureStore:
@@ -392,17 +390,11 @@ def load_data(cfg: ExperimentConfig) -> tuple[Dataset, FeatureStore]:
     return load_dataset(cfg.data_path), load_features(*cfg.feature_paths)
 
 
-def _write(path: Path, write) -> None:
-    """write(path); a DataError naming the path when the write fails."""
-    with naming(f"{path}: ", OSError, DataError):
-        write(path)
-
-
 def write_data(dataset: Dataset, store: FeatureStore, out: Path) -> None:
     """Write dataset.json and one <name>.vfea per feature family into out."""
-    _write(out / "dataset.json", partial(save_dataset, dataset))
+    save_dataset(dataset, out / "dataset.json")
     for name in store.names():
-        _write(out / f"{name}.vfea", partial(save_features, store, name))
+        save_features(store, name, out / f"{name}.vfea")
 
 
 def check_roster(tags: list[str]) -> list[str]:
@@ -546,8 +538,7 @@ def score_split(cfg: ExperimentConfig, hypotheses: dict[str, str],
 
 
 def save_chosen(chosen: dict[str, str], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(chosen, f, sort_keys=True, indent=1)
+    binio.write_file(path, json.dumps(chosen, sort_keys=True, indent=1))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
@@ -625,10 +616,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResu
         out = Path(out_dir)
         with _stage("write"):
             write_data(dataset, store, out)
-            _write(out / "vocab.tsv", vocab.save)
-            _write(out / "pools.jsonl", partial(dump_pools, pools))
-            _write(out / "chosen.json", partial(save_chosen, chosen))
-            _write(out / "results.txt", lambda p: p.write_text(table, encoding="utf-8"))
-            _write(out / "results.json",
-                   lambda p: p.write_text(result.to_json() + "\n", encoding="utf-8"))
+            vocab.save(out / "vocab.tsv")
+            dump_pools(pools, out / "pools.jsonl")
+            save_chosen(chosen, out / "chosen.json")
+            binio.write_file(out / "results.txt", table)
+            binio.write_file(out / "results.json", result.to_json() + "\n")
     return result

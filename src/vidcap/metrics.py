@@ -310,7 +310,8 @@ def score_captions(hypotheses: dict[str, str],
 def _report(corpus: _Corpus) -> MetricReport:
     """The scores of a corpus of one video or more. With one, every idf is 0
     and so is CIDEr-D; `score_captions` refuses it, its views do not."""
-    n = len(corpus.vids)
+    if not (n := len(corpus.vids)):
+        raise DataError("the corpus has no videos to score")
     df = _df_pass(corpus)
     if len(corpus.ends) - 1 > FORK_MIN_CAPTIONS and _can_fork():
         half = n // 2

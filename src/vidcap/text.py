@@ -43,9 +43,8 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for i, tok in enumerate(self.id_to_token):
-                f.write(f"{tok}\t{i}\n")
+        from .binio import write_file  # here: binio loads numpy, and vidcap.metrics imports this
+        write_file(path, "".join(f"{tok}\t{i}\n" for i, tok in enumerate(self.id_to_token)))
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

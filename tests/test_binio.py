@@ -1,14 +1,17 @@
+import errno
 import json
+import os
 import re
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vidcap import binio, decoder, evaluator
-from vidcap.errors import FormatError, ParameterError, VidcapError
+from vidcap.errors import DataError, FormatError, ParameterError, VidcapError
 from vidcap.features import Codebook
 from vidcap.numerics import make_rng
 
@@ -249,3 +252,67 @@ def test_corruption_sweep(tmp_path):
                 except VidcapError:
                     pass
     assert loaded > 0  # flips inside float data still parse
+
+
+class TestWriteFile:
+    """`binio.write_file`, the one writer: the new file whole or the old one
+    kept, the target named on failure, and no temporary file left either way."""
+
+    def test_writes_text_as_utf8_and_bytes_as_given(self, tmp_path):
+        binio.write_file(tmp_path / "t.txt", "caf\u00e9\n")
+        binio.write_file(tmp_path / "b.bin", b"\x00\xff")
+        assert (tmp_path / "t.txt").read_bytes() == "caf\u00e9\n".encode("utf-8")
+        assert (tmp_path / "b.bin").read_bytes() == b"\x00\xff"
+        assert sorted(os.listdir(tmp_path)) == ["b.bin", "t.txt"]
+
+    def test_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_bytes(b"a much longer old file\n")
+        binio.write_file(str(path), "new")
+        assert path.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["f.json"]
+
+    def test_a_cut_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        """A write that stops partway, as on a full disk, leaves the old bytes
+        and raises a DataError naming the target."""
+        write_bytes = Path.write_bytes
+
+        def cut(self, data):
+            write_bytes(self, data[:3])
+            raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(b"old\n")
+        monkeypatch.setattr(Path, "write_bytes", cut)
+        with pytest.raises(DataError, match=re.escape(f"{path}: [Errno 27] File too large")):
+            binio.write_file(path, "a new vocabulary\n")
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["vocab.tsv"]
+
+    def test_an_interrupt_removes_the_temporary_file(self, tmp_path, monkeypatch):
+        write_bytes = Path.write_bytes
+
+        def interrupted(self, data):
+            write_bytes(self, data)
+            raise KeyboardInterrupt
+
+        path = tmp_path / "pools.jsonl"
+        path.write_bytes(b"old\n")
+        monkeypatch.setattr(Path, "write_bytes", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            binio.write_file(path, "new\n")
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["pools.jsonl"]
+
+    @pytest.mark.parametrize("where, words", [
+        ("missing/f.json", "[Errno 2] No such file or directory"),
+        ("a-directory", "[Errno 21] Is a directory"),
+    ])
+    def test_error_names_the_target_not_the_temporary_file(self, tmp_path, where, words):
+        (tmp_path / "a-directory").mkdir()
+        path = tmp_path / where
+        with pytest.raises(DataError) as caught:
+            binio.write_file(path, "x")
+        assert str(caught.value) == f"{path}: {words}"
+        assert sorted(os.listdir(tmp_path)) == ["a-directory"]
+        assert os.listdir(tmp_path / "a-directory") == []

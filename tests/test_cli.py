@@ -995,6 +995,87 @@ def test_config_sweep(workspace, tmp_path):
     assert bad == []
 
 
+# Runs `vidcap` in-process over the (case, argv) pairs read from stdin; prints,
+# per case, the exit code and standard error.
+_CASES = """
+import contextlib, io, json, sys
+from vidcap import cli
+
+results = {}
+for case, argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results[case] = [cli.main(argv), err.getvalue()]
+print(json.dumps(results))
+"""
+
+# Every subcommand that writes a file; synth, score and run write into an --out directory.
+WRITERS = ("synth", "vocab", "codebook", "encode", "train-lm", "train-eval", "generate",
+           "rerank", "score", "run")
+
+
+@pytest.fixture(scope="module")
+def limited_writes(workspace, tmp_path_factory) -> dict:
+    """Each writer subcommand, over inputs made here, run once in one child
+    process whose files may not grow past 16 bytes (RLIMIT_FSIZE: Python
+    ignores SIGXFSZ, so the write fails with EFBIG). Each first writes a path
+    that holds an old file: {case: (that path, exit code, stderr)}."""
+    root, cfg_path = workspace
+    base = tmp_path_factory.mktemp("writers")
+    cfg, inputs = ["--config", str(cfg_path)], _stage_inputs(root)
+    lm, ev, pool, chosen = (str(base / n) for n in ("m.vlmp", "e.vevp", "p.jsonl", "c.json"))
+    assert main(["train-lm", *inputs, "--model", "m-a", *cfg, "--out", lm]) == 0
+    assert main(["train-eval", *inputs, *cfg, "--out", ev]) == 0
+    assert main(["generate", *inputs, "--model", f"m-a={lm}", *cfg, "--out", pool]) == 0
+    assert main(["rerank", "--pool", pool, "--evaluator", ev, *inputs[2:], "--out", chosen]) == 0
+    _descriptors(base / "desc.json")
+    (base / "acts.json").write_text(json.dumps({"videos": {"v0": [[1.0, 2.0], [3.0, 4.0]]}}))
+    cases = {  # case: (argv without --out, the file it writes first)
+        "synth": (["synth", *cfg], "dataset.json"),
+        "vocab": (["vocab", "--data", inputs[1], *cfg], "vocab.tsv"),
+        "codebook": (["codebook", "--descriptors", str(base / "desc.json"), "--channel", "HOG",
+                      "--k", "2"], "HOG.vcbk"),
+        "encode": (["encode", "--kind", "mean", "--activations", str(base / "acts.json"),
+                    "--name", "g"], "g.vfea"),
+        "train-lm": (["train-lm", *inputs, "--model", "m-a", *cfg], "m-a.vlmp"),
+        "train-eval": (["train-eval", *inputs, *cfg], "e.vevp"),
+        "generate": (["generate", *inputs, "--model", f"m-a={lm}", *cfg], "pools.jsonl"),
+        "rerank": (["rerank", "--pool", pool, "--evaluator", ev, *inputs[2:]], "chosen.json"),
+        "score": (["score", "--data", inputs[1], "--captions", chosen, *cfg], "report.txt"),
+        "run": (["run", *cfg], "dataset.json"),
+    }
+    argvs, targets = [], {}
+    for case in WRITERS:
+        argv, name = cases[case]
+        (base / case).mkdir()
+        targets[case] = target = base / case / name
+        target.write_bytes(b"old\n")
+        out = target.parent if case in ("synth", "score", "run") else target
+        argvs.append([case, [*argv, "--out", str(out)]])
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE,
+                           (16, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", _CASES], input=json.dumps(argvs), env=env,
+                         preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    results = json.loads(out.stdout.splitlines()[-1])
+    return {case: (targets[case], *results[case]) for case in WRITERS}
+
+
+@pytest.mark.parametrize("case", WRITERS)
+def test_failed_write_names_its_file_and_keeps_the_old_one(limited_writes, case):
+    """A write that fails exits 2 with one line naming the file, under [write]
+    for `run`; the old file keeps its bytes and no temporary file is left."""
+    target, code, err = limited_writes[case]
+    stage = "[write] " if case == "run" else ""
+    assert (code, err) == (2, f"data error: {stage}{target}: [Errno 27] File too large\n")
+    assert target.read_bytes() == b"old\n"
+    assert os.listdir(target.parent) == [target.name]
+
+
 class TestFlagPaths:
     def test_seed_flag_overrides_config_seed(self, tmp_path):
         cfg = {"lm_epochs": 1, "eval_epochs": 1, "hidden": 8, "embed_dim": 8, "joint_dim": 8,

@@ -7,6 +7,7 @@ import signal
 import threading
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -649,15 +650,63 @@ class TestTrainingWorker:
         assert forks == []
 
     def test_failed_write_names_its_stage_and_file(self, monkeypatch, tmp_path, capsys):
-        def full_disk(pools, path):
-            raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
-
-        monkeypatch.setattr(harness, "dump_pools", full_disk)
+        _cut_write(monkeypatch, "pools.jsonl")
         (tmp_path / "cfg.json").write_text(json.dumps(asdict(_two_specialists())))
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
             f"data error: [write] {out / 'pools.jsonl'}: [Errno 27] File too large\n"
+
+
+def _cut_write(monkeypatch, name: str) -> None:
+    """Make the write of each file called `name` stop halfway with EFBIG, as a
+    full disk or a file size limit stops it: inside `binio.write_file`, on the
+    temporary file it writes beside the target."""
+    write_bytes = Path.write_bytes
+
+    def cut(self, data):
+        if self.name.startswith(f"{name}."):
+            write_bytes(self, data[:len(data) // 2])
+            raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", cut)
+
+
+# A run's artifacts in the order run_experiment writes them.
+ARTIFACTS = ("dataset.json", "categ.vfea", "feat-a.vfea", "feat-b.vfea", "vocab.tsv",
+             "pools.jsonl", "chosen.json", "results.txt", "results.json")
+
+
+class TestWrittenWhole:
+    """`vidcap run --out` into a directory that holds a previous run, at
+    another seed, with one write cut short."""
+
+    @pytest.mark.parametrize("victim", [None, *ARTIFACTS])
+    def test_each_file_is_whole_old_or_whole_new(self, victim, monkeypatch, tmp_path, capsys):
+        """The files written before the cut one are the new run's, the cut one
+        and those after it the old run's, each whole; no temporary file is left.
+        With no cut, every file is the new run's."""
+        (tmp_path / "cfg.json").write_text(json.dumps(asdict(_two_specialists())))
+        run = ["run", "--config", str(tmp_path / "cfg.json"), "--out"]
+        out, new = tmp_path / "out", tmp_path / "new"
+        assert cli.main([*run, str(out)]) == 0
+        assert cli.main([*run, str(new), "--seed", "5"]) == 0
+        old = {name: (out / name).read_bytes() for name in ARTIFACTS}
+        assert sorted(os.listdir(out)) == sorted(os.listdir(new)) == sorted(ARTIFACTS)
+        assert all(old[name] != (new / name).read_bytes() for name in ARTIFACTS)
+        capsys.readouterr()
+        if victim:
+            _cut_write(monkeypatch, victim)
+        assert cli.main([*run, str(out), "--seed", "5"]) == (2 if victim else 0)
+        if victim:
+            assert capsys.readouterr().err == \
+                f"data error: [write] {out / victim}: [Errno 27] File too large\n"
+        cut = ARTIFACTS.index(victim) if victim else len(ARTIFACTS)
+        assert sorted(os.listdir(out)) == sorted(ARTIFACTS)
+        for i, name in enumerate(ARTIFACTS):
+            want = (new / name).read_bytes() if i < cut else old[name]
+            assert (out / name).read_bytes() == want, name
 
 
 class TestScoreWorker:

@@ -82,3 +82,60 @@ def test_one_module_forks():
 def test_scan_finds_a_fork():
     source = "import os\npid = os.fork()\nf = os.forkpty\nfork = os.fork\nos.getpid()\n"
     assert fork_calls(source) == [2, 4]
+
+
+# os.open flags that write, create or truncate
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
+
+
+def _writes(arg) -> bool:
+    """Whether an argument of an `open` call asks to write: a mode string with
+    w, a, x or +, or an os.O_* flag that writes."""
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return set(arg.value) <= set("rwxabt+") and bool(set(arg.value) & set("wax+"))
+    return any(isinstance(n, ast.Attribute) and n.attr in _WRITE_FLAGS for n in ast.walk(arg))
+
+
+def file_writes(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each `write_bytes` and `write_text`, and of
+    each call to `open` or `.open` that writes; "<module>" outside a function."""
+    found = []
+
+    def visit(node, func: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("write_bytes", "write_text"):
+            found.append((func, node.lineno))
+        if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
+            if any(_writes(a) for a in [*node.args, *(k.value for k in node.keywords)]):
+                found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_one_function_writes_files():
+    """`binio.write_file` is the one place vidcap writes a file: by a temporary
+    file renamed over the target, naming the target when it fails."""
+    assert sorted({(path.name, func) for path in sorted(SRC.glob("*.py"))
+                   for func, _ in file_writes(path.read_text(encoding="utf-8"))}) == \
+        [("binio.py", "write_file")]
+
+
+def test_scan_finds_a_file_write():
+    source = ("def write_file(p, b):\n"
+              "    p.write_bytes(b)\n"
+              "def f(p, fd):\n"
+              "    open(p).read(); open('/proc/self/stat', encoding='ascii')\n"
+              "    open(p, 'a')\n"
+              "    p.open(mode='w+b')\n"
+              "    os.open(p, os.O_WRONLY | os.O_CREAT)\n"
+              "    os.fdopen(fd, 'wb'); p.open('rb'); os.open(p, os.O_RDONLY)\n"
+              "    save = p.write_text\n"
+              "Path('x').write_text('')\n"
+              "with open(name, mode='x') as f: pass\n")
+    assert file_writes(source) == [("write_file", 2), ("f", 5), ("f", 6), ("f", 7), ("f", 9),
+                                   ("<module>", 10), ("<module>", 11)]

@@ -57,6 +57,10 @@ class TestBleu4:
         with pytest.raises(DataError):
             bleu4({"v0": "a"}, {"v0": []})
 
+    def test_empty_corpus_is_a_data_error(self):
+        with pytest.raises(DataError, match="^the corpus has no videos to score$"):
+            bleu4({}, {})
+
 
 def rouge_l_single(hypothesis, refs):
     """Per-video ROUGE-L of one hypothesis against its references."""
@@ -91,6 +95,10 @@ class TestRougeL:
         corpus, per = rouge_l(hyps, refs)
         assert corpus == pytest.approx((per["v0"] + per["v1"]) / 2)
 
+    def test_empty_corpus_is_a_data_error(self):
+        with pytest.raises(DataError, match="^the corpus has no videos to score$"):
+            rouge_l({}, {})
+
 
 class TestCiderD:
     def test_disjoint_zero(self):
@@ -110,6 +118,10 @@ class TestCiderD:
     def test_single_video_rejected(self):
         with pytest.raises(DataError):
             cider_d({"v0": "a"}, {"v0": ["a"]})
+
+    def test_empty_corpus_is_a_data_error(self):
+        with pytest.raises(DataError, match="at least two videos in the corpus, got 0"):
+            cider_d({}, {})
 
     def test_matches_bruteforce_small_corpus(self):
         hyps, refs = random_corpus(123, n_videos=3)

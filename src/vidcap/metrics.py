@@ -4,38 +4,39 @@ All three reuse the pipeline tokenizer so hypotheses and references are
 normalized identically. Hypotheses/references are keyed by video id:
 hypotheses[vid] is one caption string, references[vid] a non-empty list.
 
-`score_captions` makes three passes. The first (`_first_pass`) reads the
-strings: it tokenizes each caption once, in video id order, hypothesis first,
-numbers the words 1..W as they first appear, and puts all captions' ids end
-to end into one flat array. With B = W + 1, the n-gram (i1..in) is the
-integer code sum(ik * B**(n-k)), which lies in [B**(n-1), B**n): codes of
-different orders never collide, and the order is read from the code. From
-55,108 words on, B**4 reaches 2**63: Python ints do not overflow, but
-4-gram codes no longer fit in an int64.
+`score_captions` reads the strings once (`_first_pass`): it tokenizes each
+caption, in video id order, hypothesis first, numbers the words 1..W as they
+first appear, and puts all captions' ids end to end into one flat array.
+ROUGE-L then runs per video on the id arrays (`_rouge_f`); BLEU-4 and
+CIDEr-D run as numpy passes over the flat array, one n-gram order at a time
+(`_ngrams`).
 
-The df pass (`_df_pass`) counts the CIDEr-D document frequencies (df), keyed
-by code. It keeps only the codes that occur in two videos or more: idf =
-log(N) - log(max(1, df)), so idf(0) equals idf(1) to the bit, and a code in
-one video needs no entry. At 2500 videos x 20 references that is 57,200 of
-835,818 codes. So that the full table never exists, each video appends its
-distinct codes to one run per order, an int64 array while the order's codes
-fit in one (B**n <= 2**63) and a list past that. After the loop the runs
-are counted one order at a time, the largest order's 326k codes at most, and
-each run is freed before the next is counted.
+N-gram ids are dense. With B = W + 1, an order-n n-gram's key is the id of
+its first n - 1 words times B plus its last word (order 1: the word), and
+its id is the key's rank among the order's keys: 0, 1, ... As an id is
+below the number of tokens, every key is below tokens x B, so no vocabulary
+is too large for an int64. One stable sort of an order's keys gives the
+ids and each caption's distinct n-grams with their counts, as rows sorted by
+id, then caption. A video's rows of one n-gram are adjacent, its hypothesis
+row first, so a reference row finds its hypothesis match, and the document
+frequency (the number of videos whose references contain the n-gram) counts
+runs, without a table keyed by n-gram. idf = log(N) - log(max(1, df)).
 
-The per-video pass (`_score_videos`) needs the finished frequencies. It
-counts each reference's n-grams once, for the BLEU-4 clip and for CIDEr-D's
-numerators and norms, and runs ROUGE-L on the id arrays; it returns each
-video's ROUGE-L and CIDEr-D and the integer BLEU-4 tallies. Keeping the df
-pass's counts instead raised peak RSS at that shape from 172 MB to 260 MB.
-Above FORK_MIN_CAPTIONS captions, and when `forking._can_fork` allows, a
-forked worker scores the second half of the videos while this process scores
-the first. The worker inherits the corpus and the frequencies and pickles
-back only its floats and tallies, which this process adds up in video id
-order. Sums run in the textbook order, so the scores equal the plain-loop
-formulas to the bit, forked or not. At 2500 x 20 on a 2-CPU VM a call took
-1.86 s in one process and 1.37 s forked; this process peaked at 84.6 MB either
-way, and the worker at 62.8 MB, most of it pages shared with this process.
+Every float sum over n-grams and references goes through np.bincount,
+which adds its weights one at a time in input order, from 0.0 (np.sum adds
+pairwise). The weights are laid out in the order of the plain-loop formulas
+in tests/reference_metrics.py: a caption's n-grams in order of first
+occurrence, a reference's matches in the order the hypothesis first has
+them, a video's terms by reference, then order. The idf and length-penalty
+tables are built with math.log and math.exp, as there: numpy's log and exp
+differ from them in the last bit for some arguments (3 of the logs of
+1..99,999, 5 of CIDEr-D's first 200 penalties). So the scores equal those
+formulas to the bit. BLEU-4 counts in integers.
+
+numpy is imported inside `_report`: a cold `import vidcap.metrics` stays
+without it, and that import is what score-challenge-scale's set-up times.
+Every caller that scores has numpy loaded already. Each order's arrays are
+freed before the next order's pass: the largest hold one int64 per token.
 """
 
 from __future__ import annotations
@@ -43,40 +44,15 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import add, mul
+from itertools import chain
 
 from .errors import DataError
-from .forking import _can_fork, _worker
 from .text import tokenize
 
 ROUGE_BETA = 1.2   # recall weight of the ROUGE-L F-measure
 CIDER_N = 4        # CIDEr-D averages n-gram orders 1..CIDER_N
 CIDER_SIGMA = 6.0  # width of CIDEr-D's gaussian length penalty
-# Captions (hypotheses and references) above which score_captions forks: the
-# measured break-even. Fork, pickle and exit cost about 4-5 ms. On a 2-CPU VM,
-# at 20 references a video, a forked call took 9.4 ms against 6.2 ms
-# in-process at 10 videos (210 captions), 26.7 against 26.3 ms at 40 (840)
-# and 51.8 against 62.8 ms at 100 (2100).
-FORK_MIN_CAPTIONS = 1000
-
-
-def _ngram_orders(t, base: int) -> tuple:
-    """The 1..4-gram codes of the id sequence t, one sequence per order, each in
-    order of occurrence. The code of (i1..in) is sum(ik * base**(n-k)), so an
-    n-gram's code lies in [base**(n-1), base**n)."""
-    c2 = [*map(add, map(mul, t, repeat(base)), t[1:])]
-    c3 = [*map(add, map(mul, c2, repeat(base)), t[2:])]
-    return t, c2, c3, [*map(add, map(mul, c3, repeat(base)), t[3:])]
-
-
-def _ngram_codes(t, base: int) -> Counter:
-    """The 1..4-gram codes of t with their counts: order by order, each order in
-    order of first occurrence."""
-    return Counter(chain(*_ngram_orders(t, base)))
 
 
 def _rouge_f(hyp, refs) -> float:
@@ -121,10 +97,10 @@ class _Corpus:
     def __init__(self, vids: list[str], ids: array, ends: array, n_refs: list[int], base: int):
         self.vids, self.ids, self.ends, self.n_refs, self.base = vids, ids, ends, n_refs, base
 
-    def videos(self, lo: int = 0, hi: int | None = None):
-        """(hypothesis, references) id arrays of videos lo..hi-1."""
-        ids, ends, j = self.ids, self.ends, lo + sum(self.n_refs[:lo])
-        for n in self.n_refs[lo:hi]:
+    def videos(self):
+        """(hypothesis, references) id arrays of each video."""
+        ids, ends, j = self.ids, self.ends, 0
+        for n in self.n_refs:
             hyp, *refs = (ids[ends[i]:ends[i + 1]] for i in range(j, j + 1 + n))
             j += 1 + n
             yield hyp, refs
@@ -144,85 +120,54 @@ def _first_pass(hypotheses, references) -> _Corpus:
     return _Corpus(vids, ids, ends, n_refs, len(word_ids) + 1)
 
 
-def _df_pass(corpus: _Corpus) -> dict[int, int]:
-    """The CIDEr-D document frequencies of the codes in two videos or more."""
-    base = corpus.base
-    # each video's distinct codes, one run per order; int64 while the order's codes fit
-    runs = [array("q") if base ** n <= 2 ** 63 else [] for n in range(1, CIDER_N + 1)]
-    for _, refs in corpus.videos():  # a document is a video's reference set
-        for run, grams in zip(runs, zip(*(_ngram_orders(ref, base) for ref in refs))):
-            run.extend(set(chain.from_iterable(grams)))
-    df: dict[int, int] = {}
-    while runs:  # one order's counts at a time, each run freed once counted
-        df.update((g, d) for g, d in Counter(runs.pop()).items() if d > 1)
-    return df
+def _changes(np, *keys):
+    """True where a run of equal rows of `keys` begins: at 0, and wherever
+    one of the keys differs from the element before."""
+    new = np.zeros(len(keys[0]), bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return new
 
 
-def _score_videos(corpus: _Corpus, df: dict[int, int], lo: int, hi: int) -> tuple:
-    """Videos lo..hi-1: their ROUGE-L and CIDEr-D, and the BLEU-4 tallies they
-    add (matches and totals per order, hypothesis and closest reference
-    lengths). Each reference's n-grams are counted once, for both the BLEU-4
-    clip and CIDEr-D. A code missing from df is in one video or none, and
-    idf[0] == idf[1]. No reference tf-idf vector is built, and a zero term is
-    skipped: every term is >= 0, and adding +0.0 changes no sum."""
-    base = corpus.base
-    powers = [base ** n for n in range(CIDER_N + 1)]
-    cuts = powers[1:CIDER_N]
-    n_videos = len(corpus.n_refs)
-    log_n = math.log(n_videos)
-    idf = [log_n - math.log(max(1.0, d)) for d in range(n_videos + 1)]
-    df_of = df.get
-    rouge: list[float] = []
-    cider: list[float] = []
-    tally = [0] * (2 * CIDER_N + 2)  # matches and totals per order, then the two lengths
-    for hyp, refs in corpus.videos(lo, hi):
-        rouge.append(_rouge_f(hyp, refs))
-        tally[-2] += len(hyp)
-        tally[-1] += min((abs(len(r) - len(hyp)), len(r)) for r in refs)[1]
-        for n in range(CIDER_N):
-            tally[CIDER_N + n] += max(0, len(hyp) - n)
-        hyp_counts = _ngram_codes(hyp, base)
-        h_vec = []  # (code, tf-idf weight, order - 1, idf) of each hypothesis n-gram
-        h_sq = [0.0] * CIDER_N
-        for g, c in hyp_counts.items():
-            i = idf[df_of(g, 0)]
-            w, k = c * i, bisect_right(cuts, g)
-            h_vec.append((g, w, k, i))
-            h_sq[k] += w * w
-        max_ref: dict[int, int] = {}
-        total = 0.0
-        for ref in refs:
-            counts = _ngram_codes(ref, base)
-            nums = [0.0] * CIDER_N
-            for g, w, k, i in h_vec:
-                if c := counts.get(g):
-                    if c > max_ref.get(g, 0):
-                        max_ref[g] = c
-                    r = c * i
-                    nums[k] += min(w, r) * r
-            top = max((n for n, num in enumerate(nums, 1) if num), default=0)
-            r_sq = [0.0] * CIDER_N  # the reference's norms, up to the top order that matched
-            k, next_order = 0, powers[1]
-            for g, c in counts.items() if top else ():
-                if g >= next_order:  # counts holds the orders one after another
-                    k = bisect_right(cuts, g)
-                    if k >= top:
-                        break
-                    next_order = powers[k + 1]
-                r = c * idf[df_of(g, 0)]
-                r_sq[k] += r * r
-            penalty = math.exp(-((len(hyp) - len(ref)) ** 2) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
-            for num, hs, rs in zip(nums, h_sq, r_sq):
-                if num:
-                    total += penalty * num / (math.sqrt(hs) * math.sqrt(rs))
-        for g, c in max_ref.items():
-            tally[bisect_right(cuts, g)] += min(c, hyp_counts[g])
-        cider.append(10.0 * total / (len(refs) * CIDER_N))
-    return rouge, cider, tally
+def _ngrams(np, corpus: _Corpus, cap, doc):
+    """Each caption's distinct n-grams, one order n = 1..CIDER_N at a time.
+    cap is the caption of each token, doc the video of each reference caption
+    and -1 for a hypothesis. Yields (at, c, g, count, df): one row per
+    distinct (caption, n-gram) pair, sorted by n-gram id, then caption. The
+    row's n-gram has id g and occurs count times in caption c, first as the
+    n-gram that ends at token at; df[g] is the number of videos whose
+    references contain it."""
+    tok = np.asarray(corpus.ids)
+    pos = (np.arange(len(tok)) - np.asarray(corpus.ends)[cap]).astype(np.int32)
+    ids_at = np.empty(len(tok), np.int32)  # the id of the n-gram each token ends
+    for n in range(CIDER_N):
+        ends = np.flatnonzero(pos >= n).astype(np.int32)  # each n-gram's last token
+        key = tok[ends]
+        if n:
+            key += np.multiply(ids_at[ends - 1], corpus.base, dtype=np.int64)
+        order = np.argsort(key, kind="stable")
+        ids = np.cumsum(_changes(np, key[order]), dtype=np.int32)
+        ids -= 1
+        del key
+        ends = ends[order]
+        del order
+        ids_at[ends] = ids
+        c = cap[ends]
+        first = np.flatnonzero(_changes(np, ids, c))
+        count = np.diff(first, append=len(ids)).astype(np.int32)
+        at, c, g = ends[first], c[first], ids[first]
+        del ends, ids, first
+        ref = doc[c] >= 0
+        rg = g[ref]
+        df = np.bincount(rg[_changes(np, rg, doc[c[ref]])], minlength=g.max(initial=-1) + 1)
+        del ref, rg
+        yield at, c, g, count, df
 
 
 def _bleu(tally: list[int]) -> float:
-    """Corpus BLEU-4 from the summed tallies of `_score_videos`."""
+    """Corpus BLEU-4 from its tallies: matches and totals per order, then
+    the hypothesis and closest reference lengths, each summed over the corpus."""
     matches, totals = tally[:CIDER_N], tally[CIDER_N:2 * CIDER_N]
     hyp_len_total, ref_len_total = tally[-2:]
     if not all(matches):
@@ -312,16 +257,55 @@ def _report(corpus: _Corpus) -> MetricReport:
     and so is CIDEr-D; `score_captions` refuses it, its views do not."""
     if not (n := len(corpus.vids)):
         raise DataError("the corpus has no videos to score")
-    df = _df_pass(corpus)
-    if len(corpus.ends) - 1 > FORK_MIN_CAPTIONS and _can_fork():
-        half = n // 2
-        with _worker(lambda: _score_videos(corpus, df, half, n), "score") as join:
-            blocks = [_score_videos(corpus, df, 0, half), join()]
-    else:
-        blocks = [_score_videos(corpus, df, 0, n)]
-    rouge = [r for b in blocks for r in b[0]]
-    cider = [c for b in blocks for c in b[1]]
-    tally = [sum(t) for t in zip(*(b[2] for b in blocks))]
+    import numpy as np  # not at module level: see the module docstring
+
+    lens = np.diff(corpus.ends)
+    n_refs = np.asarray(corpus.n_refs)
+    hyp = np.cumsum(n_refs + 1) - n_refs - 1  # the caption of each video's hypothesis
+    video = np.repeat(np.arange(n, dtype=np.int32), n_refs + 1)
+    doc = video.copy()
+    doc[hyp] = -1
+    ref = doc >= 0
+    cap = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
+    log_n = math.log(n)
+    idf = np.array([log_n - math.log(max(1.0, d)) for d in range(n + 1)])
+    num, sq = np.zeros((len(lens), CIDER_N)), np.zeros((len(lens), CIDER_N))
+    tally = [0] * (2 * CIDER_N + 2)  # matches and totals per order, then the two lengths
+    for k, (at, c, g, count, df) in enumerate(_ngrams(np, corpus, cap, doc)):
+        w = idf[df[g]] * count  # each row's tf-idf weight
+        # The hypothesis row a reference row matches, if any, is the first row
+        # of its run of rows with one n-gram and one video.
+        head = np.where(_changes(np, g, video[c]), np.arange(len(c), dtype=np.int32), 0)
+        np.maximum.accumulate(head, out=head)
+        r = np.flatnonzero(ref[c] & ~ref[c[head]])
+        h = head[r]
+        by = np.lexsort((at[h], c[r]))  # by reference, then first occurrence in the hypothesis
+        r, h = r[by], h[by]
+        num[:, k] = np.bincount(c[r], np.minimum(w[h], w[r]) * w[r], minlength=len(lens))
+        top = np.zeros_like(count)  # each hypothesis row's largest count in a reference
+        np.maximum.at(top, h, count[r])
+        tally[k] = int(np.minimum(count, top).sum())
+        w_sq = np.zeros(len(cap))  # at each row's first token, the row's squared weight
+        w_sq[at] = w * w
+        sq[:, k] = np.bincount(cap, w_sq, minlength=len(lens))
+        del at, c, g, count, df, w, head, r, h, by, top, w_sq  # before the next order's pass
+    hyp_len, ref_len, ref_video = lens[hyp], lens[ref], doc[ref]
+    gap = np.abs(ref_len - hyp_len[ref_video])
+    for k in range(CIDER_N):
+        tally[CIDER_N + k] = int(np.maximum(hyp_len - k, 0).sum())
+    tally[-2] = int(hyp_len.sum())
+    longest = int(ref_len.max()) + 1  # the closest reference: least gap, then shorter
+    closest = np.minimum.reduceat(gap * longest + ref_len, np.cumsum(n_refs) - n_refs)
+    tally[-1] = int((closest % longest).sum())
+    penalty = np.array([math.exp(-(d * d) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
+                        for d in range(int(gap.max()) + 1)])[gap]
+    norm = np.sqrt(sq)
+    h_norm, r_norm = norm[hyp][ref_video], norm[ref]
+    terms = np.divide(penalty[:, None] * num[ref], h_norm * r_norm, out=np.zeros_like(r_norm),
+                      where=(h_norm > 0) & (r_norm > 0))
+    total = np.bincount(np.repeat(ref_video, CIDER_N), terms.ravel(), minlength=n)
+    cider = (10.0 * total / (CIDER_N * n_refs)).tolist()
+    rouge = [_rouge_f(h, refs) for h, refs in corpus.videos()]
     per_video = {vid: {"rouge_l": r, "cider": c} for vid, r, c in zip(corpus.vids, rouge, cider)}
     return MetricReport(bleu4=_bleu(tally), rouge_l=sum(rouge) / n,
                         cider=sum(cider) / n, per_video=per_video)

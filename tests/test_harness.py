@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vidcap import binio, cli, decoder, evaluator, harness, metrics
+from vidcap import binio, cli, decoder, evaluator, harness
 from vidcap.decoder import init_lm_params, lm_param_shapes
 from vidcap.ensemble import GeneratorModel
 from vidcap.errors import DataError, FormatError, NumericError, ParameterError
@@ -640,15 +640,6 @@ class TestTrainingWorker:
         run_experiment(cfg)
         assert split.forks == []
 
-    def test_default_run_scores_in_process(self, monkeypatch):
-        """A default run's score stage scores 30 videos: below
-        metrics.FORK_MIN_CAPTIONS, so scoring never forks."""
-        monkeypatch.setattr(harness, "_can_fork", lambda: False)
-        monkeypatch.setattr(metrics, "_can_fork", lambda: True)
-        forks = _count_forks(monkeypatch)
-        run_experiment(ExperimentConfig())
-        assert forks == []
-
     def test_failed_write_names_its_stage_and_file(self, monkeypatch, tmp_path, capsys):
         _cut_write(monkeypatch, "pools.jsonl")
         (tmp_path / "cfg.json").write_text(json.dumps(asdict(_two_specialists())))
@@ -707,53 +698,3 @@ class TestWrittenWhole:
         for i, name in enumerate(ARTIFACTS):
             want = (new / name).read_bytes() if i < cut else old[name]
             assert (out / name).read_bytes() == want, name
-
-
-class TestScoreWorker:
-    """`vidcap score` with the scorer's worker forced on for any corpus: its
-    output, its failures and the processes it leaves."""
-
-    @pytest.fixture
-    def scored(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(metrics, "FORK_MIN_CAPTIONS", 0)
-        monkeypatch.setattr(metrics, "_can_fork", lambda: True)
-        dataset, store = harness.load_data(ExperimentConfig(synth=SynthConfig(n_videos=40)))
-        harness.write_data(dataset, store, tmp_path)
-        captions = tmp_path / "captions.json"
-        captions.write_text(json.dumps({r.id: r.captions[-1] for r in dataset.split("val")}))
-        forks = _count_forks(monkeypatch)
-        parent, score_videos = os.getpid(), metrics._score_videos
-
-        def score(act=None) -> int:
-            """`vidcap score`; the worker calls act() before it scores."""
-            def patched(*args):
-                if act and os.getpid() != parent:
-                    act()
-                return score_videos(*args)
-
-            monkeypatch.setattr(metrics, "_score_videos", patched)
-            return cli.main(["score", "--data", str(tmp_path / "dataset.json"),
-                             "--captions", str(captions)])
-
-        yield SimpleNamespace(score=score, forks=forks, captions=captions)
-        assert _no_child_left()
-
-    def test_forked_output_equals_in_process(self, scored, monkeypatch, capsys):
-        assert scored.score() == 0
-        forked = capsys.readouterr()
-        assert len(scored.forks) == 1 and _no_child_left()
-        monkeypatch.setattr(metrics, "_can_fork", lambda: False)
-        assert scored.score() == 0
-        assert capsys.readouterr() == forked
-        assert len(scored.forks) == 1
-
-    def test_failing_worker_is_2(self, scored, capsys):
-        assert scored.score(_raise(DataError("worker failed"))) == 2
-        assert capsys.readouterr().err == f"data error: {scored.captions}: worker failed\n"
-        assert len(scored.forks) == 1
-
-    def test_killed_worker_is_2(self, scored, capsys):
-        assert scored.score(lambda: os.kill(os.getpid(), signal.SIGKILL)) == 2
-        assert capsys.readouterr().err == \
-            "data error: [score] the worker process ended by signal 9 without a result\n"
-        assert len(scored.forks) == 1

@@ -53,9 +53,10 @@ def test_harness_import_loads_no_process_pool():
 
 
 def test_metrics_import_loads_no_numpy():
-    """Nor the scorer worker's process machinery: `forking._worker` imports
-    pickle and signal when it forks, not when it is imported."""
-    unwanted = {"numpy", "multiprocessing", "concurrent.futures", "pickle", "signal"}
+    """Nor any process machinery: the scorer imports numpy when it scores, and
+    scores in the calling process."""
+    unwanted = {"numpy", "multiprocessing", "concurrent.futures", "pickle", "signal",
+                "vidcap.forking"}
     probe = f"import sys, vidcap.metrics; print(sorted({unwanted!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent), "PYTHONDONTWRITEBYTECODE": "1"}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -72,16 +73,32 @@ def fork_calls(source: str) -> list[int]:
                   and isinstance(node.value, ast.Name) and node.value.id == "os")
 
 
+def names(source: str, name: str) -> bool:
+    """Whether the source reads or imports `name`, or an attribute `name`."""
+    return any(isinstance(node, ast.Name) and node.id == name
+               or isinstance(node, ast.alias) and node.name == name
+               or isinstance(node, ast.Attribute) and node.attr == name
+               for node in ast.walk(ast.parse(source)))
+
+
 def test_one_module_forks():
-    """`forking._worker` is the one fork in vidcap; its two callers,
-    run_experiment and score_captions, go through it."""
-    assert [path.name for path in sorted(SRC.glob("*.py"))
-            if fork_calls(path.read_text(encoding="utf-8"))] == ["forking.py"]
+    """`forking._worker` is the one fork in vidcap, and its one caller,
+    run_experiment, goes through it: harness is the one module naming it."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, source in sources.items() if fork_calls(source)] == ["forking.py"]
+    assert [name for name, source in sources.items() if names(source, "_worker")] == \
+        ["harness.py"]
 
 
 def test_scan_finds_a_fork():
     source = "import os\npid = os.fork()\nf = os.forkpty\nfork = os.fork\nos.getpid()\n"
     assert fork_calls(source) == [2, 4]
+
+
+def test_scan_finds_a_name():
+    assert names("from .forking import _can_fork, _worker\n", "_worker")
+    assert names("with forking._worker(f, 's'):\n    pass\n", "_worker")
+    assert not names("def _worker(fn):\n    return fn\n", "_worker")
 
 
 # os.open flags that write, create or truncate

@@ -1,15 +1,12 @@
 import math
-import os
-import signal
-from array import array
 from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_metrics import _lcs, ngram_counts, ref_bleu4, ref_cider_d, ref_rouge_l, toks
-from test_harness import _count_forks, _no_child_left
 from vidcap import metrics
 from vidcap.errors import DataError
 from vidcap.metrics import bleu4, cider_d, rouge_l, score_captions
@@ -305,35 +302,39 @@ class TestTwoPassScorer:
         assert score_captions(hyps, refs).to_json() == first
 
 
-def _decode(code, base):
-    """The id tuple an n-gram code stands for: its digits in base `base`."""
-    digits = []
-    while code > 0:
-        code, d = divmod(code, base)
-        digits.append(d)
-    return tuple(reversed(digits))
-
-
-@st.composite
-def id_sequences(draw):
-    """A caption as word ids over a small alphabet (so n-grams repeat), and a
-    base above its largest id. Ids reach 70,000: from base 55,109 on,
-    base**4 >= 2**63."""
-    alphabet = draw(st.lists(st.integers(1, 70_000), min_size=1, max_size=4, unique=True))
-    ids = draw(st.lists(st.sampled_from(alphabet), max_size=12))
-    return ids, max(alphabet) + 1 + draw(st.integers(0, 3))
+def _ngram_rows(hyps, refs) -> list[list[tuple]]:
+    """`metrics._ngrams` on the corpus: per order n, its rows as (first
+    token, caption, n-gram as a word tuple, id, count, df of the id)."""
+    corpus = metrics._first_pass(hyps, refs)
+    captions = [toks(c) for vid in sorted(hyps) for c in (hyps[vid], *refs[vid])]
+    tokens = [*chain.from_iterable(captions)]
+    cap = np.array([j for j, c in enumerate(captions) for _ in c], np.int32)
+    doc = np.array([-1 if i == 0 else v for v, vid in enumerate(sorted(hyps))
+                    for i in range(1 + len(refs[vid]))], np.int32)
+    return [[(a, c, tuple(tokens[a - n + 1:a + 1]), g, count, int(df[g]))
+             for a, c, g, count in zip(at.tolist(), cs.tolist(), gs.tolist(), counts.tolist())]
+            for n, (at, cs, gs, counts, df) in enumerate(metrics._ngrams(np, corpus, cap, doc), 1)]
 
 
 class TestIntegerCodes:
-    @given(id_sequences())
+    @given(corpora())
     @settings(max_examples=300, deadline=None)
-    def test_codes_decode_to_the_oracle_ngrams(self, case):
-        """Each code decodes to the n-gram the oracle counts, with its count;
-        orders come one after another, each in order of first occurrence."""
-        ids, base = case
-        got = [(_decode(code, base), count)
-               for code, count in metrics._ngram_codes(array("l", ids), base).items()]
-        assert got == [item for n in range(1, 5) for item in ngram_counts(ids, n).items()]
+    def test_codes_decode_to_the_oracle_ngrams(self, corpus):
+        """Each order's rows are each caption's distinct n-grams with the
+        counts the oracle gives them, in order of first occurrence, sorted by
+        id, then caption. The ids are 0, 1, ..., and two rows share an id
+        exactly when their n-grams are equal."""
+        hyps, refs = corpus
+        captions = [toks(c) for vid in sorted(hyps) for c in (hyps[vid], *refs[vid])]
+        for n, rows in enumerate(_ngram_rows(hyps, refs), 1):
+            assert [(c, gram, count) for _, c, gram, _, count, _ in sorted(rows)] == \
+                [(j, gram, count) for j, c in enumerate(captions)
+                 for gram, count in ngram_counts(c, n).items()]
+            order = [(g, c) for _, c, _, g, _, _ in rows]
+            assert order == sorted(order)
+            id_of = {gram: g for _, _, gram, g, _, _ in rows}
+            assert all(id_of[gram] == g for _, _, gram, g, _, _ in rows)
+            assert sorted(id_of.values()) == list(range(len(id_of)))
 
     def test_vocabulary_past_int64_codes(self):
         """With more than 55,108 distinct words, base**4 >= 2**63: the 4-gram
@@ -381,17 +382,14 @@ def _oracle_df(hyps, refs):
 
 
 def _shared_df(hyps, refs):
-    """The df pass's document frequencies, decoded to word tuples."""
-    corpus = metrics._first_pass(hyps, refs)
-    words = [*dict.fromkeys(chain.from_iterable(
-        toks(c) for vid in sorted(hyps) for c in (hyps[vid], *refs[vid])))]
-    return {tuple(words[i - 1] for i in _decode(code, corpus.base)): d
-            for code, d in metrics._df_pass(corpus).items()}
+    """The document frequencies `metrics._ngrams` gives the n-grams in two
+    videos or more, by word tuple."""
+    return {gram: df for rows in _ngram_rows(hyps, refs) for *_, gram, _, _, df in rows if df > 1}
 
 
 class TestSharedDocumentFrequencies:
-    """The df pass keeps the document frequency of an n-gram only when it is in two
-    videos or more: idf(0) == idf(1), so the other n-grams need no entry."""
+    """The document frequency of an n-gram in two videos or more equals the
+    oracle's; idf(0) == idf(1), so the others need not be checked."""
 
     @given(corpora())
     @settings(max_examples=200, deadline=None)
@@ -407,103 +405,3 @@ class TestSharedDocumentFrequencies:
         assert _oracle_df(hyps, refs)[("dog",)] == 1
         assert _shared_df(hyps, refs) == {("a",): 3, ("cat",): 2}
         assert score_captions(hyps, refs).cider == ref_cider_d(hyps, refs)[0]
-
-
-def _oracle_report(hyps, refs) -> tuple:
-    """The oracles' corpus BLEU-4, ROUGE-L and CIDEr-D and per-video rows."""
-    rouge, rouge_per = ref_rouge_l(hyps, refs)
-    cider, cider_per = ref_cider_d(hyps, refs)
-    return (ref_bleu4(hyps, refs), rouge, cider,
-            {vid: {"rouge_l": rouge_per[vid], "cider": cider_per[vid]} for vid in hyps})
-
-
-def _corpus_of(n_captions: int, seed: int = 0) -> tuple[dict, dict]:
-    """n_captions captions in all (hypotheses and references), over
-    n_captions // 2 videos of one reference each; an odd one out is a second
-    reference of video v0."""
-    hyps, refs = random_corpus(seed, n_videos=n_captions // 2, max_refs=1)
-    if n_captions % 2:
-        refs["v0"].append("a dog")
-    assert len(metrics._first_pass(hyps, refs).ends) - 1 == n_captions
-    return hyps, refs
-
-
-class TestForkedScorer:
-    """Above FORK_MIN_CAPTIONS captions, and when _can_fork() allows, a forked
-    worker scores the second half of the videos while this process scores the
-    first. The report does not depend on it, to the byte."""
-
-    @given(corpora())
-    @settings(max_examples=100, deadline=None)
-    def test_forked_report_is_byte_identical(self, corpus):
-        hyps, refs = corpus
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(metrics, "_can_fork", lambda: False)
-            in_process = score_captions(hyps, refs)
-            patch.setattr(metrics, "_can_fork", lambda: True)
-            patch.setattr(metrics, "FORK_MIN_CAPTIONS", 0)
-            forks = _count_forks(patch)
-            forked = score_captions(hyps, refs)
-        assert len(forks) == 1
-        assert forked.to_json() == in_process.to_json()
-        assert (forked.bleu4, forked.rouge_l, forked.cider, forked.per_video) == \
-            _oracle_report(hyps, refs)
-        assert _no_child_left()
-
-    def test_forks_only_above_the_constant(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_can_fork", lambda: True)
-        forks = _count_forks(monkeypatch)
-        at = _corpus_of(metrics.FORK_MIN_CAPTIONS)
-        score_captions(*at)
-        assert forks == []
-        above = _corpus_of(metrics.FORK_MIN_CAPTIONS + 1)
-        report = score_captions(*above)
-        assert len(forks) == 1
-        monkeypatch.setattr(metrics, "_can_fork", lambda: False)
-        assert score_captions(*above).to_json() == report.to_json()
-        assert len(forks) == 1
-        assert _no_child_left()
-
-    def test_vocabulary_past_int64_codes_forked(self, monkeypatch):
-        """The 3000-video corpus past int64 codes scores on the forked path."""
-        monkeypatch.setattr(metrics, "_can_fork", lambda: True)
-        forks = _count_forks(monkeypatch)
-        TestIntegerCodes().test_vocabulary_past_int64_codes()
-        assert len(forks) == 1
-        assert _no_child_left()
-
-    @pytest.fixture
-    def blocks(self, monkeypatch):
-        """Fork for any corpus; `blocks(parent, worker)` makes each process's
-        block call its function instead of scoring."""
-        monkeypatch.setattr(metrics, "_can_fork", lambda: True)
-        monkeypatch.setattr(metrics, "FORK_MIN_CAPTIONS", 0)
-        parent_pid = os.getpid()
-
-        def set_blocks(parent, worker):
-            monkeypatch.setattr(metrics, "_score_videos", lambda *args: (
-                parent if os.getpid() == parent_pid else worker)(*args))
-        yield set_blocks
-        assert _no_child_left()
-
-    def test_killed_worker_is_a_child_process_error(self, blocks):
-        blocks(metrics._score_videos, lambda *args: os.kill(os.getpid(), signal.SIGKILL))
-        with pytest.raises(ChildProcessError, match=r"^\[score\] the worker process ended by "
-                                                    r"signal 9 without a result$"):
-            score_captions(*random_corpus(3, n_videos=4))
-
-    def test_worker_error_reaches_the_caller(self, blocks):
-        def fail(*args):
-            raise DataError("worker failed")
-
-        blocks(metrics._score_videos, fail)
-        with pytest.raises(DataError, match="^worker failed$"):
-            score_captions(*random_corpus(3, n_videos=4))
-
-    def test_error_in_this_process_stops_the_worker(self, blocks):
-        def interrupted(*args):
-            raise KeyboardInterrupt
-
-        blocks(interrupted, lambda *args: signal.pause())  # the worker would never finish
-        with pytest.raises(KeyboardInterrupt):
-            score_captions(*random_corpus(3, n_videos=4))
